@@ -197,13 +197,14 @@ def _cmd_maxstable(cfg, spec, seed, workers):
     n_grid = [int(v) for v in cfg.get("n_grid", [100, 1000, 10000])]
     n = int(cfg.get("n", 10**5))
     i, j = int(pair[0]), int(pair[1])
-    table = montecarlo.pairwise_asymindep(list(spec.alpha), weights, spec.p, spec.radial,
+    # weight rows follow the config's alpha order, not the spec's sorted one
+    table = montecarlo.pairwise_asymindep(cfg["alpha"], weights, spec.p, spec.radial,
                                           i, j, n_grid, n, seed)
-    w = np.asarray(weights, dtype=float)
+    col_spec = aggtail.validate_spec(cfg["alpha"], np.asarray(weights, dtype=float)[:, i],
+                                     spec.p, spec.radial)
     header = ["n_level", "b_n", "a_n", "pair_ratio"]
     rows = []
     for (n_level, b_n, ratio) in table:
-        col_spec = montecarlo._column_spec(list(spec.alpha), w[:, i], spec.p, spec.radial)
         consts = montecarlo.norming_constants(col_spec, int(n_level))
         rows.append([int(n_level), consts.b_n, consts.a_n, ratio])
     return header, rows
@@ -321,7 +322,7 @@ def main(argv=None) -> int:
     except (ValidationError, DomainError, DirtailError) as exc:
         print(f"dirtail: {exc}", file=sys.stderr)
         return 2
-    except FloatingPointError as exc:
+    except ArithmeticError as exc:
         print(f"dirtail: numeric failure: {exc}", file=sys.stderr)
         return 3
 

@@ -10,10 +10,10 @@ probabilities down to ~1e-60 are estimable with ordinary sample sizes; all
 of the rarity lives in F_bar, none in the indicator.  A crude frequency
 estimator and (for d <= 3) deterministic quadrature oracles cross-check it.
 
-Reproducibility contract: samples are partitioned into fixed-size chunks,
-chunk k draws from a substream seeded by (seed, k), and results reduce over
-chunks in index order.  The worker count changes scheduling only, never
-the result.
+Every sampler runs on one chunked engine: chunk k of a fixed partition
+draws from a substream seeded by (seed, k) and is reduced on its own, and
+the chunk results combine in index order.  Only conditional_mc_tail and
+crude_mc_tail take a worker count; it changes scheduling, never a result.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .aggtail import AggregateSpec, lambda_tilde, tail_asymptotic
-from .errors import DomainError, ValidationError
+from .aggtail import AggregateSpec, lambda_tilde, tail_asymptotic, validate_spec
+from .errors import DomainError, NumericError, ValidationError
 from .producttail import saddle_geometry
 from .radial import RadialModel
 from .specfun import log1mexp, log_gamma, logsumexp
@@ -77,29 +77,59 @@ def _check_seed(seed) -> int:
     return int(seed)
 
 
-def _chunk_sizes(n: int) -> list[int]:
+def _chunk_sizes(n: int, chunk: int = CHUNK) -> list[int]:
     if not n >= 1:
         raise ValidationError(f"sample count must be >= 1, got {n}")
-    full, rest = divmod(int(n), CHUNK)
-    return [CHUNK] * full + ([rest] if rest else [])
+    full, rest = divmod(int(n), chunk)
+    return [chunk] * full + ([rest] if rest else [])
 
 
-def _chunk_rng(seed: int, idx: int) -> np.random.Generator:
-    return np.random.default_rng([seed, idx])
+def _chunked(seed: int, sizes: list[int], alpha, fn, workers: int = 1) -> list:
+    """fn(rng, u) for every chunk k, in chunk order.  u holds the chunk's
+    sizes[k] simplex rows, drawn first from rng = default_rng([seed, k])."""
+    alpha = np.asarray(alpha, dtype=float)
 
+    def one_chunk(k: int):
+        rng = np.random.default_rng([seed, k])
+        y = rng.standard_gamma(alpha, size=(sizes[k], alpha.size))
+        return fn(rng, y / y.sum(axis=1, keepdims=True))
 
-def _map_chunks(fn, n_chunks: int, workers: int):
-    """Evaluate fn(idx) for idx in range(n_chunks), reducing in index order."""
-    if workers <= 1 or n_chunks == 1:
-        return [fn(i) for i in range(n_chunks)]
+    if workers <= 1 or len(sizes) == 1:
+        return [one_chunk(k) for k in range(len(sizes))]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n_chunks)))
+        return list(pool.map(one_chunk, range(len(sizes))))
 
 
-def _simplex_chunk(rng: np.random.Generator, alpha: np.ndarray, size: int) -> np.ndarray:
-    """One chunk of simplex variables U (rows sum to 1)."""
-    y = rng.standard_gamma(alpha, size=(size, alpha.size))
-    return y / y.sum(axis=1, keepdims=True)
+def _chunk_logsums(parts) -> np.ndarray:
+    """Equal-shaped per-chunk tables of log-sums, log-summed entry by entry."""
+    table = np.asarray(parts)
+    cols = table.reshape(len(table), -1).T
+    return np.asarray([logsumexp(col) for col in cols]).reshape(table.shape[1:])
+
+
+def _radius(rng: np.random.Generator, radial: RadialModel, size: int) -> np.ndarray:
+    """Radius draws by quantile inversion of one uniform each."""
+    return radial.quantile(np.clip(rng.random(size), 1e-16, 1.0 - 1e-16))
+
+
+def _log_cond(radial: RadialModel, z: np.ndarray, level: float, p: float) -> np.ndarray:
+    """The conditional kernel log F_bar((level / z)^{1/p}), one value per row.
+
+    z = 0 maps to an unbounded radius (survival 0); a NaN z reaches
+    log_survival and fails there rather than being read as no exceedance.
+    """
+    with np.errstate(divide="ignore"):
+        return radial.log_survival(np.minimum((level / z) ** (1.0 / p), 1e300))
+
+
+def _cond_logsums(radial: RadialModel, z: np.ndarray, levels, p: float):
+    """log sum over rows of the conditional kernel, one level at a time."""
+    return (logsumexp(_log_cond(radial, z, level, p)) for level in levels)
+
+
+def _z(spec: AggregateSpec, u: np.ndarray) -> np.ndarray:
+    """The simplex part Z = sum_i lambda_i U_i^p of each row of u."""
+    return (np.asarray(spec.lam) * u ** spec.p).sum(axis=1)
 
 
 def _z_sup(lam: np.ndarray, p: float) -> float:
@@ -121,19 +151,15 @@ def sample_dirichlet(spec: AggregateSpec, n: int, seed: int, return_radius: bool
     draw, so each sample consumes a fixed slice of its chunk substream.
     """
     seed = _check_seed(seed)
-    sizes = _chunk_sizes(n)
-    alpha = np.asarray(spec.alpha)
-    rows, radii = [], []
-    for idx, size in enumerate(sizes):
-        rng = _chunk_rng(seed, idx)
-        u = _simplex_chunk(rng, alpha, size)
-        v = np.clip(rng.random(size), 1e-16, 1.0 - 1e-16)
-        r = spec.radial.quantile(v)
-        rows.append(u * r[:, None])
-        radii.append(r)
-    x = np.vstack(rows)
+
+    def draw(rng, u):
+        r = _radius(rng, spec.radial, len(u))
+        return u * r[:, None], r
+
+    parts = _chunked(seed, _chunk_sizes(n), spec.alpha, draw)
+    x = np.vstack([part[0] for part in parts])
     if return_radius:
-        return x, np.concatenate(radii)
+        return x, np.concatenate([part[1] for part in parts])
     return x
 
 
@@ -166,23 +192,16 @@ def conditional_mc_tail(spec: AggregateSpec, t: float, n: int, seed: int,
     if not t > 0:
         raise DomainError(f"threshold must be positive, got {t}")
     tn = t / spec.scale
-    alpha = np.asarray(spec.alpha)
-    lam = np.asarray(spec.lam)
     x_f = spec.radial.upper_endpoint
-    if math.isfinite(x_f) and tn >= _z_sup(lam, spec.p) * x_f ** spec.p:
+    if math.isfinite(x_f) and tn >= _z_sup(np.asarray(spec.lam), spec.p) * x_f ** spec.p:
         return Estimate(p_hat=0.0, log_p_hat=-math.inf, stderr=0.0, n=int(n),
                         seed=seed, method="conditional")
-    sizes = _chunk_sizes(n)
-    inv_p = 1.0 / spec.p
 
-    def one_chunk(idx: int):
-        rng = _chunk_rng(seed, idx)
-        u = _simplex_chunk(rng, alpha, sizes[idx])
-        z = (lam * u ** spec.p).sum(axis=1)
-        logs = spec.radial.log_survival(np.minimum((tn / z) ** inv_p, 1e300))
+    def moments(rng, u):
+        logs = _log_cond(spec.radial, _z(spec, u), tn, spec.p)
         return logsumexp(logs), logsumexp(2.0 * logs)
 
-    parts = _map_chunks(one_chunk, len(sizes), workers)
+    parts = _chunked(seed, _chunk_sizes(n), spec.alpha, moments, workers)
     ls1 = logsumexp([p[0] for p in parts])
     ls2 = logsumexp([p[1] for p in parts])
     return _estimate_from_log_moments(ls1, ls2, int(n), seed, "conditional")
@@ -195,19 +214,12 @@ def crude_mc_tail(spec: AggregateSpec, t: float, n: int, seed: int,
     if not t > 0:
         raise DomainError(f"threshold must be positive, got {t}")
     tn = t / spec.scale
-    alpha = np.asarray(spec.alpha)
-    lam = np.asarray(spec.lam)
-    sizes = _chunk_sizes(n)
 
-    def one_chunk(idx: int):
-        rng = _chunk_rng(seed, idx)
-        u = _simplex_chunk(rng, alpha, sizes[idx])
-        v = np.clip(rng.random(sizes[idx]), 1e-16, 1.0 - 1e-16)
-        r = spec.radial.quantile(v)
-        z = (lam * u ** spec.p).sum(axis=1)
-        return int(np.count_nonzero(r ** spec.p * z > tn))
+    def hits_in(rng, u):
+        r = _radius(rng, spec.radial, len(u))
+        return int(np.count_nonzero(r ** spec.p * _z(spec, u) > tn))
 
-    hits = sum(_map_chunks(one_chunk, len(sizes), workers))
+    hits = sum(_chunked(seed, _chunk_sizes(n), spec.alpha, hits_in, workers))
     n = int(n)
     p_hat = hits / n
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / n)
@@ -258,7 +270,6 @@ def quadrature_tail(spec: AggregateSpec, t: float) -> Estimate:
     log_top = radial.log_survival(u_min)
 
     a = spec.alpha
-    neval = 0
 
     # for p >= 1 the integrand concentrates in O(1/u_min) layers at the simplex
     # corners; hint the adaptive rule at them
@@ -275,40 +286,41 @@ def quadrature_tail(spec: AggregateSpec, t: float) -> Estimate:
         val, _err, info = integrate.quad(integrand, 0.0, 1.0, points=points,
                                          limit=300, epsabs=1e-14, epsrel=1e-10,
                                          full_output=True)[:3]
-        neval = int(info["neval"])
-        log_val = log_top + math.log(val)
-        return Estimate(p_hat=math.exp(log_val), log_p_hat=log_val, stderr=0.0,
-                        n=neval, seed=0, method="quadrature")
-
-    # d == 3: split off the last index; B3 ~ Beta(a1+a2, a3), inner B2 ~ Beta(a1, a2)
-    if 0 < p < 1:
-        inner_points = [saddle_geometry(lam[0], lam[1], p).theta]
-        lt2 = lambda_tilde(lam[:2], p)
-        outer_points = [saddle_geometry(lt2, lam[2], p).theta]
     else:
-        inner_points = [edge, 1.0 - edge]
-        outer_points = [edge, 1.0 - edge]
+        # d == 3: split off the last index; B3 ~ Beta(a1+a2, a3), inner B2 ~ Beta(a1, a2)
+        if 0 < p < 1:
+            inner_points = [saddle_geometry(lam[0], lam[1], p).theta]
+            lt2 = lambda_tilde(lam[:2], p)
+            outer_points = [saddle_geometry(lt2, lam[2], p).theta]
+        else:
+            inner_points = [edge, 1.0 - edge]
+            outer_points = [edge, 1.0 - edge]
 
-    def outer(b3):
-        head = b3 ** p
-        tail = lam[2] * (1.0 - b3) ** p
+        def outer(b3):
+            head = b3 ** p
+            tail = lam[2] * (1.0 - b3) ** p
 
-        def inner(b2):
-            z = head * (lam[0] * b2 ** p + lam[1] * (1.0 - b2) ** p) + tail
-            u = min((tn / z) ** inv_p, 1e300)
-            return math.exp(_log_beta_pdf_arr(a[0], a[1], b2) + radial.log_survival(u) - log_top)
+            def inner(b2):
+                z = head * (lam[0] * b2 ** p + lam[1] * (1.0 - b2) ** p) + tail
+                u = min((tn / z) ** inv_p, 1e300)
+                return math.exp(_log_beta_pdf_arr(a[0], a[1], b2) + radial.log_survival(u)
+                                - log_top)
 
-        val, _ = integrate.quad(inner, 0.0, 1.0, points=inner_points,
-                                limit=200, epsabs=1e-14, epsrel=1e-9)
-        return val * math.exp(_log_beta_pdf_arr(a[0] + a[1], a[2], b3))
+            val, _ = integrate.quad(inner, 0.0, 1.0, points=inner_points,
+                                    limit=200, epsabs=1e-14, epsrel=1e-9)
+            return val * math.exp(_log_beta_pdf_arr(a[0] + a[1], a[2], b3))
 
-    val, _err, info = integrate.quad(outer, 0.0, 1.0, points=outer_points,
-                                     limit=200, epsabs=1e-14, epsrel=1e-8,
-                                     full_output=True)[:3]
-    neval = int(info["neval"])
-    log_val = log_top + math.log(val) if val > 0 else -math.inf
+        val, _err, info = integrate.quad(outer, 0.0, 1.0, points=outer_points,
+                                         limit=200, epsabs=1e-14, epsrel=1e-8,
+                                         full_output=True)[:3]
+    # u_min < x_f here, so the true integral is positive: a zero is the
+    # adaptive rule missing the integrand's support, not an answer
+    if not val > 0:
+        raise NumericError(f"quadrature integral came out {val} at t={t}: "
+                           f"the rule missed the integrand's support")
+    log_val = log_top + math.log(val)
     return Estimate(p_hat=math.exp(log_val), log_p_hat=log_val, stderr=0.0,
-                    n=neval, seed=0, method="quadrature")
+                    n=int(info["neval"]), seed=0, method="quadrature")
 
 
 # ----------------------------------------------------------------------
@@ -326,32 +338,15 @@ def max_sum_ratio(spec: AggregateSpec, t_grid, n: int, seed: int) -> np.ndarray:
     t_grid = [float(t) for t in t_grid]
     if any(t <= 0 for t in t_grid):
         raise DomainError("thresholds must be positive")
-    alpha = np.asarray(spec.alpha)
-    lam = np.asarray(spec.lam)
-    sizes = _chunk_sizes(n)
-    inv_p = 1.0 / spec.p
+    levels = [t / spec.scale for t in t_grid]
 
-    num_parts = [[] for _ in t_grid]
-    den_parts = [[] for _ in t_grid]
-    for idx, size in enumerate(sizes):
-        rng = _chunk_rng(seed, idx)
-        u = _simplex_chunk(rng, alpha, size)
-        terms = lam * u ** spec.p
-        z = terms.sum(axis=1)
-        zmax = terms.max(axis=1)
-        for k, t in enumerate(t_grid):
-            tn = t / spec.scale
-            num_parts[k].append(logsumexp(spec.radial.log_survival(
-                np.minimum((tn / zmax) ** inv_p, 1e300))))
-            den_parts[k].append(logsumexp(spec.radial.log_survival(
-                np.minimum((tn / z) ** inv_p, 1e300))))
+    def columns(rng, u):
+        terms = np.asarray(spec.lam) * u ** spec.p
+        return list(zip(_cond_logsums(spec.radial, terms.max(axis=1), levels, spec.p),
+                        _cond_logsums(spec.radial, terms.sum(axis=1), levels, spec.p)))
 
-    rows = []
-    for k, t in enumerate(t_grid):
-        log_num = logsumexp(num_parts[k]) - math.log(n)
-        log_den = logsumexp(den_parts[k]) - math.log(n)
-        rows.append((t, log_num, log_den, math.exp(log_num - log_den)))
-    return np.asarray(rows)
+    logs = _chunk_logsums(_chunked(seed, _chunk_sizes(n), spec.alpha, columns)) - math.log(n)
+    return np.asarray([(t, num, den, math.exp(num - den)) for t, (num, den) in zip(t_grid, logs)])
 
 
 @dataclass(frozen=True)
@@ -372,13 +367,6 @@ def norming_constants(spec: AggregateSpec, n: int) -> NormingConstants:
     b_n = asym.invert(-math.log(n))
     a_n = spec.scale / spec.radial.power_scaling_wp(spec.p, b_n / spec.scale)
     return NormingConstants(a_n=a_n, b_n=b_n)
-
-
-def _column_conditional_logs(radial: RadialModel, z: np.ndarray, level: float,
-                             p: float) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        arg = np.where(z > 0, (level / np.where(z > 0, z, 1.0)) ** (1.0 / p), np.inf)
-    return radial.log_survival(np.minimum(arg, 1e300))
 
 
 def pairwise_asymindep(alpha, weights, p: float, radial: RadialModel, i: int, j: int,
@@ -423,40 +411,20 @@ def pairwise_asymindep(alpha, weights, p: float, radial: RadialModel, i: int, j:
                 if np.all(w[:, c1] == w[:, c2]):
                     raise ValidationError(f"columns {c1} and {c2} are identical")
 
-    spec_i = _column_spec(alpha, w[:, i], p, radial)
-    asym_i = tail_asymptotic(spec_i)
-    levels = [(int(nl), asym_i.invert(-math.log(nl))) for nl in n_grid]
+    # the zero-weight components stay in the column's spec: their alphas
+    # still shape the simplex law of the remaining coordinates
+    asym_i = tail_asymptotic(validate_spec(alpha, w[:, i], p, radial))
+    bs = [asym_i.invert(-math.log(nl)) for nl in n_grid]
 
-    alpha_arr = np.asarray([float(a) for a in alpha])
-    sizes = _chunk_sizes(n)
-    single_parts = [[] for _ in levels]
-    joint_parts = [[] for _ in levels]
-    for idx, size in enumerate(sizes):
-        rng = _chunk_rng(seed, idx)
-        u = _simplex_chunk(rng, alpha_arr, size)
+    def columns(rng, u):
         up = u ** p
         z_i = up @ w[:, i]
-        z_j = up @ w[:, j]
-        z_min = np.minimum(z_i, z_j)
-        for k, (_nl, b) in enumerate(levels):
-            single_parts[k].append(logsumexp(_column_conditional_logs(radial, z_i, b, p)))
-            joint_parts[k].append(logsumexp(_column_conditional_logs(radial, z_min, b, p)))
+        z_min = np.minimum(z_i, up @ w[:, j])
+        return list(zip(_cond_logsums(radial, z_i, bs, p), _cond_logsums(radial, z_min, bs, p)))
 
-    rows = []
-    for k, (nl, b) in enumerate(levels):
-        log_single = logsumexp(single_parts[k]) - math.log(n)
-        log_joint = logsumexp(joint_parts[k]) - math.log(n)
-        rows.append((nl, b, math.exp(log_joint - log_single)))
-    return np.asarray(rows)
-
-
-def _column_spec(alpha, column, p, radial) -> AggregateSpec:
-    # the zero-weight components must stay: their alphas still shape the
-    # simplex law of the remaining coordinates
-    from .aggtail import validate_spec
-    if not np.any(np.asarray(column) > 0):
-        raise ValidationError("a weight column is identically zero")
-    return validate_spec(list(alpha), [float(c) for c in column], p, radial)
+    logs = _chunk_logsums(_chunked(seed, _chunk_sizes(n), alpha, columns)) - math.log(n)
+    return np.asarray([(int(nl), b, math.exp(joint - single))
+                       for nl, b, (single, joint) in zip(n_grid, bs, logs)])
 
 
 def empirical_gumbel_mda(spec: AggregateSpec, x_grid, depth_grid, n: int,
@@ -471,34 +439,23 @@ def empirical_gumbel_mda(spec: AggregateSpec, x_grid, depth_grid, n: int,
     if spec.radial.mda_class != "gumbel":
         raise DomainError("the Gumbel diagnostic needs a Gumbel-class radial law")
     asym = tail_asymptotic(spec)
-    alpha = np.asarray(spec.alpha)
-    lam = np.asarray(spec.lam)
-    sizes = _chunk_sizes(n)
-    inv_p = 1.0 / spec.p
 
     jobs = []
     for depth in depth_grid:
         v = asym.invert(math.log(depth))
         w_raw = spec.radial.power_scaling_wp(spec.p, v / spec.scale) / spec.scale
-        thresholds = [v] + [v + float(x) / w_raw for x in x_grid]
-        jobs.append((depth, v, thresholds))
+        levels = [t / spec.scale for t in [v] + [v + float(x) / w_raw for x in x_grid]]
+        jobs.append((depth, v, levels))
 
-    all_parts = {(jk, tk): [] for jk, job in enumerate(jobs) for tk in range(len(job[2]))}
-    for idx, size in enumerate(sizes):
-        rng = _chunk_rng(seed, idx)
-        u = _simplex_chunk(rng, alpha, size)
-        z = (lam * u ** spec.p).sum(axis=1)
-        for jk, (_depth, _v, thresholds) in enumerate(jobs):
-            for tk, t in enumerate(thresholds):
-                tn = t / spec.scale
-                all_parts[(jk, tk)].append(logsumexp(spec.radial.log_survival(
-                    np.minimum((tn / z) ** inv_p, 1e300))))
+    def columns(rng, u):
+        z = _z(spec, u)
+        return [list(_cond_logsums(spec.radial, z, levels, spec.p)) for _d, _v, levels in jobs]
 
+    # the ratios take differences of raw log-sums: both sides share 1/n
+    logs = _chunk_logsums(_chunked(seed, _chunk_sizes(n), spec.alpha, columns))
     rows = []
-    for jk, (depth, v, thresholds) in enumerate(jobs):
-        log_base = logsumexp(all_parts[(jk, 0)])
-        for tk, x in enumerate(x_grid):
-            log_shift = logsumexp(all_parts[(jk, tk + 1)])
+    for (depth, v, _levels), (log_base, *log_shifts) in zip(jobs, logs):
+        for x, log_shift in zip(x_grid, log_shifts):
             rows.append((depth, v, float(x), math.exp(log_shift - log_base),
                          math.exp(-float(x))))
     return np.asarray(rows)
@@ -514,26 +471,18 @@ def gumbel_limit_check(spec: AggregateSpec, n: int, replicates: int, x_grid,
     """
     seed = _check_seed(seed)
     consts = norming_constants(spec, n)
-    alpha = np.asarray(spec.alpha)
-    lam = np.asarray(spec.lam)
     x_arr = np.asarray([float(x) for x in x_grid])
     cut = consts.b_n + consts.a_n * x_arr
 
-    reps_per_chunk = max(1, CHUNK // max(1, n))
-    counts = np.zeros(x_arr.size, dtype=np.int64)
-    done = 0
-    idx = 0
-    while done < replicates:
-        reps = min(reps_per_chunk, replicates - done)
-        rng = _chunk_rng(seed, idx)
-        u = _simplex_chunk(rng, alpha, reps * n)
-        v = np.clip(rng.random(reps * n), 1e-16, 1.0 - 1e-16)
-        r = spec.radial.quantile(v)
-        s = spec.scale * r ** spec.p * (lam * u ** spec.p).sum(axis=1)
-        block_max = s.reshape(reps, n).max(axis=1)
-        counts += (block_max[:, None] <= cut[None, :]).sum(axis=0)
-        done += reps
-        idx += 1
+    # each chunk holds whole blocks of n draws
+    sizes = [reps * n for reps in _chunk_sizes(replicates, max(1, CHUNK // n))]
 
+    def block_counts(rng, u):
+        r = _radius(rng, spec.radial, len(u))
+        s = spec.scale * r ** spec.p * _z(spec, u)
+        block_max = s.reshape(-1, n).max(axis=1)
+        return (block_max[:, None] <= cut[None, :]).sum(axis=0)
+
+    counts = sum(_chunked(seed, sizes, spec.alpha, block_counts))
     emp = counts / float(replicates)
     return np.asarray([(x, e, math.exp(-math.exp(-x))) for x, e in zip(x_arr, emp)])

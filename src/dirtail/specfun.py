@@ -1,9 +1,9 @@
 """Numerically stable special functions and exact Beta/Gamma law tails.
 
 Everything downstream (radial survival functions, asymptotic constants,
-conditional Monte Carlo) funnels through this module.  All tail quantities
-come in a linear and a log-scale flavour because the survival values of
-interest range from 1e-2 down to 1e-60 and below.
+conditional Monte Carlo) funnels through this module.  The tail kernels
+return log-scale values, because the survival values of interest range
+from 1e-2 down to 1e-60 and below.
 
 The incomplete beta and incomplete gamma functions are evaluated with the
 classic series / continued-fraction pair (modified Lentz iteration), with
@@ -46,13 +46,6 @@ def log_gamma(a: float) -> float:
     if not a > 0:
         raise DomainError(f"log_gamma requires a > 0, got {a}")
     return math.lgamma(a)
-
-
-def gamma_ratio(a: float, b: float) -> float:
-    """Gamma(a)/Gamma(b) via the log scale; stable for large arguments."""
-    if not (a > 0 and b > 0):
-        raise DomainError(f"gamma_ratio requires positive arguments, got ({a}, {b})")
-    return math.exp(math.lgamma(a) - math.lgamma(b))
 
 
 def logsumexp(values) -> float:
@@ -183,32 +176,6 @@ def log_beta_survival(a, b, x):
     return out
 
 
-def beta_survival(a, b, x):
-    """Exact P(B_{a,b} > x) via the regularized incomplete beta function."""
-    out = log_beta_survival(a, b, x)
-    return np.exp(out) if isinstance(out, np.ndarray) else math.exp(out)
-
-
-def beta_power_survival(a, b, p, x):
-    """P(B_{a,b}^p > x) = P(B > x^{1/p}) for p > 0."""
-    if not p > 0:
-        raise DomainError(f"power must be positive, got p={p}")
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0) or np.any(xa > 1):
-        raise DomainError(f"argument must lie in [0, 1], got x={x}")
-    return beta_survival(a, b, xa ** (1.0 / p) if np.ndim(x) else float(xa) ** (1.0 / p))
-
-
-def log_beta_power_survival(a, b, p, x):
-    """Log-scale twin of beta_power_survival, safe for x near 1."""
-    if not p > 0:
-        raise DomainError(f"power must be positive, got p={p}")
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0) or np.any(xa > 1):
-        raise DomainError(f"argument must lie in [0, 1], got x={x}")
-    return log_beta_survival(a, b, xa ** (1.0 / p) if np.ndim(x) else float(xa) ** (1.0 / p))
-
-
 # ----------------------------------------------------------------------
 # incomplete gamma (regularized upper tail)
 # ----------------------------------------------------------------------
@@ -284,9 +251,3 @@ def log_regularized_gamma_upper(a, x):
     if np.ndim(x) == 0 and np.ndim(a) == 0:
         return float(out)
     return out
-
-
-def regularized_gamma_upper(a, x):
-    """Q(a, x) = P(Gamma(a, 1) > x) on the linear scale."""
-    out = log_regularized_gamma_upper(a, x)
-    return np.exp(out) if isinstance(out, np.ndarray) else math.exp(out)

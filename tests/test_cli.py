@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+import dirtail as dt
 from dirtail import cli
 from dirtail.errors import NumericError
 
@@ -156,6 +157,21 @@ class TestMaxstable:
         assert header == ["n_level", "b_n", "a_n", "pair_ratio"]
         assert float(rows[0][3]) < 0.2
 
+    def test_weight_rows_follow_config_alpha_order(self, tmp_path):
+        # lambda sorts the spec's alpha to (3, 0.5); the weight rows, and so
+        # column 0's law, stay in the config's order (0.5, 3)
+        cfg = {"alpha": [0.5, 3.0], "lambda": [0.4, 1.0], "p": 2.0,
+               "radial": {"family": "gamma", "params": {"shape": 2.0, "rate": 1.0}},
+               "weights": [[1.0, 0.0], [0.0, 1.0]], "n_grid": [1000], "n": 2000,
+               "seed": 9}
+        out = tmp_path / "out.csv"
+        rc = cli.main(["maxstable", "--config", write_config(tmp_path, cfg),
+                       "--out", str(out)])
+        assert rc == 0
+        _, _, rows = read_csv(out)
+        column = dt.validate_spec([0.5, 3], [1, 0], 2, dt.GammaLaw(2, 1))
+        assert float(rows[0][1]) == dt.norming_constants(column, 1000).b_n
+
 
 class TestOutputContracts:
     def test_metadata_line(self, tmp_path):
@@ -252,3 +268,21 @@ class TestExitCodes:
         rc = cli.main(["approx", "--config", write_config(tmp_path, cfg)])
         assert rc == 3
         assert "numeric failure" in capsys.readouterr().err
+
+    def test_overflow_near_unit_power_is_3(self, tmp_path, capsys):
+        # p = 0.999999 overflows the saddle geometry's exp(log(lam/c)/(p-1))
+        cfg = {"alpha": [1, 1, 1], "lambda": [1, 0.7, 0.4], "p": 0.999999,
+               "radial": {"family": "gamma", "params": {"shape": 3, "rate": 1}},
+               "depths": [1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14]}
+        rc = cli.main(["approx", "--config", write_config(tmp_path, cfg)])
+        assert rc == 3
+        assert "numeric failure" in capsys.readouterr().err
+
+    def test_vanishing_quadrature_is_3(self, tmp_path, capsys):
+        # at depth 1e-12 the d = 2 rule misses the integrand's support
+        cfg = {"alpha": [1, 2], "lambda": [1, 0.5], "p": 1.0,
+               "radial": {"family": "beta", "params": {"a": 2, "b": 3}},
+               "depths": [1e-12], "oracle": "quadrature"}
+        rc = cli.main(["ratio", "--config", write_config(tmp_path, cfg)])
+        assert rc == 3
+        assert "quadrature" in capsys.readouterr().err

@@ -108,6 +108,17 @@ class TestConditionalEstimator:
         b = dt.conditional_mc_tail(REGIME_A, 20.0, 5000, seed=42)
         assert a == b
 
+    def test_tiny_alpha_fails_loudly_or_lands(self):
+        # alpha = 0.001 drives standard_gamma to exact zeros, so simplex rows
+        # can come out 0/0; they must not be read as "never exceeds".
+        # 0.0531756 is the mpmath value, matched by quadrature_tail
+        spec = dt.validate_spec([0.001, 0.001], [1, 0.5], 2.0, GammaLaw(3, 1))
+        try:
+            est = dt.conditional_mc_tail(spec, 30.0, 10 ** 5, seed=3)
+        except dt.DirtailError:
+            return
+        assert abs(est.p_hat - 0.0531756) <= 5 * est.stderr
+
 
 class TestCrudeEstimator:
     def test_everything_above_zero_threshold(self):
@@ -193,6 +204,12 @@ class TestMaxSumRatio:
         table = dt.max_sum_ratio(REGIME_A, [t], 10 ** 5, seed=59)
         ratio = table[0, 3]
         assert 0.85 <= ratio <= 1.0
+
+    def test_denominator_is_the_conditional_estimate(self):
+        # both draw the same chunks and reduce the same kernel, bit for bit
+        for spec, t, n in [(REGIME_A, 30.319, CHUNK + 777), (KOTZ2, 9.0, 3000)]:
+            table = dt.max_sum_ratio(spec, [t], n, seed=57)
+            assert table[0, 2] == dt.conditional_mc_tail(spec, t, n, seed=57).log_p_hat
 
     def test_no_single_big_jump_at_unit_power(self):
         spec = dt.validate_spec([1, 1, 1], [1, 1, 1], 1.0, GammaLaw(3, 1))
