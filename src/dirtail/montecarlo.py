@@ -86,13 +86,22 @@ def _chunk_sizes(n: int, chunk: int = CHUNK) -> list[int]:
 
 def _chunked(seed: int, sizes: list[int], alpha, fn, workers: int = 1) -> list:
     """fn(rng, u) for every chunk k, in chunk order.  u holds the chunk's
-    sizes[k] simplex rows, drawn first from rng = default_rng([seed, k])."""
+    sizes[k] simplex rows, drawn first from rng = default_rng([seed, k]).
+
+    Raises NumericError when a row's gamma draws all underflow to 0, which
+    small alpha makes likely: the row has no simplex point to normalize.
+    """
     alpha = np.asarray(alpha, dtype=float)
 
     def one_chunk(k: int):
         rng = np.random.default_rng([seed, k])
         y = rng.standard_gamma(alpha, size=(sizes[k], alpha.size))
-        return fn(rng, y / y.sum(axis=1, keepdims=True))
+        total = y.sum(axis=1, keepdims=True)
+        if not np.all(total > 0):
+            raise NumericError(
+                f"simplex row sum underflowed to 0 at alpha={alpha.tolist()}: every "
+                f"standard_gamma draw of a row was 0 (alpha too small to sample)")
+        return fn(rng, y / total)
 
     if workers <= 1 or len(sizes) == 1:
         return [one_chunk(k) for k in range(len(sizes))]

@@ -1,12 +1,10 @@
-"""Product-tail asymptotics and saddle-point mixture constants.
+"""Saddle-point geometry and mixture constants of the small-power regime.
 
-Two groups of results live here.  First, the tails of products S*Y of
-independent factors where S has a polynomially thin tail at its endpoint 1
-and Y is either Gumbel-attracted or regularly varying at a finite endpoint.
-Second, the Laplace-method geometry of the two-term mixtures
+The Laplace-method geometry of the two-term mixtures
 B^p * c + lam * (1-B)^p that drive the small-power aggregation constants:
 the saddle point, the curvature there, and the constants multiplying
-sqrt(u) in the near-endpoint tail.
+sqrt(u) in the near-endpoint tail.  (The product-tail lemmas for S*Y that
+underlie the recursion are checked in tests/test_producttail.py.)
 """
 
 from __future__ import annotations
@@ -14,16 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, UnsupportedClassError
-from .radial import RadialModel
-from .specfun import LogProb, log_gamma
+from .errors import DomainError
+from .specfun import log_gamma
 
 __all__ = [
     "SaddleGeometry",
     "saddle_geometry",
-    "beta_power_tail_asym",
-    "product_tail_gumbel",
-    "product_tail_weibull",
     "mixture_tail_constant_c",
     "mixture_tail_constant_d",
 ]
@@ -71,62 +65,6 @@ def saddle_geometry(c: float, lam: float, p: float) -> SaddleGeometry:
     curvature = abs(p * (p - 1.0)) * (theta ** (p - 2.0) * c + lam * comp ** (p - 2.0))
     return SaddleGeometry(c=c, lam=lam, p=p, theta=theta, theta_complement=comp,
                           theta_tilde=theta_tilde, curvature=curvature)
-
-
-def beta_power_tail_asym(a: float, b: float, p: float, u: float) -> float:
-    """First-order tail of a powered Beta variable near 1:
-
-    P(B_{a,b}^p > 1-u) ~ Gamma(a+b) / (p^b Gamma(a) Gamma(b+1)) * u^b.
-    """
-    if not (a > 0 and b > 0 and p > 0):
-        raise DomainError(f"parameters must be positive, got ({a}, {b}, {p})")
-    if not 0 < u < 1:
-        raise DomainError(f"u must lie in (0, 1), got {u}")
-    log_val = (log_gamma(a + b) - b * math.log(p) - log_gamma(a) - log_gamma(b + 1.0)
-               + b * math.log(u))
-    return math.exp(log_val)
-
-
-def product_tail_gumbel(beta: float, slowly_varying, radial: RadialModel, u: float) -> LogProb:
-    """Tail of S*Y at a Gumbel-attracted Y:
-
-    P(S*Y > u) ~ Gamma(beta+1) * P(S > 1 - 1/(u*w(u))) * P(Y > u),
-
-    where P(S > 1-eps) = L * eps^beta with L the `slowly_varying` argument,
-    either a constant or a callable evaluated at u*w(u).
-    """
-    if beta < 0:
-        raise DomainError(f"tail index must be non-negative, got {beta}")
-    if radial.mda_class != "gumbel":
-        raise UnsupportedClassError(
-            f"{type(radial).__name__} is not Gumbel-attracted; product_tail_gumbel does not apply")
-    uw = u * radial.scaling_w(u)
-    big_l = slowly_varying(uw) if callable(slowly_varying) else float(slowly_varying)
-    if not big_l > 0:
-        raise DomainError(f"slowly varying factor must be positive, got {big_l}")
-    log_val = (log_gamma(beta + 1.0) + math.log(big_l) - beta * math.log(uw)
-               + radial.log_survival(u))
-    return LogProb(log_val)
-
-
-def product_tail_weibull(beta: float, gamma: float, lam: float,
-                         tails_at: tuple[float, float], u: float) -> LogProb:
-    """Near-endpoint tail of the shifted product of two endpoint-1 factors:
-
-    constant * P(S > 1-1/u) * P(Y > 1-1/u), with
-    constant = (1-lam)^gamma * Gamma(beta+1)*Gamma(gamma+1)/Gamma(beta+gamma+1).
-    """
-    if beta < 0 or gamma < 0:
-        raise DomainError(f"tail indices must be non-negative, got ({beta}, {gamma})")
-    if not lam < 1:
-        raise DomainError(f"shift must satisfy lam < 1, got {lam}")
-    p_s, p_y = tails_at
-    if not (0 < p_s <= 1 and 0 < p_y <= 1):
-        raise DomainError(f"tails_at must be probabilities in (0, 1], got {tails_at}")
-    log_val = (gamma * math.log1p(-lam)
-               + log_gamma(beta + 1.0) + log_gamma(gamma + 1.0) - log_gamma(beta + gamma + 1.0)
-               + math.log(p_s) + math.log(p_y))
-    return LogProb(log_val)
 
 
 def mixture_tail_constant_c(beta_density_at_theta: float, geometry: SaddleGeometry) -> float:

@@ -5,11 +5,20 @@ conditional Monte Carlo) funnels through this module.  The tail kernels
 return log-scale values, because the survival values of interest range
 from 1e-2 down to 1e-60 and below.
 
-The incomplete beta and incomplete gamma functions are evaluated with the
-classic series / continued-fraction pair (modified Lentz iteration), with
-the symmetry switch at x = (a+1)/(a+b+2) for the beta case so that each
-branch computes the *small* tail directly and never through cancellation.
-All kernels are vectorized over numpy arrays.
+The regularized upper tails Q(a, x) and 1 - I_x(a, b) come from
+scipy.special (the DiDonato-Morris algorithms), taken in log scale in
+three bands of the linear-scale tail q:
+
+* q > 1/2: log1p of minus the lower tail, because log(q) rounds to 0
+  once 1 - q drops below the double spacing near 1;
+* q below an underflow floor: the modified-Lentz continued fraction for
+  the upper tail, summed in log scale, because q itself underflows (or
+  keeps only a few digits as a subnormal) while its logarithm is an
+  ordinary number;
+* everywhere else: log(q).
+
+Only entries in the deep band reach the hand-written fractions.  All
+kernels are vectorized over numpy arrays.
 """
 
 from __future__ import annotations
@@ -18,12 +27,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import betainc, betaincc, betaln, gammainc, gammaincc, gammaln
 
 from .errors import DomainError, NumericError
 
 _TINY = 1e-300
 _EPS = 1e-15
 _MAX_ITER = 500
+#: below this linear-scale tail the log comes from the continued fraction;
+#: far enough above the smallest normal double that log(q) never sees a subnormal
+_FLOOR = 1e-280
 
 
 @dataclass(frozen=True)
@@ -72,14 +85,39 @@ def log1mexp(x: float) -> float:
 
 
 # ----------------------------------------------------------------------
+# banded upper tails
+# ----------------------------------------------------------------------
+
+def _log_tail(upper, lower, log_fraction, *args):
+    """log of the upper tail q = upper(*args), by the bands of q.
+
+    lower(*args) is 1 - q and log_fraction(*args) is log q by the
+    continued fraction; each runs only on the entries of its band.
+    """
+    args = np.broadcast_arrays(*args)
+    shape = args[0].shape
+    args = [arg.ravel() for arg in args]
+    q = upper(*args)
+    with np.errstate(divide="ignore"):
+        out = np.log(q)
+    body = q > 0.5
+    if body.any():
+        out[body] = np.log1p(-lower(*(arg[body] for arg in args)))
+    deep = q < _FLOOR
+    if deep.any():
+        out[deep] = log_fraction(*(arg[deep] for arg in args))
+    return out.reshape(shape)
+
+
+# ----------------------------------------------------------------------
 # incomplete beta
 # ----------------------------------------------------------------------
 
 def _beta_cf(a, b, x):
     """Continued fraction for the regularized incomplete beta (Lentz).
 
-    Converges fast for x < (a+1)/(a+b+2); callers are responsible for
-    the symmetry switch.  Vectorized over x, a, b of a common shape.
+    Converges fast for x < (a+1)/(a+b+2).  Vectorized over x, a, b of a
+    common shape.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -117,45 +155,19 @@ def _beta_cf(a, b, x):
     raise NumericError("incomplete beta continued fraction did not converge")
 
 
-def _log_beta(a, b):
-    return (np.vectorize(math.lgamma)(a) + np.vectorize(math.lgamma)(b)
-            - np.vectorize(math.lgamma)(a + b))
+def _beta_cf_upper_log(a, b, x):
+    """log P(B_{a,b} > x) = log I_{1-x}(b, a) by the continued fraction.
 
-
-def _log_beta_survival_raw(a, b, x):
-    """log P(B_{a,b} > x), vectorized, for 0 <= x <= 1."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    x = np.asarray(x, dtype=float)
-    a, b, x = np.broadcast_arrays(a, b, x)
-    out = np.empty(x.shape, dtype=float)
-
-    at_zero = x <= 0.0
-    at_one = x >= 1.0
-    out[at_zero] = 0.0
-    out[at_one] = -np.inf
-    interior = ~(at_zero | at_one)
-    if not interior.any():
-        return out
-
-    ai, bi, xi = a[interior], b[interior], x[interior]
-    switch = (ai + 1.0) / (ai + bi + 2.0)
-    # log of the common prefactor x^a (1-x)^b / B(a, b)
-    log_pref = ai * np.log(xi) + bi * np.log1p(-xi) - _log_beta(ai, bi)
-
-    res = np.empty(xi.shape, dtype=float)
-    upper = xi >= switch
-    if upper.any():
-        # survival computed directly as I_{1-x}(b, a)
-        cf = _beta_cf(bi[upper], ai[upper], 1.0 - xi[upper])
-        res[upper] = log_pref[upper] - np.log(bi[upper]) + np.log(cf)
-    lower = ~upper
-    if lower.any():
-        # survival = 1 - I_x(a, b); I_x is bounded away from 1 here
-        cf = _beta_cf(ai[lower], bi[lower], xi[lower])
-        lower_cdf = np.exp(log_pref[lower] - np.log(ai[lower]) + np.log(cf))
-        res[lower] = np.log1p(-np.minimum(lower_cdf, 1.0))
-    out[interior] = res
+    Meant for 1-d arrays with x above the mean, where 1 - x lies in the
+    fraction's fast range.  x = 1 is -inf without the fraction: BetaLaw
+    clips every argument past its endpoint to 1, so in conditional sampling
+    such entries can fill most of a chunk.
+    """
+    out = np.full(x.shape, -np.inf)
+    inside = x < 1.0
+    a, b, x = a[inside], b[inside], x[inside]
+    log_pref = a * np.log(x) + b * np.log1p(-x) - betaln(a, b)
+    out[inside] = log_pref - np.log(b) + np.log(_beta_cf(b, a, 1.0 - x))
     return out
 
 
@@ -170,7 +182,9 @@ def _check_beta_args(a, b, x):
 def log_beta_survival(a, b, x):
     """log P(B_{a,b} > x); scalar in, scalar out, arrays pass through."""
     _check_beta_args(a, b, x)
-    out = _log_beta_survival_raw(a, b, x)
+    out = _log_tail(betaincc, betainc, _beta_cf_upper_log,
+                    np.asarray(a, dtype=float), np.asarray(b, dtype=float),
+                    np.asarray(x, dtype=float))
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out
@@ -179,27 +193,6 @@ def log_beta_survival(a, b, x):
 # ----------------------------------------------------------------------
 # incomplete gamma (regularized upper tail)
 # ----------------------------------------------------------------------
-
-def _gamma_series_lower(a, x):
-    """Regularized lower incomplete gamma P(a, x) by series, for x <= a + 1."""
-    a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float)
-    ap = a.copy()
-    total = 1.0 / a
-    term = total.copy()
-    converged = np.zeros(x.shape, dtype=bool)
-    for _ in range(_MAX_ITER):
-        ap = ap + 1.0
-        term = term * x / ap
-        total = total + np.where(converged, 0.0, term)
-        converged |= np.abs(term) < np.abs(total) * _EPS
-        if converged.all():
-            break
-    else:
-        raise NumericError("incomplete gamma series did not converge")
-    log_p = np.log(total) - x + a * np.log(np.where(x > 0, x, 1.0)) - np.vectorize(math.lgamma)(a)
-    return np.where(x > 0, np.exp(log_p), 0.0)
-
 
 def _gamma_cf_upper_log(a, x):
     """log Q(a, x) by continued fraction (Lentz), for x > a + 1."""
@@ -225,7 +218,7 @@ def _gamma_cf_upper_log(a, x):
             break
     else:
         raise NumericError("incomplete gamma continued fraction did not converge")
-    return -x + a * np.log(x) - np.vectorize(math.lgamma)(a) + np.log(h)
+    return -x + a * np.log(x) - gammaln(a) + np.log(h)
 
 
 def log_regularized_gamma_upper(a, x):
@@ -236,18 +229,7 @@ def log_regularized_gamma_upper(a, x):
     xx = np.asarray(x, dtype=float)
     if np.any(xx < 0) or np.any(np.isnan(xx)):
         raise DomainError(f"argument must be non-negative, got x={x}")
-    ax, xx = np.broadcast_arrays(ax, xx)
-    out = np.empty(xx.shape, dtype=float)
-
-    zero = xx == 0.0
-    out[zero] = 0.0
-    series = (xx < ax + 1.0) & ~zero
-    if series.any():
-        p = _gamma_series_lower(ax[series], xx[series])
-        out[series] = np.log1p(-np.minimum(p, 1.0))
-    cf = ~(zero | series)
-    if cf.any():
-        out[cf] = _gamma_cf_upper_log(ax[cf], xx[cf])
+    out = _log_tail(gammaincc, gammainc, _gamma_cf_upper_log, ax, xx)
     if np.ndim(x) == 0 and np.ndim(a) == 0:
         return float(out)
     return out

@@ -110,14 +110,17 @@ class TestConditionalEstimator:
 
     def test_tiny_alpha_fails_loudly_or_lands(self):
         # alpha = 0.001 drives standard_gamma to exact zeros, so simplex rows
-        # can come out 0/0; they must not be read as "never exceeds".
+        # can come out 0/0; they must not be read as "never exceeds", and a
+        # failure must name alpha as its cause.
         # 0.0531756 is the mpmath value, matched by quadrature_tail
         spec = dt.validate_spec([0.001, 0.001], [1, 0.5], 2.0, GammaLaw(3, 1))
-        try:
-            est = dt.conditional_mc_tail(spec, 30.0, 10 ** 5, seed=3)
-        except dt.DirtailError:
-            return
-        assert abs(est.p_hat - 0.0531756) <= 5 * est.stderr
+        for estimator in (dt.conditional_mc_tail, dt.crude_mc_tail):
+            try:
+                est = estimator(spec, 30.0, 10 ** 5, seed=3)
+            except dt.DirtailError as err:
+                assert "alpha" in str(err), err
+                continue
+            assert abs(est.p_hat - 0.0531756) <= 5 * est.stderr, estimator.__name__
 
 
 class TestCrudeEstimator:

@@ -1,12 +1,15 @@
 """Tests for the special-function kernels.
 
 Deep-tail reference values were frozen from 40-digit mpmath evaluations at
-exactly representable double inputs; broad grids are cross-checked against
-scipy.special, which uses an independent (Cephes/Boost) implementation.
+exactly representable double inputs.  The kernels take their tails from
+scipy.special outside the deep band, so the scipy grids check the band
+logic more than the digits; the independent oracle is the mpmath grid,
+which covers every band of both tails.
 """
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -195,3 +198,74 @@ class TestLogHelpers:
     def test_logprob_value(self):
         assert sf.LogProb(-2.0).value == pytest.approx(math.exp(-2.0))
         assert sf.LogProb(-math.inf).value == 0.0
+
+
+def mp_log_tail(upper, lower):
+    """log of an upper tail from mpmath, with 40 digits to spare beyond
+    the leading digits that log(q) ~ -(1 - q) loses when q is near 1."""
+    with mp.workdps(40):
+        small = lower()
+    extra = int(-mp.log10(small)) if 0 < small < 0.5 else 0
+    with mp.workdps(40 + extra):
+        return float(mp.log(upper()))
+
+
+def assert_bands_within(q, got, ref, tol=1e-12):
+    """Every band of q is populated and within tol relative error in log."""
+    rel = np.abs(got - ref) / np.abs(ref)
+    bands = {"q > 1/2": q > 0.5,
+             "floor <= q <= 1/2": (q <= 0.5) & (q >= sf._FLOOR),
+             "q < floor": q < sf._FLOOR}
+    for name, band in bands.items():
+        assert band.sum() >= 20, name
+        assert rel[band].max() < tol, (name, rel[band].max())
+
+
+class TestMpmathGrid:
+    """Both tails against 40-digit mpmath in all three bands, including
+    points straddling q = 1/2 and the underflow floor."""
+
+    def test_gamma_upper(self):
+        rng = np.random.default_rng(2024)
+        floor = sf._FLOOR
+        a_all, x_all = [], []
+        for a in np.geomspace(1e-3, 1e3, 13):
+            x = np.concatenate([
+                sp.gammaincinv(a, 10.0 ** -rng.uniform(1, 300, 4)),
+                sp.gammainccinv(a, 10.0 ** -rng.uniform(0.4, 279, 4)),
+                sp.gammainccinv(a, [0.5 * (1 - 1e-6), 0.5 * (1 + 1e-6)]),
+                sp.gammainccinv(a, [floor * 1.001, floor * 0.999]),
+                sp.gammainccinv(a, 1e-300) * np.array([1.0, 1.1, 2.0, 10.0]),
+            ])
+            x = x[x > 0]
+            a_all += [a] * x.size
+            x_all += list(x)
+        a, x = np.array(a_all), np.array(x_all)
+        ref = np.array([mp_log_tail(lambda: mp.gammainc(ai, xi, mp.inf, regularized=True),
+                                    lambda: mp.gammainc(ai, 0, xi, regularized=True))
+                        for ai, xi in zip(a, x)])
+        assert_bands_within(sp.gammaincc(a, x), sf.log_regularized_gamma_upper(a, x), ref)
+
+    def test_beta_survival(self):
+        # the reference is the lower tail of B_{b,a} at 1 - x, taken exactly:
+        # mpmath's betainc(a, b, x, 1) is wrong near x = 1
+        rng = np.random.default_rng(2025)
+        floor = sf._FLOOR
+        cols = []
+        for a in np.geomspace(1e-2, 1e2, 7):
+            for b in np.geomspace(1e-2, 1e2, 7):
+                x = np.concatenate([
+                    sp.betaincinv(a, b, 10.0 ** -rng.uniform(1, 300, 2)),
+                    sp.betainccinv(a, b, 10.0 ** -rng.uniform(0.4, 279, 2)),
+                    sp.betainccinv(a, b, [0.5 * (1 - 1e-6), 0.5 * (1 + 1e-6)]),
+                    sp.betainccinv(a, b, [floor * 1.001, floor * 0.999]),
+                    1.0 - 10.0 ** -np.arange(1, 16),
+                ])
+                x = x[(x > 0) & (x < 1)]
+                cols.append(np.stack([np.full(x.size, a), np.full(x.size, b), x]))
+        a, b, x = np.concatenate(cols, axis=1)
+        ref = np.array([mp_log_tail(
+            lambda: mp.betainc(bi, ai, 0, mp.fsub(1, xi, exact=True), regularized=True),
+            lambda: mp.betainc(ai, bi, 0, xi, regularized=True))
+            for ai, bi, xi in zip(a, b, x)])
+        assert_bands_within(sp.betaincc(a, b, x), sf.log_beta_survival(a, b, x), ref)
