@@ -8,7 +8,15 @@ Z = sum_i lambda_i U_i^p sampled and the radius integrated out exactly,
 every sample contributes its exact log-scale survival value, so tail
 probabilities down to ~1e-60 are estimable with ordinary sample sizes; all
 of the rarity lives in F_bar, none in the indicator.  A crude frequency
-estimator and (for d <= 3) deterministic quadrature oracles cross-check it.
+estimator and, for d <= 3, a deterministic quadrature oracle cross-check it.
+
+The oracle sums the same kernel along lines Z = lam0 B^p + lam1 (1-B)^p
+against Beta laws, one vectorized log_survival call per line.  Its
+Gauss-Legendre panels are graded geometrically toward the corners, the
+saddle theta (the p < 1 peak, narrower the deeper the tail) and a finite
+endpoint's support edges (where the integrand drops to 0), which keeps the
+convergence exponential at any depth; the corner panels are Gauss-Jacobi,
+whose weights carry the Beta density's powers, so alpha < 1 costs nothing.
 
 Every sampler runs on one chunked engine: chunk k of a fixed partition
 draws from a substream seeded by (seed, k) and is reduced on its own, and
@@ -23,11 +31,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy.special import expit, roots_jacobi
 
 from .aggtail import AggregateSpec, lambda_tilde, tail_asymptotic, validate_spec
 from .errors import DomainError, NumericError, ValidationError
-from .producttail import saddle_geometry
 from .radial import RadialModel
 from .specfun import log1mexp, log_gamma, logsumexp
 
@@ -54,9 +61,9 @@ CHUNK = 1 << 16
 class Estimate:
     """A tail-probability estimate with its uncertainty.
 
-    stderr is 0 exactly for the deterministic quadrature method (and for
-    degenerate one-dimensional conditional estimates whose sample variance
-    vanishes identically).
+    For the deterministic quadrature method stderr = 0 means no error
+    estimate, and n counts integrand evaluations; a conditional estimate has
+    stderr 0 only when its sample variance vanishes identically.
     """
 
     p_hat: float
@@ -237,99 +244,103 @@ def crude_mc_tail(spec: AggregateSpec, t: float, n: int, seed: int,
 
 
 # ----------------------------------------------------------------------
-# quadrature oracles (d <= 3)
+# quadrature oracle (d <= 3)
 # ----------------------------------------------------------------------
 
-def _log_beta_pdf_arr(a: float, b: float, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore"):
-        return ((a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x)
-                + log_gamma(a + b) - log_gamma(a) - log_gamma(b))
+_POINTS = 12  # Gauss points per panel
+_GRADE = 0.25  # size ratio of neighbouring graded panels
+_LEVELS = 12  # graded panels per half-interval, before its end panel
+
+
+def _graded_half(e: float):
+    """Distances d in (0, 1] from a breakpoint, with log-weights integrating
+    d^e * smooth(d); the end panel's weights carry -e log d against the d^e."""
+    x, w = roots_jacobi(_POINTS, 0.0, 0.0)
+    size = _GRADE ** np.arange(_LEVELS)
+    d = np.outer(size, _GRADE + (1.0 - _GRADE) * 0.5 * (1.0 + x)).ravel()
+    lw = np.add.outer(np.log(0.5 * (1.0 - _GRADE) * size), np.log(w)).ravel()
+    x, w = roots_jacobi(_POINTS, 0.0, e)
+    d_end = _GRADE ** _LEVELS * 0.5 * (1.0 + x)
+    lw_end = np.log(w) + math.log(0.5 * _GRADE ** _LEVELS) - e * np.log1p(x)
+    return np.append(d, d_end), np.append(lw, lw_end)
+
+
+class _LineRule:
+    """Graded rule on the line g(b) = lam0 b^p + lam1 (1-b)^p against Beta(a, c).
+    Points are pairs (b, 1 - b), exact both ways, for nodes a hair from a corner."""
+
+    def __init__(self, a: float, c: float, lam0: float, lam1: float, p: float):
+        self.a, self.c, self.lam0, self.lam1, self.p = a, c, lam0, lam1, p
+        self.log_norm = log_gamma(a + c) - log_gamma(a) - log_gamma(c)
+        self.halves = {e: _graded_half(e) for e in {a - 1.0, c - 1.0, 0.0}}
+        # g is monotone between the corners and its interior extremum: the
+        # saddle theta (its maximum) for p < 1, a minimum for p > 1
+        x = math.log(lam0 / lam1) / (1.0 - p) if p != 1.0 and lam1 > 0 else None
+        ends = [(0.0, 1.0), (1.0, 0.0)]
+        self.pieces = ends if x is None else [ends[0], (float(expit(x)), float(expit(-x))), ends[1]]
+        self.breakpoints = self.pieces if p < 1.0 else ends
+
+    def g(self, b, bc):
+        return self.lam0 * b ** self.p + self.lam1 * bc ** self.p
+
+    def nodes(self, level: float):
+        """Points b, 1 - b and log-weights of the rule over {g > level}."""
+        points = list(self.breakpoints)
+        # the support edges: where g crosses a positive level on a monotone piece
+        for lo, hi in zip(self.pieces, self.pieces[1:]):
+            up = self.g(*lo) > level
+            if level > 0 and up != (self.g(*hi) > level):
+                for _ in range(64):
+                    mid = (0.5 * (lo[0] + hi[0]), 0.5 * (lo[1] + hi[1]))
+                    lo, hi = (mid, hi) if (self.g(*mid) > level) == up else (lo, mid)
+                points.append(lo)
+        points.sort()
+        parts = [(np.empty(0),) * 3]  # a line with no support gets no nodes
+        for lo, hi in zip(points, points[1:]):
+            half = 0.5 * (hi[0] - lo[0] if lo[0] < 0.5 else lo[1] - hi[1])
+            if not (half > 0 and self.g(0.5 * (lo[0] + hi[0]), 0.5 * (lo[1] + hi[1])) > level):
+                continue
+            for (s, sc), sign in ((lo, 1.0), (hi, -1.0)):
+                d, lw = self.halves[self.a - 1.0 if s == 0 else self.c - 1.0 if sc == 0 else 0.0]
+                parts.append((s + sign * half * d, sc - sign * half * d, lw + math.log(half)))
+        b, bc, lw = (np.concatenate(x) for x in zip(*parts))
+        return b, bc, lw + (self.a - 1.0) * np.log(b) + (self.c - 1.0) * np.log(bc) + self.log_norm
 
 
 def quadrature_tail(spec: AggregateSpec, t: float) -> Estimate:
-    """Deterministic oracle for P(S_p > t), d <= 3.
-
-    d = 2 integrates the conditional radial survival against the Beta
-    mixing density; d = 3 nests two such integrals over the splitting
-    rectangle.  The integrand is normalized by its supremum and integrated
-    in linear scale, so the result is exact in log scale at any depth.
-    """
+    """Deterministic oracle for P(S_p > t), d <= 3, by the graded Gauss rule
+    of the module docstring.  n counts the integrand evaluations."""
     if not t > 0:
         raise DomainError(f"threshold must be positive, got {t}")
     if spec.d > 3:
         raise DomainError(f"quadrature oracle supports d <= 3, got d={spec.d}")
     tn = t / spec.scale
-    p = spec.p
-    inv_p = 1.0 / p
-    radial = spec.radial
-    x_f = radial.upper_endpoint
-
-    if spec.d == 1:
-        log_val = radial.log_survival(min(tn ** inv_p, 1e300))
-        return Estimate(p_hat=math.exp(log_val), log_p_hat=log_val, stderr=0.0,
-                        n=1, seed=0, method="quadrature")
-
-    lam = np.asarray(spec.lam)
-    z_sup = _z_sup(lam, p)
-    u_min = (tn / z_sup) ** inv_p
-    if u_min >= x_f:
-        return Estimate(p_hat=0.0, log_p_hat=-math.inf, stderr=0.0, n=0,
-                        seed=0, method="quadrature")
-    log_top = radial.log_survival(u_min)
-
-    a = spec.alpha
-
-    # for p >= 1 the integrand concentrates in O(1/u_min) layers at the simplex
-    # corners; hint the adaptive rule at them
-    edge = min(0.4, 1.0 / max(u_min, 2.5))
-
-    if spec.d == 2:
-        def integrand(b):
-            z = lam[0] * b ** p + lam[1] * (1.0 - b) ** p
-            u = min((tn / z) ** inv_p, 1e300)
-            return math.exp(_log_beta_pdf_arr(a[0], a[1], b) + radial.log_survival(u) - log_top)
-
-        points = ([saddle_geometry(lam[0], lam[1], p).theta] if 0 < p < 1
-                  else [edge, 1.0 - edge])
-        val, _err, info = integrate.quad(integrand, 0.0, 1.0, points=points,
-                                         limit=300, epsabs=1e-14, epsrel=1e-10,
-                                         full_output=True)[:3]
+    p, lam, a, radial = spec.p, spec.lam, spec.alpha, spec.radial
+    z_sup = _z_sup(np.asarray(lam), p)
+    # Z <= level puts the radius past a finite endpoint (level 0 for none)
+    level = tn / radial.upper_endpoint ** p
+    if spec.d == 1 or level >= z_sup:
+        # the radial tail itself, or 0 with the radius past its endpoint
+        log_val, n = _log_cond(radial, z_sup, tn, p), 1
     else:
-        # d == 3: split off the last index; B3 ~ Beta(a1+a2, a3), inner B2 ~ Beta(a1, a2)
-        if 0 < p < 1:
-            inner_points = [saddle_geometry(lam[0], lam[1], p).theta]
-            lt2 = lambda_tilde(lam[:2], p)
-            outer_points = [saddle_geometry(lt2, lam[2], p).theta]
-        else:
-            inner_points = [edge, 1.0 - edge]
-            outer_points = [edge, 1.0 - edge]
-
-        def outer(b3):
-            head = b3 ** p
-            tail = lam[2] * (1.0 - b3) ** p
-
-            def inner(b2):
-                z = head * (lam[0] * b2 ** p + lam[1] * (1.0 - b2) ** p) + tail
-                u = min((tn / z) ** inv_p, 1e300)
-                return math.exp(_log_beta_pdf_arr(a[0], a[1], b2) + radial.log_survival(u)
-                                - log_top)
-
-            val, _ = integrate.quad(inner, 0.0, 1.0, points=inner_points,
-                                    limit=200, epsabs=1e-14, epsrel=1e-9)
-            return val * math.exp(_log_beta_pdf_arr(a[0] + a[1], a[2], b3))
-
-        val, _err, info = integrate.quad(outer, 0.0, 1.0, points=outer_points,
-                                         limit=200, epsabs=1e-14, epsrel=1e-8,
-                                         full_output=True)[:3]
-    # u_min < x_f here, so the true integral is positive: a zero is the
-    # adaptive rule missing the integrand's support, not an answer
-    if not val > 0:
-        raise NumericError(f"quadrature integral came out {val} at t={t}: "
-                           f"the rule missed the integrand's support")
-    log_val = log_top + math.log(val)
+        inner = _LineRule(a[0], a[1], lam[0], lam[1], p)
+        lines = [(0.0, 1.0, 0.0)]  # (log weight, head, tail) of each line
+        if spec.d == 3:
+            outer = _LineRule(a[0] + a[1], a[2], _z_sup(np.asarray(lam[:2]), p), lam[2], p)
+            b, bc, lw = outer.nodes(level)
+            lines = zip(lw, b ** p, lam[2] * bc ** p)
+        logs, n = [], 0
+        for lw_line, head, tail in lines:
+            b, bc, lw = inner.nodes((level - tail) / head)
+            z = head * inner.g(b, bc) + tail
+            logs.append(lw_line + logsumexp(lw + _log_cond(radial, z, tn, p)))
+            n += b.size
+        log_val = logsumexp(logs)
+        # level < z_sup, so the true integral is positive: 0 means a missed support
+        if log_val == -math.inf:
+            raise NumericError(f"quadrature integral came out 0 at t={t}: rule missed the support")
     return Estimate(p_hat=math.exp(log_val), log_p_hat=log_val, stderr=0.0,
-                    n=int(info["neval"]), seed=0, method="quadrature")
+                    n=n, seed=0, method="quadrature")
 
 
 # ----------------------------------------------------------------------

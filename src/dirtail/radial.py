@@ -163,7 +163,9 @@ class GammaLaw(RadialModel):
 
     def log_survival(self, u):
         ua = _check_domain_nonneg(u)
-        out = specfun.log_regularized_gamma_upper(self.shape, ua * self.rate)
+        # u * rate overflowing to inf is survival 0, which the kernel returns
+        with np.errstate(over="ignore"):
+            out = specfun.log_regularized_gamma_upper(self.shape, ua * self.rate)
         return out if np.ndim(u) else float(out)
 
     def scaling_w(self, u: float) -> float:

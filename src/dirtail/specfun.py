@@ -195,9 +195,13 @@ def log_beta_survival(a, b, x):
 # ----------------------------------------------------------------------
 
 def _gamma_cf_upper_log(a, x):
-    """log Q(a, x) by continued fraction (Lentz), for x > a + 1."""
-    a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float)
+    """log Q(a, x) by continued fraction (Lentz), for 1-d arrays with x > a + 1.
+
+    x = inf is -inf without the fraction, whose terms would be inf / inf.
+    """
+    out = np.full(x.shape, -np.inf)
+    finite = np.isfinite(x)
+    a, x = a[finite], x[finite]
     b = x + 1.0 - a
     c = np.full(x.shape, 1.0 / _TINY)
     d = 1.0 / b
@@ -218,7 +222,8 @@ def _gamma_cf_upper_log(a, x):
             break
     else:
         raise NumericError("incomplete gamma continued fraction did not converge")
-    return -x + a * np.log(x) - gammaln(a) + np.log(h)
+    out[finite] = -x + a * np.log(x) - gammaln(a) + np.log(h)
+    return out
 
 
 def log_regularized_gamma_upper(a, x):

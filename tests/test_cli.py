@@ -3,6 +3,8 @@ exit codes, and the determinism contracts."""
 
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -229,6 +231,16 @@ class TestOutputContracts:
         assert outs[0] == outs[1]
 
 
+class TestImportWeight:
+    def test_no_integrate_or_optimize(self):
+        # a fresh import is what every CLI call pays before any work
+        code = ("import sys, dirtail, dirtail.cli; "
+                "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True).stdout
+        assert out.strip() == "[]"
+
+
 class TestExitCodes:
     def test_malformed_json_is_2_with_location(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -278,11 +290,14 @@ class TestExitCodes:
         assert rc == 3
         assert "numeric failure" in capsys.readouterr().err
 
-    def test_vanishing_quadrature_is_3(self, tmp_path, capsys):
-        # at depth 1e-12 the d = 2 rule misses the integrand's support
+    def test_deep_endpoint_quadrature_is_0(self, tmp_path):
+        # at depth 1e-12 the d = 2 integrand lives on b > 1 - 1.3e-4 only;
+        # -47.89211545592941 is the independent mpmath value
         cfg = {"alpha": [1, 2], "lambda": [1, 0.5], "p": 1.0,
                "radial": {"family": "beta", "params": {"a": 2, "b": 3}},
                "depths": [1e-12], "oracle": "quadrature"}
-        rc = cli.main(["ratio", "--config", write_config(tmp_path, cfg)])
-        assert rc == 3
-        assert "quadrature" in capsys.readouterr().err
+        out = tmp_path / "out.csv"
+        rc = cli.main(["ratio", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+        assert rc == 0
+        _, _, rows = read_csv(out)
+        assert float(rows[0][3]) == pytest.approx(-47.89211545592941, abs=1e-5)

@@ -171,12 +171,32 @@ class TestQuadratureOracle:
         assert abs(quad.p_hat - cond.p_hat) < 4 * cond.stderr
 
     def test_d3_large_power_matches_conditional(self):
-        # exercises the corner-layer integration hints of the p >= 1 branch
+        # at p >= 1 the integrand lives in thin layers at the simplex corners
         spec = dt.validate_spec([1, 1, 1], [1, 0.7, 0.4], 2.0, GammaLaw(3, 1))
         t = 60.0
         quad = dt.quadrature_tail(spec, t)
         cond = dt.conditional_mc_tail(spec, t, 2 * 10 ** 5, seed=44)
         assert abs(quad.p_hat - cond.p_hat) < 4 * cond.stderr
+
+    @pytest.mark.parametrize("alpha, lam, p, radial, t, want", [
+        # alpha < 1: Beta density singular at both corners
+        ([0.2, 0.4], [1, 0.3], 2.0, GammaLaw(3, 1), 80.0, -6.962748720956),
+        # beta radius: the support ends where the radius would pass 1
+        ([1, 2, 1], [1, 0.5, 0.3], 1.0, BetaLaw(2, 3), 0.9, -13.593366162052),
+        ([1, 2, 1], [1, 0.5, 0.3], 1.0, BetaLaw(2, 3), 0.99, -27.488890611431),
+        ([1, 1, 1], [1, 0.7, 0.4], 0.5, BetaLaw(2, 3), 1.2, -7.116066371027),
+    ])
+    def test_pinned_values(self, alpha, lam, p, radial, t, want):
+        # pinned from adaptive scipy quad, which agrees with this rule to 3.6e-9
+        est = dt.quadrature_tail(dt.validate_spec(alpha, lam, p, radial), t)
+        assert est.log_p_hat == pytest.approx(want, abs=1e-8)
+
+    def test_n_counts_every_integrand_node(self):
+        # with an infinite endpoint every d = 3 line is the d = 2 rule, run
+        # once per node of the outer line, which has the same size at p >= 1
+        n2 = dt.quadrature_tail(REGIME_A, 30.0).n
+        n3 = dt.quadrature_tail(dt.validate_spec([1, 1, 1], [1, 1, 1], 2.0, GAMMA21), 30.0).n
+        assert n2 > 100 and n3 >= n2 * n2
 
     def test_dimension_cap(self):
         spec = dt.validate_spec([1, 1, 1, 1], [1, 1, 1, 1], 2.0, GAMMA21)

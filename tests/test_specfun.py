@@ -8,6 +8,7 @@ which covers every band of both tails.
 """
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 
+from dirtail import GammaLaw
 from dirtail import specfun as sf
 from dirtail.errors import DomainError
 
@@ -168,6 +170,16 @@ class TestGammaTails:
         for x in [0.5, 5.0, 40.0]:
             want = math.log1p(x) - x
             assert sf.log_regularized_gamma_upper(2.0, x) == pytest.approx(want, rel=1e-13)
+
+    def test_infinite_argument_is_minus_inf(self):
+        # u * rate overflows to inf in the radial law; both must return -inf
+        # without a warning, not run the fraction into inf / inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sf.log_regularized_gamma_upper(2.0, math.inf) == -math.inf
+            assert GammaLaw(2, 1e10).log_survival(1e300) == -math.inf
+            got = sf.log_regularized_gamma_upper(2.0, np.array([math.inf, 800.0]))
+        assert got[0] == -math.inf and got[1] == pytest.approx(math.log(801.0) - 800.0, rel=1e-13)
 
     def test_domain(self):
         with pytest.raises(DomainError):
