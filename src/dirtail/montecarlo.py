@@ -93,7 +93,8 @@ def _chunk_sizes(n: int, chunk: int = CHUNK) -> list[int]:
 
 def _chunked(seed: int, sizes: list[int], alpha, fn, workers: int = 1) -> list:
     """fn(rng, u) for every chunk k, in chunk order.  u holds the chunk's
-    sizes[k] simplex rows, drawn first from rng = default_rng([seed, k]).
+    sizes[k] simplex rows, drawn first from rng = default_rng([seed, k]);
+    for d = 1 the simplex is the single point 1 and nothing is drawn.
 
     Raises NumericError when a row's gamma draws all underflow to 0, which
     small alpha makes likely: the row has no simplex point to normalize.
@@ -102,6 +103,8 @@ def _chunked(seed: int, sizes: list[int], alpha, fn, workers: int = 1) -> list:
 
     def one_chunk(k: int):
         rng = np.random.default_rng([seed, k])
+        if alpha.size == 1:
+            return fn(rng, np.ones((sizes[k], 1)))
         y = rng.standard_gamma(alpha, size=(sizes[k], alpha.size))
         total = y.sum(axis=1, keepdims=True)
         if not np.all(total > 0):
@@ -121,11 +124,6 @@ def _chunk_logsums(parts) -> np.ndarray:
     table = np.asarray(parts)
     cols = table.reshape(len(table), -1).T
     return np.asarray([logsumexp(col) for col in cols]).reshape(table.shape[1:])
-
-
-def _radius(rng: np.random.Generator, radial: RadialModel, size: int) -> np.ndarray:
-    """Radius draws by quantile inversion of one uniform each."""
-    return radial.quantile(np.clip(rng.random(size), 1e-16, 1.0 - 1e-16))
 
 
 def _log_cond(radial: RadialModel, z: np.ndarray, level: float, p: float) -> np.ndarray:
@@ -163,13 +161,13 @@ def _z_sup(lam: np.ndarray, p: float) -> float:
 def sample_dirichlet(spec: AggregateSpec, n: int, seed: int, return_radius: bool = False):
     """i.i.d. draws of the Dirichlet vector (R*U_1, ..., R*U_d).
 
-    The radius is sampled by quantile inversion of a single uniform per
-    draw, so each sample consumes a fixed slice of its chunk substream.
+    Each chunk draws its simplex rows, then one exact radius per row from
+    RadialModel.sample on the same substream.
     """
     seed = _check_seed(seed)
 
     def draw(rng, u):
-        r = _radius(rng, spec.radial, len(u))
+        r = spec.radial.sample(rng, len(u))
         return u * r[:, None], r
 
     parts = _chunked(seed, _chunk_sizes(n), spec.alpha, draw)
@@ -232,7 +230,7 @@ def crude_mc_tail(spec: AggregateSpec, t: float, n: int, seed: int,
     tn = t / spec.scale
 
     def hits_in(rng, u):
-        r = _radius(rng, spec.radial, len(u))
+        r = spec.radial.sample(rng, len(u))
         return int(np.count_nonzero(r ** spec.p * _z(spec, u) > tn))
 
     hits = sum(_chunked(seed, _chunk_sizes(n), spec.alpha, hits_in, workers))
@@ -498,7 +496,7 @@ def gumbel_limit_check(spec: AggregateSpec, n: int, replicates: int, x_grid,
     sizes = [reps * n for reps in _chunk_sizes(replicates, max(1, CHUNK // n))]
 
     def block_counts(rng, u):
-        r = _radius(rng, spec.radial, len(u))
+        r = spec.radial.sample(rng, len(u))
         s = spec.scale * r ** spec.p * _z(spec, u)
         block_max = s.reshape(-1, n).max(axis=1)
         return (block_max[:, None] <= cut[None, :]).sum(axis=0)

@@ -10,8 +10,13 @@ scaling function w appearing in F_bar(u + x/w(u)) ~ exp(-x) F_bar(u):
     UnitGumbel(kappa)              x_F = 1,  Gumbel, w(u) = kappa/(1-u)^2
 
 Closed forms keep every acceptance ratio exact at survival levels far out
-of reach of empirical estimation.  Custom laws can subclass RadialModel;
-only log_survival is mandatory.
+of reach of empirical estimation.  Radii are drawn exactly, never by
+inverting a uniform: standard_gamma for GammaLaw, Generator.beta for
+BetaLaw, and one exponential draw through the closed-form quantile for
+WeibullTail and UnitGumbel.  A custom law subclasses RadialModel and
+implements upper_endpoint, log_survival, quantile_survival (thresholds at a
+given depth) and sample (radii for crude_mc_tail, sample_dirichlet and
+gumbel_limit_check).
 """
 
 from __future__ import annotations
@@ -71,43 +76,13 @@ class RadialModel(ABC):
         raise UnsupportedClassError(
             f"{type(self).__name__} is not in the Weibull class; no tail index")
 
+    @abstractmethod
     def quantile_survival(self, s):
-        """x with P(R > x) = s, the survival-scale quantile; vectorized.
+        """x with P(R > x) = s for 0 < s < 1, the survival-scale quantile; vectorized."""
 
-        Generic bisection fallback on log_survival; concrete families
-        override with closed forms or dedicated inverses.
-        """
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        if np.any(s_arr <= 0) or np.any(s_arr >= 1):
-            raise DomainError(f"survival level must lie in (0, 1), got {s}")
-        hi_cap = self.upper_endpoint
-        out = np.empty(s_arr.shape)
-        for k, sv in enumerate(s_arr):
-            target = math.log(sv)
-            lo = 0.0
-            if math.isinf(hi_cap):
-                hi = 1.0
-                while self.log_survival(hi) > target:
-                    hi *= 2.0
-                    if hi > 1e300:
-                        raise DomainError("survival level unreachably deep")
-            else:
-                hi = hi_cap
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if self.log_survival(mid) > target:
-                    lo = mid
-                else:
-                    hi = mid
-            out[k] = 0.5 * (lo + hi)
-        return out if np.ndim(s) else float(out[0])
-
-    def quantile(self, q):
-        """inf{x : F(x) >= q} for 0 < q < 1."""
-        qa = np.asarray(q, dtype=float)
-        if np.any(qa <= 0) or np.any(qa >= 1):
-            raise DomainError(f"quantile level must lie in (0, 1), got {q}")
-        return self.quantile_survival(1.0 - qa if np.ndim(q) else 1.0 - float(qa))
+    @abstractmethod
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """size i.i.d. draws of R from rng, each in [0, x_F]."""
 
     # -- serialization -------------------------------------------------
     def to_json(self) -> dict:
@@ -178,6 +153,9 @@ class GammaLaw(RadialModel):
         out = _sp.gammainccinv(self.shape, sa) / self.rate
         return out if np.ndim(s) else float(out)
 
+    def sample(self, rng, size):
+        return rng.standard_gamma(self.shape, size) / self.rate
+
     def to_json(self) -> dict:
         return {"family": "gamma", "params": {"shape": self.shape, "rate": self.rate}}
 
@@ -214,6 +192,9 @@ class WeibullTail(RadialModel):
             raise DomainError(f"survival level must lie in (0, 1), got {s}")
         out = (-np.log(sa) / self.scale) ** (1.0 / self.index)
         return out if np.ndim(s) else float(out)
+
+    def sample(self, rng, size):
+        return (rng.exponential(size=size) / self.scale) ** (1.0 / self.index)
 
     def to_json(self) -> dict:
         return {"family": "weibulltail", "params": {"index": self.index, "scale": self.scale}}
@@ -253,6 +234,9 @@ class BetaLaw(RadialModel):
         out = _sp.betaincinv(self.a, self.b, 1.0 - sa)
         return out if np.ndim(s) else float(out)
 
+    def sample(self, rng, size):
+        return rng.beta(self.a, self.b, size)
+
     def to_json(self) -> dict:
         return {"family": "beta", "params": {"a": self.a, "b": self.b}}
 
@@ -289,6 +273,9 @@ class UnitGumbel(RadialModel):
             raise DomainError(f"survival level must lie in (0, 1), got {s}")
         out = 1.0 - self.kappa / (self.kappa - np.log(sa))
         return out if np.ndim(s) else float(out)
+
+    def sample(self, rng, size):
+        return 1.0 - self.kappa / (self.kappa + rng.exponential(size=size))
 
     def to_json(self) -> dict:
         return {"family": "unitgumbel", "params": {"kappa": self.kappa}}

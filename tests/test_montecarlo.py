@@ -21,12 +21,6 @@ class HalfGamma(GammaLaw):
     def log_survival(self, u):
         return math.log(0.5) + super().log_survival(u)
 
-    def quantile_survival(self, s):
-        return RadialFallback.quantile_survival(self, s)
-
-
-RadialFallback = dt.RadialModel
-
 
 class TestSampleDirichlet:
     def test_row_sums_equal_radius(self):
@@ -121,6 +115,16 @@ class TestConditionalEstimator:
                 assert "alpha" in str(err), err
                 continue
             assert abs(est.p_hat - 0.0531756) <= 5 * est.stderr, estimator.__name__
+
+    def test_d1_tiny_alpha_is_the_radial_tail(self):
+        # at d = 1 the simplex is the point 1 whatever alpha is, so no gamma
+        # draw can underflow: both estimators see the radial tail exp(-5)
+        spec = dt.validate_spec([0.001], [1], 1.0, GammaLaw(1, 1))
+        assert dt.quadrature_tail(spec, 5.0).p_hat == math.exp(-5)
+        cond = dt.conditional_mc_tail(spec, 5.0, 10 ** 5, seed=3)
+        assert (cond.p_hat, cond.stderr) == (math.exp(-5), 0.0)
+        crude = dt.crude_mc_tail(spec, 5.0, 10 ** 5, seed=3)
+        assert abs(crude.p_hat - math.exp(-5)) <= 5 * crude.stderr
 
 
 class TestCrudeEstimator:

@@ -81,24 +81,24 @@ class TestScalingFunction:
 
 class TestQuantile:
     def test_examples(self):
-        assert GammaLaw(1, 1).quantile(1 - math.exp(-1)) == pytest.approx(1.0, rel=1e-10)
-        assert BetaLaw(1, 1).quantile(0.3) == pytest.approx(0.3, rel=1e-12)
+        assert GammaLaw(1, 1).quantile_survival(math.exp(-1)) == pytest.approx(1.0, rel=1e-10)
+        assert BetaLaw(1, 1).quantile_survival(0.7) == pytest.approx(0.3, rel=1e-12)
         model = GammaLaw(2, 1)
-        v = model.quantile(0.5)
+        v = model.quantile_survival(0.5)
         assert model.survival(v) == pytest.approx(0.5, abs=1e-10)
 
     def test_roundtrip_all_families(self):
-        # |F(quantile(q)) - q| <= 1e-9, log-scale comparison near q = 1.
-        # BetaLaw(0.7, 0.4) is capped at q = 1 - 1e-4: with tail exponent
-        # 0.4, deeper levels put 1 - x below the double-precision resolution
-        # of the endpoint, which no inversion can recover.
+        # |F(quantile_survival(1 - q)) - q| <= 1e-9, log-scale comparison
+        # near q = 1.  BetaLaw(0.7, 0.4) is capped at q = 1 - 1e-4: with
+        # tail exponent 0.4, deeper levels put 1 - x below the double-
+        # precision resolution of the endpoint, which no inversion can recover.
         deep = [1e-6, 1e-3, 0.1, 0.5, 0.9, 1 - 1e-6, 1 - 1e-12]
         cases = [(m, deep) for m in GUMBEL_FAMILIES + [BetaLaw(2, 3)]]
         cases.append((BetaLaw(0.7, 0.4), [1e-6, 1e-3, 0.1, 0.5, 0.9, 1 - 1e-4]))
         for model, levels in cases:
             for q in levels:
-                x = model.quantile(q)
                 s = 1.0 - q
+                x = model.quantile_survival(s)
                 if s <= 1e-6:
                     got = model.log_survival(x)
                     assert got == pytest.approx(math.log(s), rel=1e-9)
@@ -112,22 +112,40 @@ class TestQuantile:
                 assert model.log_survival(x) == pytest.approx(math.log(s), rel=1e-9)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            GammaLaw(1, 1).quantile(0.0)
-        with pytest.raises(DomainError):
-            GammaLaw(1, 1).quantile(1.0)
+        for model in GUMBEL_FAMILIES + [BetaLaw(2, 3)]:
+            for s in [0.0, 1.0]:
+                with pytest.raises(DomainError):
+                    model.quantile_survival(s)
 
-    def test_generic_bisection_fallback(self):
-        class HalfGamma(GammaLaw):
-            """Survival halved: an atom of mass 1/2 at zero."""
+
+class TestSample:
+    N = 2 * 10 ** 5
+
+    @pytest.mark.parametrize("model", GUMBEL_FAMILIES + [BetaLaw(2, 3), BetaLaw(0.7, 0.4)],
+                             ids=repr)
+    def test_exceedance_frequencies(self, model):
+        # the empirical P(R > u) at the survival quantile of s is s, within
+        # 5 binomial standard errors
+        r = model.sample(np.random.default_rng(2024), self.N)
+        assert r.shape == (self.N,)
+        assert np.all(np.isfinite(r))
+        assert np.all((r >= 0) & (r <= model.upper_endpoint))
+        for s in [0.5, 1e-2, 1e-3]:
+            freq = np.count_nonzero(r > model.quantile_survival(s)) / self.N
+            assert abs(freq - s) <= 5 * math.sqrt(s * (1 - s) / self.N), s
+
+    def test_custom_law_must_implement_sample(self):
+        class SurvivalOnly(RadialModel):
+            upper_endpoint = math.inf
+
             def log_survival(self, u):
-                return math.log(0.5) + super().log_survival(u)
-            def quantile_survival(self, s):  # force the generic path
-                return RadialModel.quantile_survival(self, s)
+                return -u
 
-        model = HalfGamma(2, 1)
-        x = model.quantile_survival(1e-3)
-        assert model.log_survival(x) == pytest.approx(math.log(1e-3), rel=1e-9)
+            def quantile_survival(self, s):
+                return -math.log(s)
+
+        with pytest.raises(TypeError):
+            SurvivalOnly()
 
 
 class TestValidation:
