@@ -213,41 +213,45 @@ class TailAsymptotic:
         return LogProb(self.evaluate_log(t))
 
     def invert(self, log_target: float) -> float:
-        """Raw threshold t with evaluate_log(t) == log_target (monotone bisection)."""
+        """Raw threshold t with evaluate_log(t) == log_target.
+
+        Secant steps in x = log u from the radial quantile at the target level
+        (1 minus it on the endpoint base; u = 1, or 1/2 below a finite endpoint,
+        if exp(log_target) underflows), inside a bracket found by doubling
+        steps; a step that would leave the bracket bisects it instead, until it
+        is a few ulp of log u wide.  DomainError: target >= 0 or out of reach.
+        NumericError: past u = 1e290, or no representable base point reaches it.
+        """
         if not log_target < 0:
             raise DomainError(f"target must be a log-probability below 0, got {log_target}")
-        if self.base == "gumbel":
-            x_f = self.radial.upper_endpoint
-            lo, hi = 1e-12, min(1.0, x_f / 2 if math.isfinite(x_f) else 1.0)
-            while self._log_at_base(hi) > log_target:
-                if math.isfinite(x_f):
-                    hi = 0.5 * (hi + x_f)
-                    if x_f - hi < 1e-15:
-                        break
-                else:
-                    hi *= 2.0
-                    if hi > 1e290:
-                        raise NumericError("tail inversion ran past 1e290")
-            while self._log_at_base(lo) < log_target:
-                lo /= 2.0
-                if lo < 1e-300:
-                    raise DomainError("target is not reachable by this asymptotic")
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if self._log_at_base(mid) > log_target:
-                    lo = mid
-                else:
-                    hi = mid
-            return self.base_to_threshold(0.5 * (lo + hi))
-        # weibull base: _log_at_base is increasing in u on (0, 1)
-        lo, hi = 1e-300, 1.0 - 1e-15
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self._log_at_base(mid) < log_target:
-                lo = mid
+        sign = 1.0 if self.base == "gumbel" else -1.0  # makes the excess decreasing in x
+        top = self.radial.upper_endpoint if sign > 0 else math.nextafter(1.0, 0.0)
+        s = math.exp(log_target)
+        q = self.radial.quantile_survival(s) if 0.0 < s < 1.0 else math.nan
+        u = q if sign > 0 else 1.0 - q
+        x = math.log(u if 0.0 < u < top else min(1.0, top / 2))
+        x_min, x_max, step = math.log(1e-300), math.log(min(top, 1e290)), 0.125
+        lo, hi, prev = None, None, (math.nan, math.nan)  # excess(lo) > 0 >= excess(hi)
+        while True:
+            u = math.exp(x)
+            g = sign * (self._log_at_base(u) - log_target)
+            lo, hi = ((x, g), hi) if g > 0 else (lo, (x, g))
+            dg = prev[1] - g
+            dx = g * (x - prev[0]) / dg if math.isfinite(dg) and dg else math.nan  # secant
+            prev = (x, g)
+            tol = max(2.0 * math.ulp(x), math.ulp(u) / u)  # two ulp of log u, one of u near 1
+            if lo is None and x <= x_min or hi is None and x >= x_max:
+                raise (NumericError("tail inversion ran past 1e290") if lo and math.isinf(top)
+                       else DomainError("target is not reachable by this asymptotic"))
+            if lo is None or hi is None:
+                x, step = min(max(x + math.copysign(step, g), x_min), x_max), 2.0 * step
+            elif hi[0] - lo[0] <= tol or hi[1] == 0.0:
+                if not math.isfinite(lo[1] - hi[1]):
+                    raise NumericError(f"no representable base point reaches {log_target}")
+                return self.base_to_threshold(math.exp(lo[0] if lo[1] < -hi[1] else hi[0]))
             else:
-                hi = mid
-        return self.base_to_threshold(0.5 * (lo + hi))
+                x = x + dx if lo[0] - tol < x + dx < hi[0] + tol else 0.5 * (lo[0] + hi[0])
+                x = min(max(x, lo[0] + 0.5 * tol), hi[0] - 0.5 * tol)
 
     def to_json(self) -> dict:
         return {"K_log": self.log_constant, "rho": self.rho, "base": self.base,

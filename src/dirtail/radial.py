@@ -115,9 +115,26 @@ def _register(name):
 
 def _check_domain_nonneg(u):
     ua = np.asarray(u, dtype=float)
-    if np.any(ua < 0) or np.any(np.isnan(ua)):
+    # a Python float is checked with plain comparisons: np.any on a 0-d array
+    # costs more than most scalar survival kernels
+    if isinstance(u, float):
+        bad = u < 0 or u != u
+    else:
+        bad = np.any(ua < 0) or np.any(np.isnan(ua))
+    if bad:
         raise DomainError(f"radius argument must be non-negative, got {u}")
     return ua
+
+
+def _check_level(s):
+    sa = np.asarray(s, dtype=float)
+    if isinstance(s, float):
+        bad = not 0 < s < 1
+    else:
+        bad = np.any(sa <= 0) or np.any(sa >= 1)
+    if bad:
+        raise DomainError(f"survival level must lie in (0, 1), got {s}")
+    return sa
 
 
 @_register("gamma")
@@ -147,9 +164,7 @@ class GammaLaw(RadialModel):
         return self.rate
 
     def quantile_survival(self, s):
-        sa = np.asarray(s, dtype=float)
-        if np.any(sa <= 0) or np.any(sa >= 1):
-            raise DomainError(f"survival level must lie in (0, 1), got {s}")
+        sa = _check_level(s)
         out = _sp.gammainccinv(self.shape, sa) / self.rate
         return out if np.ndim(s) else float(out)
 
@@ -187,9 +202,7 @@ class WeibullTail(RadialModel):
         return self.scale * self.index * u ** (self.index - 1.0)
 
     def quantile_survival(self, s):
-        sa = np.asarray(s, dtype=float)
-        if np.any(sa <= 0) or np.any(sa >= 1):
-            raise DomainError(f"survival level must lie in (0, 1), got {s}")
+        sa = _check_level(s)
         out = (-np.log(sa) / self.scale) ** (1.0 / self.index)
         return out if np.ndim(s) else float(out)
 
@@ -228,9 +241,7 @@ class BetaLaw(RadialModel):
         return out if np.ndim(u) else float(out)
 
     def quantile_survival(self, s):
-        sa = np.asarray(s, dtype=float)
-        if np.any(sa <= 0) or np.any(sa >= 1):
-            raise DomainError(f"survival level must lie in (0, 1), got {s}")
+        sa = _check_level(s)
         out = _sp.betaincinv(self.a, self.b, 1.0 - sa)
         return out if np.ndim(s) else float(out)
 
@@ -268,9 +279,7 @@ class UnitGumbel(RadialModel):
         return self.kappa / (1.0 - u) ** 2
 
     def quantile_survival(self, s):
-        sa = np.asarray(s, dtype=float)
-        if np.any(sa <= 0) or np.any(sa >= 1):
-            raise DomainError(f"survival level must lie in (0, 1), got {s}")
+        sa = _check_level(s)
         out = 1.0 - self.kappa / (self.kappa - np.log(sa))
         return out if np.ndim(s) else float(out)
 

@@ -12,13 +12,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize, special
 
 import dirtail as dt
-from dirtail import BetaLaw, GammaLaw
-from dirtail.errors import DomainError, ValidationError, WrongRegimeError
+from dirtail import BetaLaw, GammaLaw, UnitGumbel, WeibullTail
+from dirtail.aggtail import TailAsymptotic
+from dirtail.errors import DomainError, NumericError, ValidationError, WrongRegimeError
 
 GAMMA21 = GammaLaw(2, 1)
 
@@ -440,6 +441,93 @@ class TestTailAsymptoticObject:
             for target in [-5.0, -15.0]:
                 t = asym.invert(target)
                 assert asym.evaluate_log(t) == pytest.approx(target, rel=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=st.tuples(
+        st.sampled_from(["a", "b", "c", "endpoint"]),
+        st.sampled_from(["gamma", "weibulltail", "unitgumbel"]),
+        st.floats(0.3, 4.0), st.floats(0.3, 4.0),
+        st.lists(st.floats(0.3, 3.0), min_size=2, max_size=4),
+        st.floats(0.05, 0.95), st.floats(0.0, 1.0), st.floats(-6.0, 3.0)))
+    @example(case=("a", "gamma", 2.0, 1.0, [1.0, 2.0], 0.5, 0.5, math.log10(800.0)))
+    @example(case=("b", "weibulltail", 1.5, 1.0, [1.0, 2.0, 0.5], 0.3, 0.5, 3.0))
+    @example(case=("c", "unitgumbel", 1.0, 1.0, [1.0, 1.0, 1.0], 0.7, 0.5, 3.0))
+    def test_invert_roundtrip_property(self, case):
+        """evaluate_log(invert(y)) == y over every family and regime, including
+        targets below -745 where exp(y), and so the quantile start, underflows.
+
+        The absolute 1e-13 covers targets near 0, where y is a sum of O(1)
+        terms that cancel; it is a relative error of 1e-13 in the probability.
+        """
+        regime, family, s1, s2, alpha, lam_min, frac, log10_depth = case
+        y = -(10.0 ** log10_depth)
+        lam = [1.0] + [lam_min + (1.0 - lam_min) * frac * k / len(alpha)
+                       for k in range(len(alpha) - 1, 0, -1)]
+        if regime == "endpoint":
+            radial, p = BetaLaw(s1, s2), 1.0
+        else:
+            radial = {"gamma": GammaLaw(s1, s2), "weibulltail": WeibullTail(s1, s2),
+                      "unitgumbel": UnitGumbel(s1)}[family]
+            p = {"a": 1.2 + 2.8 * frac, "b": 1.0, "c": 0.3 + 0.6 * frac}[regime]
+        asym = dt.tail_asymptotic(dt.validate_spec(alpha, lam, p, radial))
+        if regime == "endpoint":
+            if y >= asym.log_constant:  # the endpoint asymptotic tops out at t = 0
+                with pytest.raises(DomainError):
+                    asym.invert(y)
+                return
+            # deeper, the gap 1 - t/scale keeps too few digits in t (see ROADMAP)
+            assume(y >= asym.evaluate_log(asym.scale * (1.0 - 1e-3)))
+        t = asym.invert(y)
+        assert asym.evaluate_log(t) == pytest.approx(y, rel=1e-12, abs=1e-13)
+
+    def test_invert_evaluation_count(self, monkeypatch):
+        """At most 20 evaluations per inversion on the benchmark's VaR levels
+        and norming n, over its eight Gumbel-class specs."""
+        m1 = ([1, 1, 1], [1, 0.7, 0.4])
+        specs = [
+            (*m1, 2.0, GammaLaw(3, 1)),
+            ([1, 2, 0.5, 1, 3], [1, 1, 0.6, 0.3, 0.1], 1.5, WeibullTail(1.5, 1)),
+            ([1, 2], [1, 0.5], 3.0, UnitGumbel(1)),
+            (*m1, 1.0, GammaLaw(3, 1)),
+            ([1, 2, 0.5, 1], [1, 1, 0.5, 0.2], 1.0, WeibullTail(0.5, 1)),
+            ([0.5, 1, 1.5, 2, 0.7, 1.2, 3, 1], [1, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3], 0.5,
+             GammaLaw(3, 1)),
+            ([1, 2, 0.5, 1, 3], [1, 0.8, 0.6, 0.3, 0.1], 0.3, WeibullTail(2, 0.5)),
+            (*m1, 0.7, UnitGumbel(2)),
+        ]
+        targets = ([math.log1p(-b) for b in [0.99, 0.999, 1 - 1e-4, 1 - 1e-6, 1 - 1e-8]]
+                   + [-math.log(n) for n in [1e2, 1e3, 1e4, 1e5, 1e6]])
+        calls = []
+        original = TailAsymptotic._log_at_base
+
+        def counted(self, u):
+            calls.append(u)
+            return original(self, u)
+
+        monkeypatch.setattr(TailAsymptotic, "_log_at_base", counted)
+        for spec in specs:
+            asym = dt.tail_asymptotic(dt.validate_spec(*spec))
+            for y in targets:
+                calls.clear()
+                asym.invert(y)
+                assert len(calls) <= 20, (spec, y, len(calls))
+
+    def test_invert_next_to_finite_endpoint(self):
+        asym = dt.tail_asymptotic(dt.validate_spec([1, 2], [1, 0.5], 3.0, UnitGumbel(1)))
+        # base points next to u = 1 lie ~11 % apart in this asymptotic; the
+        # nearest to the target is within 0.1 % of it
+        assert asym.evaluate_log(asym.invert(-1e15)) == pytest.approx(-1e15, rel=1e-2)
+        # the last base point below u = 1, 1 - 2**-53, only reaches -9e15
+        with pytest.raises(NumericError):
+            asym.invert(-1e17)
+
+    def test_invert_unreachable(self):
+        # the endpoint asymptotic is exp(K) = 0.4 at t -> 0
+        asym = dt.tail_asymptotic(dt.validate_spec([1, 2], [1, 0.5], 1.0, BetaLaw(2, 3)))
+        with pytest.raises(DomainError):
+            asym.invert(-0.1)
+        with pytest.raises(DomainError):
+            asym.invert(0.0)
 
     def test_raw_threshold_scaling(self):
         raw = dt.validate_spec([1, 1], [4.0, 2.0], 2.0, GAMMA21)
