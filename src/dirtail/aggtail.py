@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError, ValidationError, WrongRegimeError
-from .producttail import mixture_tail_constant_c, mixture_tail_constant_d, saddle_geometry
+from .producttail import SaddleGeometry, _exp, mixture_tail_constant_d, saddle_geometry
 from .radial import RadialModel
 from .specfun import LogProb, log_gamma
 
@@ -281,14 +281,16 @@ class SimplexTailGeometry:
     there, and the accumulated constant C_k with
 
         P(prefix_k > lambda_tilde_k - u) ~ C_k * u^{(k-1)/2}.
+
+    The saddles and C_k are held in log scale; theta, curvature and c_tilde
+    are their exponentials, which round to 0, 1 or inf as p -> 1.
     """
 
     p: float
-    lambda_tilde: tuple[float, ...]   # levels 1..d
-    theta: tuple[float, ...]          # levels 2..d
-    curvature: tuple[float, ...]      # levels 2..d
-    c_tilde: tuple[float, ...]        # levels 2..d
-    rv_index: tuple[float, ...]       # levels 2..d: (k-1)/2
+    lambda_tilde: tuple[float, ...]      # levels 1..d
+    saddles: tuple[SaddleGeometry, ...]  # levels 2..d
+    log_c_tilde: tuple[float, ...]       # levels 2..d
+    rv_index: tuple[float, ...]          # levels 2..d: (k-1)/2
 
     @property
     def d(self) -> int:
@@ -299,13 +301,20 @@ class SimplexTailGeometry:
         return self.lambda_tilde[-1]
 
     @property
+    def theta(self) -> tuple[float, ...]:
+        return tuple(g.theta for g in self.saddles)
+
+    @property
+    def curvature(self) -> tuple[float, ...]:
+        return tuple(g.curvature for g in self.saddles)
+
+    @property
+    def c_tilde(self) -> tuple[float, ...]:
+        return _exp(self.log_c_tilde)
+
+    @property
     def c_tilde_final(self) -> float:
         return self.c_tilde[-1]
-
-
-def _log_beta_pdf(a: float, b: float, x: float, one_minus_x: float) -> float:
-    return ((a - 1.0) * math.log(x) + (b - 1.0) * math.log(one_minus_x)
-            + log_gamma(a + b) - log_gamma(a) - log_gamma(b))
 
 
 def simplex_tail_geometry(alpha, lam, p: float) -> SimplexTailGeometry:
@@ -315,7 +324,7 @@ def simplex_tail_geometry(alpha, lam, p: float) -> SimplexTailGeometry:
     level-k step splits off index k against the (k-1)-term prefix.  The
     resulting constant is an intrinsic property of the law of the aggregate,
     so any joint permutation of (alpha_i, lam_i) pairs must reproduce it;
-    the property tests rely on that.
+    the property tests rely on that.  saddle_geometry checks p and the weights.
     """
     alpha = [float(a) for a in alpha]
     lam = [float(l) for l in lam]
@@ -324,51 +333,33 @@ def simplex_tail_geometry(alpha, lam, p: float) -> SimplexTailGeometry:
         raise DomainError(f"the simplex recursion needs d >= 2, got d={d}")
     if len(lam) != d:
         raise DomainError("alpha and lambda must have equal length")
-    if not 0 < p < 1:
-        raise DomainError(f"the simplex recursion needs p in (0, 1), got p={p}")
     if any(not a > 0 for a in alpha):
         raise DomainError(f"all alpha must be positive, got {alpha}")
-    if any(not l > 0 for l in lam):
-        raise DomainError(f"all weights must be strictly positive, got {lam}")
 
-    lts = [lam[0]]
-    thetas, curvs, cts, rvs = [], [], [], []
-    alpha_prefix = alpha[0]
-    c_tilde = math.nan
+    lts, geoms, log_cs = [lam[0]], [], []
+    alpha_prefix, log_c = alpha[0], 0.0
     for k in range(1, d):
         geom = saddle_geometry(lts[-1], lam[k], p)
         # split variable of the k+1 term prefix: B ~ Beta(sum_{i<=k} alpha, alpha_k)
-        g_theta = math.exp(_log_beta_pdf(alpha_prefix, alpha[k], geom.theta,
-                                         geom.theta_complement))
-        if k == 1:
-            c_tilde = mixture_tail_constant_c(g_theta, geom)
-        else:
-            gamma = (k - 1) / 2.0  # regular-variation index of the k-term prefix at its endpoint
-            c_tilde = c_tilde * mixture_tail_constant_d(g_theta, geom, gamma)
-        lt_closed = lambda_tilde(lam[: k + 1], p)
-        if abs(geom.theta_tilde - lt_closed) > 1e-10 * max(1.0, lt_closed):
-            raise NumericError(
-                f"saddle endpoint {geom.theta_tilde} disagrees with closed form {lt_closed}")
-        lts.append(lt_closed)
-        thetas.append(geom.theta)
-        curvs.append(geom.curvature)
-        cts.append(c_tilde)
-        rvs.append(k / 2.0)
+        log_g = (log_gamma(alpha_prefix + alpha[k]) - log_gamma(alpha_prefix) - log_gamma(alpha[k])
+                 + (alpha_prefix - 1.0) * geom.log_theta
+                 + (alpha[k] - 1.0) * geom.log_theta_complement)
+        # the k-term prefix is regularly varying at its endpoint with index (k-1)/2
+        log_c += mixture_tail_constant_d(log_g, geom, (k - 1) / 2.0)
+        lts.append(geom.theta_tilde)
+        geoms.append(geom)
+        log_cs.append(log_c)
         alpha_prefix += alpha[k]
 
-    return SimplexTailGeometry(p=p, lambda_tilde=tuple(lts), theta=tuple(thetas),
-                               curvature=tuple(curvs), c_tilde=tuple(cts),
-                               rv_index=tuple(rvs))
+    return SimplexTailGeometry(p=p, lambda_tilde=tuple(lts), saddles=tuple(geoms),
+                               log_c_tilde=tuple(log_cs),
+                               rv_index=tuple(k / 2.0 for k in range(1, d)))
 
 
 def simplex_constant_recursion(spec: AggregateSpec) -> SimplexTailGeometry:
     """The recursion applied to a validated spec (descending-weight order)."""
     if not 0 < spec.p < 1:
         raise WrongRegimeError(f"the simplex recursion applies for p in (0, 1), got p={spec.p}")
-    if any(l <= 0 for l in spec.lam):
-        raise DomainError("the simplex recursion needs all weights strictly positive")
-    if spec.d < 2:
-        raise DomainError("the simplex recursion needs d >= 2")
     return simplex_tail_geometry(spec.alpha, spec.lam, spec.p)
 
 
@@ -439,7 +430,7 @@ def tail_gumbel_plt1(spec: AggregateSpec) -> TailAsymptotic:
     geometry = simplex_constant_recursion(spec)
     d = spec.d
     lt = geometry.lambda_tilde_final
-    log_k = (log_gamma((d + 1) / 2.0) + math.log(geometry.c_tilde_final)
+    log_k = (log_gamma((d + 1) / 2.0) + geometry.log_c_tilde[-1]
              + (d - 1) / 2.0 * math.log(spec.p * lt))
     return TailAsymptotic(log_constant=log_k, rho=-(d - 1) / 2.0, base="gumbel",
                           radial=spec.radial, p=spec.p, scale=spec.scale, pivot=lt,

@@ -213,6 +213,11 @@ def _cmd_maxstable(cfg, spec, seed, workers):
 def _cmd_constants(cfg, spec, seed, workers):
     geom = aggtail.simplex_constant_recursion(spec)
     header = ["k", "lambda_tilde", "theta", "curvature", "c_tilde", "rv_index"]
+    # near p = 1 the saddle data leave the double range; log K (approx) stays finite
+    for name, col in zip(header[1:5], (geom.lambda_tilde, geom.theta, geom.curvature,
+                                       geom.c_tilde)):
+        if not all(0.0 < v < math.inf for v in col):
+            raise NumericError(f"column {name} rounds to 0 or inf at p={spec.p}: {col}")
     rows = []
     for k in range(2, geom.d + 1):
         rows.append([k, geom.lambda_tilde[k - 1], geom.theta[k - 2], geom.curvature[k - 2],

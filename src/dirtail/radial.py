@@ -131,7 +131,7 @@ def _check_level(s):
     if isinstance(s, float):
         bad = not 0 < s < 1
     else:
-        bad = np.any(sa <= 0) or np.any(sa >= 1)
+        bad = not np.all((sa > 0) & (sa < 1))  # NaN fails both comparisons
     if bad:
         raise DomainError(f"survival level must lie in (0, 1), got {s}")
     return sa
@@ -255,7 +255,7 @@ class BetaLaw(RadialModel):
 @_register("unitgumbel")
 @dataclass(frozen=True)
 class UnitGumbel(RadialModel):
-    """Survival exp(kappa - kappa/(1-u)) on [0, 1): a Gumbel-class law with finite endpoint."""
+    """Survival exp(-kappa u/(1-u)) on [0, 1): a Gumbel-class law with finite endpoint."""
 
     kappa: float = 1.0
 
@@ -269,8 +269,10 @@ class UnitGumbel(RadialModel):
 
     def log_survival(self, u):
         ua = _check_domain_nonneg(u)
+        um = np.minimum(ua, 1.0)
+        # the equal form kappa - kappa / (1 - u) cancels for small u
         with np.errstate(divide="ignore"):
-            out = np.where(ua < 1.0, self.kappa - self.kappa / (1.0 - np.minimum(ua, 1.0 - 1e-300)), -np.inf)
+            out = np.where(ua < 1.0, -self.kappa * um / (1.0 - um), -np.inf)
         return out if np.ndim(u) else float(out)
 
     def scaling_w(self, u: float) -> float:

@@ -282,6 +282,32 @@ class TestRegimeBelow1:
         est = dt.quadrature_tail(spec, t)
         assert math.exp(asym.evaluate_log(t) - est.log_p_hat) == pytest.approx(1.0, abs=0.06)
 
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.floats(0.01, 1 - 1e-9),
+           terms=st.lists(st.tuples(st.floats(0.1, 10.0), st.floats(1e-6, 1.0)),
+                          min_size=2, max_size=5))
+    @example(p=1 - 1e-9, terms=[(0.1, 1.0), (10.0, 1e-3), (0.1, 0.5)])
+    def test_log_constant_finite_up_to_unit_power(self, p, terms):
+        # the saddle crowds an endpoint and the curvature grows like
+        # exp(|log(c/lam)|/(1-p)); in log scale both stay finite
+        alpha, lam = zip(*terms)
+        asym = dt.tail_gumbel_plt1(dt.validate_spec(alpha, lam, p, GAMMA21))
+        assert math.isfinite(asym.log_constant)
+        assert math.isfinite(asym.pivot) and asym.pivot >= 1.0
+
+    @pytest.mark.parametrize("p", [1 - 1e-3, 1 - 1e-6])
+    @pytest.mark.parametrize("alpha,lam", [([1, 1, 1], [1, 0.7, 0.4]), ([1, 1, 1], [1, 1, 1]),
+                                           ([2, 1, 0.5], [1, 0.8, 0.6]),
+                                           ([0.3, 5, 2, 1, 0.7], [1, 0.9, 0.9, 0.2, 0.05])])
+    def test_near_unit_power_against_mpmath(self, alpha, lam, p):
+        mp = pytest.importorskip("mpmath")
+        spec = dt.validate_spec(alpha, lam, p, GAMMA21)
+        asym = dt.tail_gumbel_plt1(spec)
+        with mp.workdps(40):
+            log_k, lt = _mp_regime_c(mp, spec.alpha, spec.lam, spec.p)
+        assert asym.log_constant == pytest.approx(float(log_k), rel=1e-11)
+        assert asym.pivot == pytest.approx(float(lt), rel=1e-11)
+
     def test_wrong_regime(self):
         with pytest.raises(WrongRegimeError):
             dt.tail_gumbel_plt1(dt.validate_spec([1, 1], [1, 1], 2.0, GAMMA21))
@@ -547,6 +573,34 @@ class TestTailAsymptoticObject:
         lp = asym.evaluate(10.0)
         assert lp.log_value == pytest.approx(-10.0, rel=1e-13)
         assert lp.value == pytest.approx(math.exp(-10.0), rel=1e-12)
+
+
+# ----------------------------------------------------------------------
+# 40-digit reference for the p < 1 recursion
+# ----------------------------------------------------------------------
+
+def _mp_regime_c(mp, alpha, lam, p):
+    """(log K, lambda_tilde) of the p < 1 asymptotic by the linear-scale Laplace
+    recursion in mpmath, whose exponent range holds the saddle data at any p < 1."""
+    p, alpha, lam = mp.mpf(p), [mp.mpf(a) for a in alpha], [mp.mpf(v) for v in lam]
+    q, d = 1 / (1 - p), len(alpha)
+    lt, prefix, c_tilde = lam[0], alpha[0], None
+    for k in range(1, d):
+        r = (lam[k] / lt) ** (1 / (p - 1))
+        theta, comp = r / (1 + r), 1 / (1 + r)
+        curv = p * (1 - p) * (lt * theta ** (p - 2) + lam[k] * comp ** (p - 2))
+        g = mp.exp((prefix - 1) * mp.log(theta) + (alpha[k] - 1) * mp.log(comp)
+                   + mp.loggamma(prefix + alpha[k]) - mp.loggamma(prefix) - mp.loggamma(alpha[k]))
+        if k == 1:
+            c_tilde = 2 ** mp.mpf(1.5) * g / mp.sqrt(curv)
+        else:
+            gam = mp.mpf(k - 1) / 2
+            c_tilde *= (mp.sqrt(2 * mp.pi) * g / mp.sqrt(curv) * mp.gamma(gam + 1)
+                        / mp.gamma(gam + mp.mpf(1.5)) * theta ** (-gam * p))
+        lt = sum(v ** q for v in lam[: k + 1]) ** (1 - p)
+        prefix += alpha[k]
+    return (mp.loggamma(mp.mpf(d + 1) / 2) + mp.log(c_tilde)
+            + mp.mpf(d - 1) / 2 * mp.log(p * lt)), lt
 
 
 # ----------------------------------------------------------------------

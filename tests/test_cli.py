@@ -81,6 +81,16 @@ class TestConstants:
         assert header == ["k", "lambda_tilde", "theta", "curvature", "c_tilde", "rv_index"]
         assert float(rows[0][4]) == pytest.approx(2 ** 1.25, rel=1e-12)
 
+    def test_near_unit_power_is_3_and_names_column(self, tmp_path, capsys):
+        # the curvature exp(3.6e5) has no double; the command must not print inf
+        cfg = {"alpha": [1, 1, 1], "lambda": [1, 0.7, 0.4], "p": 0.999999,
+               "radial": {"family": "gamma", "params": {"shape": 3, "rate": 1}}}
+        out = tmp_path / "out.csv"
+        rc = cli.main(["constants", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+        assert rc == 3
+        assert "column curvature" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRatio:
     def test_kotz_final_row_band(self, tmp_path):
@@ -281,14 +291,19 @@ class TestExitCodes:
         assert rc == 3
         assert "numeric failure" in capsys.readouterr().err
 
-    def test_overflow_near_unit_power_is_3(self, tmp_path, capsys):
-        # p = 0.999999 overflows the saddle geometry's exp(log(lam/c)/(p-1))
+    def test_overflow_near_unit_power_is_0(self, tmp_path):
+        # at p = 0.999999 the saddle sits exp(-3.6e5) from an endpoint and the
+        # curvature is exp(3.6e5): only the log-scale recursion represents them;
+        # -636478.3356071607 is the independent 40-digit mpmath value
         cfg = {"alpha": [1, 1, 1], "lambda": [1, 0.7, 0.4], "p": 0.999999,
                "radial": {"family": "gamma", "params": {"shape": 3, "rate": 1}},
                "depths": [1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14]}
-        rc = cli.main(["approx", "--config", write_config(tmp_path, cfg)])
-        assert rc == 3
-        assert "numeric failure" in capsys.readouterr().err
+        out = tmp_path / "out.csv"
+        rc = cli.main(["approx", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+        assert rc == 0
+        _, _, rows = read_csv(out)
+        assert float(rows[0][2]) == pytest.approx(-636478.3356071607, rel=1e-11)
+        assert all(math.isfinite(float(row[2])) for row in rows)
 
     def test_deep_endpoint_quadrature_is_0(self, tmp_path):
         # at depth 1e-12 the d = 2 integrand lives on b > 1 - 1.3e-4 only;

@@ -203,24 +203,28 @@ class TestProductTailWeibull:
 
 
 class TestMixtureConstants:
+    # both constants take log g(theta) and return the log of the prefactor
     def test_hand_values(self):
         g = saddle_geometry(1.0, 1.0, 0.5)
-        assert mixture_tail_constant_c(1.0, g) == pytest.approx(2 ** 1.25, rel=1e-13)
+        assert math.exp(mixture_tail_constant_c(0.0, g)) == pytest.approx(2 ** 1.25, rel=1e-13)
         # gamma = 1/2 at the symmetric saddle: sqrt(2*pi)*sqrt(pi)/2 = pi/sqrt(2)
-        assert mixture_tail_constant_d(1.0, g, 0.5) == pytest.approx(
+        assert math.exp(mixture_tail_constant_d(0.0, g, 0.5)) == pytest.approx(
             math.pi / math.sqrt(2), rel=1e-13)
 
     def test_density_linearity(self):
         g = saddle_geometry(1.0, 0.5, 0.3)
-        assert mixture_tail_constant_c(2.0, g) == pytest.approx(
-            2 * mixture_tail_constant_c(1.0, g), rel=1e-14)
+        assert math.exp(mixture_tail_constant_c(math.log(2.0), g)) == pytest.approx(
+            2 * math.exp(mixture_tail_constant_c(0.0, g)), rel=1e-14)
 
     def test_gamma_to_zero_seam(self):
         # constant_d converges to constant_c as the factor's index vanishes
+        # and equals it at gamma = 0: sqrt(2 pi) Gamma(1) / Gamma(3/2) = 2^{3/2}
         g = saddle_geometry(1.0, 0.5, 0.3)
-        c_val = mixture_tail_constant_c(1.3, g)
-        d_val = mixture_tail_constant_d(1.3, g, 1e-8)
+        c_val = math.exp(mixture_tail_constant_c(math.log(1.3), g))
+        d_val = math.exp(mixture_tail_constant_d(math.log(1.3), g, 1e-8))
         assert abs(d_val / c_val - 1.0) <= 1e-6
+        assert mixture_tail_constant_d(math.log(1.3), g, 0.0) == pytest.approx(
+            1.5 * math.log(2.0) + math.log(1.3) - 0.5 * math.log(g.curvature), rel=1e-15)
 
     def test_constant_c_against_quadrature(self):
         # B ~ Beta(2,2), c = 1, lam = 0.5, p = 0.3: the exceedance set of the
@@ -228,7 +232,7 @@ class TestMixtureConstants:
         a, b = 2.0, 2.0
         c, lam, p = 1.0, 0.5, 0.3
         geom = saddle_geometry(c, lam, p)
-        const = mixture_tail_constant_c(beta_pdf(a, b, geom.theta), geom)
+        const = math.exp(mixture_tail_constant_c(math.log(beta_pdf(a, b, geom.theta)), geom))
 
         def h(x):
             return c * x ** p + lam * (1 - x) ** p
@@ -245,11 +249,14 @@ class TestMixtureConstants:
         assert gaps[2] < 1e-6
 
     def test_gamma_domain(self):
+        # gamma = 0 is the degenerate-factor constant; a negative index and a
+        # zero density (log density -inf) are outside the lemma
         g = saddle_geometry(1.0, 0.5, 0.3)
+        assert math.isfinite(mixture_tail_constant_d(0.0, g, 0.0))
         with pytest.raises(DomainError):
-            mixture_tail_constant_d(1.0, g, 0.0)
+            mixture_tail_constant_d(0.0, g, -0.5)
         with pytest.raises(DomainError):
-            mixture_tail_constant_c(0.0, g)
+            mixture_tail_constant_c(-math.inf, g)
 
 
 class TestEndpointRegimeLemmas:

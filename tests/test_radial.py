@@ -58,6 +58,18 @@ class TestSurvival:
             scal = np.array([model.log_survival(float(u)) for u in grid])
             np.testing.assert_allclose(vec, scal, rtol=1e-14)
 
+    def test_unit_gumbel_small_u_against_mpmath(self):
+        # -kappa u / (1 - u) carries no cancellation at small u, where
+        # kappa - kappa / (1 - u) was 1.4e-11 relative off at u = 6.4e-7
+        mp = pytest.importorskip("mpmath")
+        model = UnitGumbel(3.53)
+        grid = [1e-12, 6.4e-7, 0.5, 0.95]
+        with mp.workdps(40):
+            exact = [float(-mp.mpf(3.53) * mp.mpf(u) / (1 - mp.mpf(u))) for u in grid]
+        for u, want in zip(grid, exact):
+            assert model.log_survival(u) == pytest.approx(want, rel=1e-14)
+        np.testing.assert_allclose(model.log_survival(np.array(grid)), exact, rtol=1e-14)
+
 
 class TestScalingFunction:
     def test_examples(self):
@@ -116,6 +128,15 @@ class TestQuantile:
             for s in [0.0, 1.0]:
                 with pytest.raises(DomainError):
                     model.quantile_survival(s)
+
+    @pytest.mark.parametrize("model", [GammaLaw(3, 1), WeibullTail(2, 0.5), BetaLaw(2, 3),
+                                       UnitGumbel(1.0)], ids=lambda m: m.family_name)
+    def test_nan_level_rejected(self, model):
+        # a NaN level fails both range comparisons, on the vector path too
+        with pytest.raises(DomainError):
+            model.quantile_survival(math.nan)
+        with pytest.raises(DomainError):
+            model.quantile_survival(np.array([math.nan, 0.5]))
 
 
 class TestSample:
