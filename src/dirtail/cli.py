@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, aggtail, montecarlo
 from .errors import DirtailError, DomainError, NumericError, ValidationError
-from .radial import RadialModel
+from .radial import RadialModel, mda_diagnostic
 
 _COMMON_KEYS = {"alpha", "lambda", "p", "radial", "seed", "out", "format"}
 _COMMAND_KEYS = {
@@ -33,6 +33,18 @@ _COMMAND_KEYS = {
     "maxstable": {"weights", "pair", "n_grid", "n"},
     "constants": set(),
 }
+
+
+#: how deep in lists each numeric config key holds its finite numbers
+_NUMERIC_DEPTH = {**dict.fromkeys(("p", "n", "x", "t", "mu", "c"), 0),
+                  **dict.fromkeys(("alpha", "lambda", "thresholds", "depths", "levels", "x_grid",
+                                   "n_grid", "pair"), 1), "weights": 2}
+
+
+def _is_numeric(v, depth: int) -> bool:
+    if depth:
+        return type(v) is list and all(_is_numeric(x, depth - 1) for x in v)
+    return type(v) is int or type(v) is float and math.isfinite(v)
 
 
 def _load_config(path: str) -> dict:
@@ -54,6 +66,10 @@ def _check_keys(command: str, cfg: dict) -> None:
     if unknown:
         raise ValidationError(
             f"unknown config keys for '{command}': {sorted(unknown)}; allowed: {sorted(allowed)}")
+    for key, depth in _NUMERIC_DEPTH.items():
+        if key in cfg and not _is_numeric(cfg[key], depth):
+            kind = ("a finite number", "a list of finite numbers", "a list of lists of them")[depth]
+            raise ValidationError(f"config key '{key}' must be {kind}, got {cfg[key]!r}")
 
 
 def _build_spec(cfg: dict) -> aggtail.AggregateSpec:
@@ -75,10 +91,8 @@ def _thresholds_from_config(cfg: dict, spec, asym) -> list[float]:
         raise ValidationError("give either 'thresholds' or 'depths', not both")
     if "thresholds" in cfg:
         return [float(t) for t in cfg["thresholds"]]
-    depths = cfg.get("depths", [1e-6, 1e-8, 1e-10])
     out = []
-    for depth in depths:
-        depth = float(depth)
+    for depth in cfg.get("depths", [1e-6, 1e-8, 1e-10]):
         if not 0 < depth < 1:
             raise ValidationError(f"depths must lie in (0, 1), got {depth}")
         u = spec.radial.quantile_survival(depth)
@@ -110,44 +124,37 @@ def _cmd_approx(cfg, spec, seed, workers):
     return header, rows
 
 
-def _cmd_simulate(cfg, spec, seed, workers):
+def _estimates(cfg, key, methods, spec, thresholds, seed, workers) -> list:
+    """One estimate of P(S_p > t) per threshold, by the method named in cfg[key]:
+    quadrature threshold by threshold, Monte Carlo in one pass for all of them."""
+    method = cfg.get(key, "conditional")
+    if method not in methods:
+        raise ValidationError(f"{key} must be one of {', '.join(methods)}, got {method!r}")
+    if method == "quadrature":
+        return [montecarlo.quadrature_tail(spec, t) for t in thresholds]
     if seed is None:
-        raise ValidationError("'simulate' needs an explicit seed (config key or --seed)")
-    n = int(cfg.get("n", 10**5))
-    method = cfg.get("method", "conditional")
-    if method not in ("conditional", "crude"):
-        raise ValidationError(f"method must be 'conditional' or 'crude', got {method!r}")
-    asym = aggtail.tail_asymptotic(spec)
-    fn = montecarlo.conditional_mc_tail if method == "conditional" else montecarlo.crude_mc_tail
+        raise ValidationError(f"the {method} {key} needs an explicit seed (config key or --seed)")
+    estimator = montecarlo.crude_mc_tail if method == "crude" else montecarlo.conditional_mc_tail
+    return estimator(spec, thresholds, int(cfg.get("n", 10**5)), seed, workers=workers)
+
+
+def _cmd_simulate(cfg, spec, seed, workers):
+    thresholds = _thresholds_from_config(cfg, spec, aggtail.tail_asymptotic(spec))
+    ests = _estimates(cfg, "method", ("conditional", "crude"), spec, thresholds, seed, workers)
     header = ["threshold", "method", "n", "seed", "p_hat", "log_p_hat", "stderr"]
-    rows = []
-    for t in _thresholds_from_config(cfg, spec, asym):
-        est = fn(spec, t, n, seed, workers=workers)
-        rows.append([t, est.method, est.n, est.seed, est.p_hat, est.log_p_hat, est.stderr])
-    return header, rows
+    return header, [[t, e.method, e.n, e.seed, e.p_hat, e.log_p_hat, e.stderr]
+                    for t, e in zip(thresholds, ests)]
 
 
 def _cmd_ratio(cfg, spec, seed, workers):
-    n = int(cfg.get("n", 10**5))
-    oracle = cfg.get("oracle", "conditional")
-    if oracle not in ("conditional", "crude", "quadrature"):
-        raise ValidationError(f"oracle must be conditional, crude or quadrature, got {oracle!r}")
-    if oracle != "quadrature" and seed is None:
-        raise ValidationError(f"'ratio' with the {oracle} oracle needs an explicit seed")
     asym = aggtail.tail_asymptotic(spec)
+    thresholds = _thresholds_from_config(cfg, spec, asym)
+    ests = _estimates(cfg, "oracle", ("conditional", "crude", "quadrature"), spec, thresholds,
+                      seed, workers)
     header = ["threshold", "depth", "prediction_log", "oracle_log", "ratio"]
-    rows = []
-    for t in _thresholds_from_config(cfg, spec, asym):
-        pred = asym.evaluate_log(t)
-        if oracle == "quadrature":
-            est = montecarlo.quadrature_tail(spec, t)
-        elif oracle == "crude":
-            est = montecarlo.crude_mc_tail(spec, t, n, seed, workers=workers)
-        else:
-            est = montecarlo.conditional_mc_tail(spec, t, n, seed, workers=workers)
-        rows.append([t, _depth_of(spec, asym, t), pred, est.log_p_hat,
-                     math.exp(pred - est.log_p_hat)])
-    return header, rows
+    preds = [asym.evaluate_log(t) for t in thresholds]
+    return header, [[t, _depth_of(spec, asym, t), pred, e.log_p_hat, math.exp(pred - e.log_p_hat)]
+                    for t, pred, e in zip(thresholds, preds, ests)]
 
 
 def _cmd_var_es(cfg, spec, seed, workers):
@@ -173,13 +180,7 @@ def _cmd_diagnose_mda(cfg, spec, seed, workers):
         table = montecarlo.empirical_gumbel_mda(spec, x_grid, depths, n, seed)
         header = ["depth", "v", "x", "ratio", "reference"]
         return header, [list(row) for row in table]
-    params = {}
-    for key in ("x", "t", "mu", "c"):
-        if key in cfg:
-            params[key] = cfg[key]
-    if "depths" in cfg:
-        params["depths"] = [float(d) for d in cfg["depths"]]
-    from .radial import mda_diagnostic
+    params = {key: cfg[key] for key in ("x", "t", "mu", "c", "depths") if key in cfg}
     table = mda_diagnostic(spec.radial, mode, params)
     header = ["u", "ratio"]
     return header, [list(row) for row in table]
@@ -286,6 +287,8 @@ def run(command: str, cfg: dict, seed=None, workers: int = 1,
     if fmt not in ("csv", "json"):
         raise ValidationError(f"format must be 'csv' or 'json', got {fmt!r}")
     out_path = out_path or cfg.get("out")
+    if not isinstance(out_path, (str, type(None))):
+        raise ValidationError(f"config key 'out' must be a path, got {out_path!r}")
     spec = _build_spec(cfg)
 
     if dump_config is not None:

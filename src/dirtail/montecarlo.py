@@ -20,8 +20,10 @@ whose weights carry the Beta density's powers, so alpha < 1 costs nothing.
 
 Every sampler runs on one chunked engine: chunk k of a fixed partition
 draws from a substream seeded by (seed, k) and is reduced on its own, and
-the chunk results combine in index order.  Only conditional_mc_tail and
-crude_mc_tail take a worker count; it changes scheduling, never a result.
+the chunk results combine in index order; each chunk reduces every
+threshold of the call, so one pass serves a whole grid.  Only
+conditional_mc_tail and crude_mc_tail take a worker count; it changes
+scheduling, never a result.
 """
 
 from __future__ import annotations
@@ -63,7 +65,8 @@ class Estimate:
 
     For the deterministic quadrature method stderr = 0 means no error
     estimate, and n counts integrand evaluations; a conditional estimate has
-    stderr 0 only when its sample variance vanishes identically.
+    stderr 0 only when its sample variance vanishes identically; a crude one
+    with no hit reports the rule-of-three bound 3/n.
     """
 
     p_hat: float
@@ -82,6 +85,14 @@ def _check_seed(seed) -> int:
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     return int(seed)
+
+
+def _levels(spec: AggregateSpec, thresholds) -> np.ndarray:
+    """The normalized levels t / scale of one raw threshold or a sequence."""
+    ts = np.atleast_1d(np.asarray(thresholds, dtype=float))
+    if not np.all(ts > 0):
+        raise DomainError(f"thresholds must be positive, got {ts.tolist()}")
+    return ts / spec.scale
 
 
 def _chunk_sizes(n: int, chunk: int = CHUNK) -> list[int]:
@@ -181,64 +192,53 @@ def sample_dirichlet(spec: AggregateSpec, n: int, seed: int, return_radius: bool
 # estimators
 # ----------------------------------------------------------------------
 
-def _estimate_from_log_moments(ls1: float, ls2: float, n: int, seed: int, method: str) -> Estimate:
-    log_mean = ls1 - math.log(n)
-    if log_mean == -math.inf:
-        return Estimate(p_hat=0.0, log_p_hat=-math.inf, stderr=0.0, n=n, seed=seed, method=method)
-    log_m2 = ls2 - math.log(n)
-    gap = min(2.0 * log_mean - log_m2, 0.0)
-    log_var = log_m2 + log1mexp(gap)
-    log_se = 0.5 * (log_var - math.log(n)) if log_var > -math.inf else -math.inf
-    return Estimate(p_hat=math.exp(log_mean), log_p_hat=log_mean,
-                    stderr=math.exp(log_se) if log_se > -math.inf else 0.0,
-                    n=n, seed=seed, method=method)
+def _estimate_from_log_moments(ls1: float, ls2: float, n: int, seed: int) -> Estimate:
+    log_mean, log_m2 = ls1 - math.log(n), ls2 - math.log(n)
+    # log(m2 - mean^2) = log m2 + log1mexp(gap); an all-zero sample takes gap 0,
+    # which gives it variance 0 where 2 log_mean - log_m2 would be -inf + inf
+    gap = min(2.0 * log_mean - log_m2, 0.0) if log_mean > -math.inf else 0.0
+    log_se = 0.5 * (log_m2 + log1mexp(gap) - math.log(n))
+    return Estimate(p_hat=math.exp(log_mean), log_p_hat=log_mean, stderr=math.exp(log_se),
+                    n=n, seed=seed, method="conditional")
 
 
-def conditional_mc_tail(spec: AggregateSpec, t: float, n: int, seed: int,
-                        workers: int = 1) -> Estimate:
+def conditional_mc_tail(spec: AggregateSpec, t, n: int, seed: int,
+                        workers: int = 1) -> Estimate | list[Estimate]:
     """Radially conditioned estimator of P(S_p > t) (t on the raw scale).
 
     Unbiased: averages the exact radial survival F_bar((t_norm/Z)^{1/p})
     over simplex draws, with the average taken by log-sum-exp because the
-    per-sample values can span sixty orders of magnitude.
+    per-sample values can span sixty orders of magnitude.  A sequence t
+    gives a list, each entry equal to the scalar call, from one set of draws.
     """
-    seed = _check_seed(seed)
-    if not t > 0:
-        raise DomainError(f"threshold must be positive, got {t}")
-    tn = t / spec.scale
-    x_f = spec.radial.upper_endpoint
-    if math.isfinite(x_f) and tn >= _z_sup(np.asarray(spec.lam), spec.p) * x_f ** spec.p:
-        return Estimate(p_hat=0.0, log_p_hat=-math.inf, stderr=0.0, n=int(n),
-                        seed=seed, method="conditional")
+    seed, levels = _check_seed(seed), _levels(spec, t)
 
     def moments(rng, u):
-        logs = _log_cond(spec.radial, _z(spec, u), tn, spec.p)
-        return logsumexp(logs), logsumexp(2.0 * logs)
+        z = _z(spec, u)
+        return [(logsumexp(logs), logsumexp(2.0 * logs))
+                for logs in (_log_cond(spec.radial, z, level, spec.p) for level in levels)]
 
-    parts = _chunked(seed, _chunk_sizes(n), spec.alpha, moments, workers)
-    ls1 = logsumexp([p[0] for p in parts])
-    ls2 = logsumexp([p[1] for p in parts])
-    return _estimate_from_log_moments(ls1, ls2, int(n), seed, "conditional")
+    table = _chunk_logsums(_chunked(seed, _chunk_sizes(n), spec.alpha, moments, workers))
+    ests = [_estimate_from_log_moments(ls1, ls2, int(n), seed) for ls1, ls2 in table.tolist()]
+    return ests if np.ndim(t) else ests[0]
 
 
-def crude_mc_tail(spec: AggregateSpec, t: float, n: int, seed: int,
-                  workers: int = 1) -> Estimate:
-    """Plain frequency estimator of P(S_p > t) with binomial standard error."""
-    seed = _check_seed(seed)
-    if not t > 0:
-        raise DomainError(f"threshold must be positive, got {t}")
-    tn = t / spec.scale
+def crude_mc_tail(spec: AggregateSpec, t, n: int, seed: int,
+                  workers: int = 1) -> Estimate | list[Estimate]:
+    """Plain frequency estimator of P(S_p > t) with binomial standard error
+    (3/n with no hit); t is one threshold or a sequence, as above."""
+    seed, levels, n = _check_seed(seed), _levels(spec, t), int(n)
 
     def hits_in(rng, u):
-        r = spec.radial.sample(rng, len(u))
-        return int(np.count_nonzero(r ** spec.p * _z(spec, u) > tn))
+        s = spec.radial.sample(rng, len(u)) ** spec.p * _z(spec, u)
+        return [np.count_nonzero(s > level) for level in levels]
 
-    hits = sum(_chunked(seed, _chunk_sizes(n), spec.alpha, hits_in, workers))
-    n = int(n)
-    p_hat = hits / n
-    stderr = math.sqrt(p_hat * (1.0 - p_hat) / n)
-    return Estimate(p_hat=p_hat, log_p_hat=math.log(p_hat) if p_hat > 0 else -math.inf,
-                    stderr=stderr, n=n, seed=seed, method="crude")
+    hits = np.sum(_chunked(seed, _chunk_sizes(n), spec.alpha, hits_in, workers), axis=0)
+    # with no hit the binomial stderr is 0; 3/n bounds p at 95 % confidence
+    ests = [Estimate(p_hat=h / n, log_p_hat=math.log(h / n) if h else -math.inf,
+                     stderr=math.sqrt(h / n * (1.0 - h / n) / n) if h else 3.0 / n,
+                     n=n, seed=seed, method="crude") for h in hits.tolist()]
+    return ests if np.ndim(t) else ests[0]
 
 
 # ----------------------------------------------------------------------
@@ -308,11 +308,9 @@ class _LineRule:
 def quadrature_tail(spec: AggregateSpec, t: float) -> Estimate:
     """Deterministic oracle for P(S_p > t), d <= 3, by the graded Gauss rule
     of the module docstring.  n counts the integrand evaluations."""
-    if not t > 0:
-        raise DomainError(f"threshold must be positive, got {t}")
+    (tn,) = _levels(spec, t)
     if spec.d > 3:
         raise DomainError(f"quadrature oracle supports d <= 3, got d={spec.d}")
-    tn = t / spec.scale
     p, lam, a, radial = spec.p, spec.lam, spec.alpha, spec.radial
     z_sup = _z_sup(np.asarray(lam), p)
     # Z <= level puts the radius past a finite endpoint (level 0 for none)
@@ -352,11 +350,8 @@ def max_sum_ratio(spec: AggregateSpec, t_grid, n: int, seed: int) -> np.ndarray:
     the ratio is a smooth function of the noise and always <= 1.  Columns:
     (t, log numerator, log denominator, ratio).
     """
-    seed = _check_seed(seed)
-    t_grid = [float(t) for t in t_grid]
-    if any(t <= 0 for t in t_grid):
-        raise DomainError("thresholds must be positive")
-    levels = [t / spec.scale for t in t_grid]
+    t_grid = np.asarray(t_grid, dtype=float)
+    seed, levels = _check_seed(seed), _levels(spec, t_grid)
 
     def columns(rng, u):
         terms = np.asarray(spec.lam) * u ** spec.p

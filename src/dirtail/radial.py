@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sp
 
-from .errors import DomainError, UnsupportedClassError, ValidationError
+from .errors import DomainError, NumericError, UnsupportedClassError, ValidationError
 from . import specfun
 
 _FAMILIES: dict[str, type] = {}
@@ -356,10 +356,11 @@ def mda_diagnostic(model: RadialModel, mode: str, params: dict) -> np.ndarray:
         rows = []
         for depth in depths:
             u = model.quantile_survival(depth)
-            cu = c * u
-            log_ratio = model.log_survival(cu) - model.log_survival(u)
+            log_ratio = model.log_survival(c * u) - model.log_survival(u)
             val = mu * math.log(u * model.scaling_w(u)) + log_ratio
-            rows.append((u, math.exp(val) if val < 0 else math.exp(min(val, 700.0))))
+            if val > math.log(np.finfo(float).max):
+                raise NumericError(f"davis_resnick ratio exp({val}) at u={u} overflows a double")
+            rows.append((u, math.exp(val)))
         return np.asarray(rows)
 
     raise ValidationError(f"unknown diagnostic mode {mode!r}")

@@ -115,6 +115,23 @@ class TestRatio:
         assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, key", [("simulate", "method"), ("ratio", "oracle")])
+@pytest.mark.parametrize("method", ["conditional", "crude"])
+def test_one_sampling_pass_per_command(tmp_path, monkeypatch, command, key, method):
+    passes = []
+    chunked = dt.montecarlo._chunked
+
+    def counting(*args, **kwargs):
+        passes.append(args)
+        return chunked(*args, **kwargs)
+
+    monkeypatch.setattr(dt.montecarlo, "_chunked", counting)
+    cfg = dict(KOTZ_CONFIG, depths=[1e-4, 1e-6, 1e-8], n=1000, seed=5, **{key: method})
+    out = tmp_path / "out.csv"
+    assert cli.main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    assert len(read_csv(out)[2]) == 3 and len(passes) == 1
+
+
 class TestVarEs:
     def test_exponential(self, tmp_path):
         cfg = {"alpha": [1.0], "lambda": [1.0], "p": 1.0,
@@ -281,6 +298,21 @@ class TestExitCodes:
     def test_bad_radial_family_is_2(self, tmp_path):
         cfg = dict(KOTZ_CONFIG, radial={"family": "cauchy", "params": {}}, thresholds=[1.0])
         assert cli.main(["approx", "--config", write_config(tmp_path, cfg)]) == 2
+
+    @pytest.mark.parametrize("command, extra, key", [
+        ("simulate", {"n": "abc"}, "n"),
+        ("simulate", {"p": "0.5"}, "p"),
+        ("approx", {"depths": ["x"]}, "depths"),
+        ("approx", {"thresholds": 5.0}, "thresholds"),
+        ("approx", {"thresholds": [float("nan")]}, "thresholds"),
+        ("maxstable", {"weights": [[1, "a"], [0, 1]]}, "weights"),
+        ("approx", {"out": ["a.csv"]}, "out"),
+    ])
+    def test_wrong_type_is_2_and_names_key(self, tmp_path, capsys, command, extra, key):
+        cfg = dict(KOTZ_CONFIG, seed=1, **extra)
+        assert cli.main([command, "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err and "Traceback" not in err
 
     def test_numeric_failure_is_3(self, tmp_path, monkeypatch, capsys):
         def boom(cfg, spec, seed, workers):

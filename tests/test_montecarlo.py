@@ -146,6 +146,31 @@ class TestCrudeEstimator:
         assert a == b
 
 
+class TestThresholdGrid:
+    @pytest.mark.parametrize("estimator", [dt.conditional_mc_tail, dt.crude_mc_tail])
+    @pytest.mark.parametrize("spec, grid", [
+        (REGIME_A, [10.0, 30.319, 60.0]),
+        # sup Z = sqrt(2) with a radius below 1: nothing exceeds 1.5
+        (dt.validate_spec([1, 1], [1, 1], 0.5, BetaLaw(2, 3)), [0.5, 1.2, 1.5]),
+        (dt.validate_spec([1.0], [1.0], 2.0, GammaLaw(1, 1)), [4.0, 49.0]),   # d = 1
+    ])
+    def test_grid_equals_scalar_calls(self, estimator, spec, grid):
+        n = CHUNK + 4321
+        scalar = [estimator(spec, t, n, seed=71) for t in grid]
+        for workers in [1, 2]:
+            assert estimator(spec, grid, n, seed=71, workers=workers) == scalar
+
+    def test_crude_without_hits_reports_rule_of_three(self):
+        spec = dt.validate_spec([1, 1], [1, 1], 0.5, BetaLaw(2, 3))
+        est = dt.crude_mc_tail(spec, 1.5, 1000, seed=1)
+        assert (est.p_hat, est.log_p_hat, est.stderr) == (0.0, -math.inf, 3 / 1000)
+
+    def test_grid_rejects_a_nonpositive_threshold(self):
+        for estimator in (dt.conditional_mc_tail, dt.crude_mc_tail):
+            with pytest.raises(DomainError):
+                estimator(REGIME_A, [10.0, float("nan")], 100, seed=1)
+
+
 class TestQuadratureOracle:
     def test_unit_weights_p1_is_radial_tail(self):
         # with all weights one and p = 1 the aggregate *is* the radius

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from dirtail import BetaLaw, GammaLaw, RadialModel, UnitGumbel, WeibullTail, mda_diagnostic
-from dirtail.errors import DomainError, UnsupportedClassError, ValidationError
+from dirtail.errors import DomainError, NumericError, UnsupportedClassError, ValidationError
 
 GUMBEL_FAMILIES = [
     GammaLaw(1, 1),
@@ -255,6 +255,12 @@ class TestMdaDiagnostics:
                     assert ratios[-1] < 1e-6, (model, mu, c, ratios[-1])
                     tail = ratios[-4:]
                     assert np.all(np.diff(tail) <= 0), (model, mu, c, tail)
+
+    def test_davis_resnick_overflow_raises(self):
+        # mu = 400 puts the log ratio near 750, past the largest double
+        with pytest.raises(NumericError):
+            mda_diagnostic(GammaLaw(2, 1), "davis_resnick",
+                           {"mu": 400.0, "c": 2.0, "depths": [1e-2, 1e-10]})
 
     def test_mode_errors(self):
         with pytest.raises(DomainError):
