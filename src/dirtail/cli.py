@@ -39,6 +39,8 @@ _COMMAND_KEYS = {
 _NUMERIC_DEPTH = {**dict.fromkeys(("p", "n", "x", "t", "mu", "c"), 0),
                   **dict.fromkeys(("alpha", "lambda", "thresholds", "depths", "levels", "x_grid",
                                    "n_grid", "pair"), 1), "weights": 2}
+#: numeric keys that count samples or levels or name columns: whole numbers only
+_WHOLE_KEYS = ("n", "n_grid", "pair")
 
 
 def _is_numeric(v, depth: int) -> bool:
@@ -70,6 +72,10 @@ def _check_keys(command: str, cfg: dict) -> None:
         if key in cfg and not _is_numeric(cfg[key], depth):
             kind = ("a finite number", "a list of finite numbers", "a list of lists of them")[depth]
             raise ValidationError(f"config key '{key}' must be {kind}, got {cfg[key]!r}")
+    for key in _WHOLE_KEYS:
+        # integral floats such as 1e6 are whole numbers too
+        if key in cfg and not all(float(v).is_integer() for v in np.ravel(cfg[key])):
+            raise ValidationError(f"config key '{key}' must hold whole numbers, got {cfg[key]!r}")
 
 
 def _build_spec(cfg: dict) -> aggtail.AggregateSpec:

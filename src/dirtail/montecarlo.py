@@ -67,6 +67,12 @@ class Estimate:
     estimate, and n counts integrand evaluations; a conditional estimate has
     stderr 0 only when its sample variance vanishes identically; a crude one
     with no hit reports the rule-of-three bound 3/n.
+
+    A conditional estimate also reports rel_err = stderr / p_hat and ess, the
+    effective sample size (sum w)^2 / sum w^2 of its weights w (Asmussen &
+    Kroese 2006): n when every weight is equal, near 1 when one dominates.
+    Both come from log-moments, so they stay finite where p_hat underflows;
+    an estimate of 0 has rel_err inf and ess 0.  Other methods leave both None.
     """
 
     p_hat: float
@@ -75,6 +81,8 @@ class Estimate:
     n: int
     seed: int
     method: str
+    rel_err: float | None = None
+    ess: float | None = None
 
     def to_json(self) -> dict:
         return {"method": self.method, "seed": self.seed, "n": self.n,
@@ -198,8 +206,12 @@ def _estimate_from_log_moments(ls1: float, ls2: float, n: int, seed: int) -> Est
     # which gives it variance 0 where 2 log_mean - log_m2 would be -inf + inf
     gap = min(2.0 * log_mean - log_m2, 0.0) if log_mean > -math.inf else 0.0
     log_se = 0.5 * (log_m2 + log1mexp(gap) - math.log(n))
+    if log_mean > -math.inf:
+        rel_err, ess = math.exp(log_se - log_mean), math.exp(2.0 * ls1 - ls2)
+    else:
+        rel_err, ess = math.inf, 0.0
     return Estimate(p_hat=math.exp(log_mean), log_p_hat=log_mean, stderr=math.exp(log_se),
-                    n=n, seed=seed, method="conditional")
+                    n=n, seed=seed, method="conditional", rel_err=rel_err, ess=ess)
 
 
 def conditional_mc_tail(spec: AggregateSpec, t, n: int, seed: int,

@@ -17,8 +17,14 @@ three bands of the linear-scale tail q:
   ordinary number;
 * everywhere else: log(q).
 
-Only entries in the deep band reach the hand-written fractions.  All
-kernels are vectorized over numpy arrays.
+Only entries in the deep band reach the hand-written fractions.
+
+One route bypasses the bands: a scalar gamma shape that is a whole number
+n <= _ERLANG_N_MAX (the Erlang law) has the finite tail
+Q(n, x) = e^{-x} sum_{k<n} x^k / k! (Abramowitz & Stegun 6.5.13), taken in
+log scale for every x >= n, where Q(n, x) < 1/2.  Entries with x < n,
+other shapes and array shapes take the bands.  All kernels are vectorized
+over numpy arrays.
 """
 
 from __future__ import annotations
@@ -34,9 +40,19 @@ from .errors import DomainError, NumericError
 _TINY = 1e-300
 _EPS = 1e-15
 _MAX_ITER = 500
+_DBL_MAX = np.finfo(float).max
 #: below this linear-scale tail the log comes from the continued fraction;
 #: far enough above the smallest normal double that log(q) never sees a subnormal
 _FLOOR = 1e-280
+#: largest whole gamma shape that takes the closed-form Erlang tail.  The terms
+#: of -x + (n-1) log x - lgamma(n) grow like n log n and cancel near x = n, so
+#: the error grows with n: at most 4.1e-14 relative to mpmath in log up to
+#: n = 40, above 1e-13 from n = 55.  At n = 40 the form is still ~7x faster
+#: than gammaincc on a 65 536-element chunk.
+_ERLANG_N_MAX = 40
+#: the Horner coefficients (n-1)! / (n-1-j)!, j = 1..n-1, of each whole shape n
+_ERLANG_COEF = {n: [float(math.perm(n - 1, j)) for j in range(1, n)]
+                for n in range(2, _ERLANG_N_MAX + 1)}
 
 
 @dataclass(frozen=True)
@@ -226,15 +242,51 @@ def _gamma_cf_upper_log(a, x):
     return out
 
 
+def _log_erlang_tail(n: int, x):
+    """log Q(n, x) for a whole shape n and x >= n, from the finite sum
+
+        -x + (n-1) log x - lgamma(n) + log(1 + (n-1)/x + (n-1)(n-2)/x^2 + ...),
+
+    the sum by Horner in 1/x.  Its terms are positive and at most 1 for
+    x >= n, so nothing cancels or overflows; x = inf gives -inf.
+    """
+    if n == 1:
+        return -x
+    coef = _ERLANG_COEF[n]
+    y = 1.0 / x
+    t = coef[-1] * y
+    for c in coef[-2::-1]:
+        t += c
+        t *= y
+    # log x is capped at log(DBL_MAX) so that x = inf gives -inf, not inf - inf;
+    # the updates run in place on arrays (and rebind a float)
+    out = np.log(np.minimum(x, _DBL_MAX))
+    out *= n - 1
+    out -= x
+    out += np.log1p(t)
+    out -= math.lgamma(n)
+    return out
+
+
 def log_regularized_gamma_upper(a, x):
     """log Q(a, x) = log P(Gamma(a, 1) > x), vectorized, deep-tail safe."""
     ax = np.asarray(a, dtype=float)
-    if np.any(ax <= 0):
+    if not (a > 0 if ax.ndim == 0 else np.all(ax > 0)):
         raise DomainError(f"shape must be positive, got a={a}")
     xx = np.asarray(x, dtype=float)
-    if np.any(xx < 0) or np.any(np.isnan(xx)):
+    # the least entry, in one pass; a NaN propagates to it and fails the check
+    lo = float(x) if xx.ndim == 0 else xx.min(initial=math.inf)
+    if not lo >= 0:
         raise DomainError(f"argument must be non-negative, got x={x}")
-    out = _log_tail(gammaincc, gammainc, _gamma_cf_upper_log, ax, xx)
-    if np.ndim(x) == 0 and np.ndim(a) == 0:
-        return float(out)
-    return out
+    n = int(a) if ax.ndim == 0 and 1 <= a <= _ERLANG_N_MAX and a == int(a) else 0
+    if n and lo >= n:
+        # a scalar x goes in as the float lo: float arithmetic beats 0-d arrays
+        out = _log_erlang_tail(n, xx if xx.ndim else lo)
+    elif n and xx.ndim:
+        closed = xx >= n
+        out = np.empty(xx.shape)
+        out[closed] = _log_erlang_tail(n, xx[closed])
+        out[~closed] = _log_tail(gammaincc, gammainc, _gamma_cf_upper_log, ax, xx[~closed])
+    else:
+        out = _log_tail(gammaincc, gammainc, _gamma_cf_upper_log, ax, xx)
+    return float(out) if xx.ndim == 0 and ax.ndim == 0 else out

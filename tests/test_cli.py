@@ -307,12 +307,24 @@ class TestExitCodes:
         ("approx", {"thresholds": [float("nan")]}, "thresholds"),
         ("maxstable", {"weights": [[1, "a"], [0, 1]]}, "weights"),
         ("approx", {"out": ["a.csv"]}, "out"),
+        # counts and column indices must be whole numbers, not truncated
+        ("simulate", {"n": 1.9}, "n"),
+        ("maxstable", {"pair": [0.7, 1]}, "pair"),
+        ("maxstable", {"n_grid": [100.9]}, "n_grid"),
     ])
     def test_wrong_type_is_2_and_names_key(self, tmp_path, capsys, command, extra, key):
         cfg = dict(KOTZ_CONFIG, seed=1, **extra)
         assert cli.main([command, "--config", write_config(tmp_path, cfg)]) == 2
         err = capsys.readouterr().err
         assert f"'{key}'" in err and "Traceback" not in err
+
+    def test_integral_float_count_runs(self, tmp_path):
+        cfg = dict(KOTZ_CONFIG, seed=1, n=2e3, thresholds=[3.0])
+        out = tmp_path / "out.csv"
+        assert cli.main(["simulate", "--config", write_config(tmp_path, cfg),
+                         "--out", str(out)]) == 0
+        _, header, rows = read_csv(out)
+        assert rows[0][header.index("n")] == "2000"
 
     def test_numeric_failure_is_3(self, tmp_path, monkeypatch, capsys):
         def boom(cfg, spec, seed, workers):

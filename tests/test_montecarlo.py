@@ -369,6 +369,20 @@ class TestPredictionOracleConvergence:
 
 
 class TestEstimateRecord:
+    def test_effective_sample_size(self):
+        # d = 1: every weight is the same survival value
+        spec = dt.validate_spec([1.0], [1.0], 2.0, GammaLaw(1, 1))
+        est = dt.conditional_mc_tail(spec, 49.0, 1000, seed=3)
+        assert est.ess == pytest.approx(1000, rel=1e-12) and est.rel_err == 0.0
+        for t in [20.0, 30.319, 60.0]:
+            est = dt.conditional_mc_tail(REGIME_A, t, 2 * CHUNK + 99, seed=5)
+            assert 1.0 <= est.ess <= est.n
+            assert est.rel_err == pytest.approx(est.stderr / est.p_hat, rel=1e-12)
+        zero = dt.conditional_mc_tail(dt.validate_spec([1, 1], [1, 1], 0.5, BetaLaw(2, 3)),
+                                      1.5, 100, seed=1)
+        assert (zero.ess, zero.rel_err) == (0.0, math.inf)
+        assert dt.crude_mc_tail(REGIME_A, 20.0, 1000, seed=5).ess is None
+
     def test_json_fields(self):
         est = dt.conditional_mc_tail(REGIME_A, 20.0, 1000, seed=97)
         doc = est.to_json()

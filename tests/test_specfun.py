@@ -188,6 +188,54 @@ class TestGammaTails:
             sf.log_regularized_gamma_upper(2.0, -1.0)
 
 
+def banded_gamma(a, x):
+    """log Q(a, x) by the banded scipy/Lentz path alone."""
+    return sf._log_tail(sp.gammaincc, sp.gammainc, sf._gamma_cf_upper_log,
+                        np.asarray(a, dtype=float), np.asarray(x, dtype=float))
+
+
+class TestErlangTail:
+    """The closed form for a whole shape n <= _ERLANG_N_MAX and x >= n."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 20, sf._ERLANG_N_MAX])
+    def test_mpmath_grid(self, n):
+        x = np.concatenate([n * (1.0 + np.geomspace(1e-9, 1.0, 25)),
+                            np.geomspace(2.0 * n, 1e300, 25)])
+        with mp.workdps(40):
+            ref = np.array([float(mp.log(mp.gammainc(n, mp.mpf(xi), mp.inf, regularized=True)))
+                            for xi in x])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vec = sf.log_regularized_gamma_upper(n, x)
+            scal = np.array([sf.log_regularized_gamma_upper(float(n), float(xi)) for xi in x])
+            assert sf.log_regularized_gamma_upper(n, math.inf) == -math.inf
+            assert sf.log_regularized_gamma_upper(n, np.array([math.inf]))[0] == -math.inf
+        for got in (vec, scal):
+            assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-13
+
+    @pytest.mark.parametrize("a", [2.5, float(sf._ERLANG_N_MAX + 1),
+                                   np.full(60, 3.0)], ids=["2.5", "n_max+1", "array"])
+    def test_other_shapes_take_the_bands(self, a):
+        # every band: q > 1/2, log q and the deep fraction, and x = inf
+        x = np.append(np.geomspace(1e-3, 2e3, 59), math.inf)
+        want = banded_gamma(a, x)
+        assert np.array_equal(sf.log_regularized_gamma_upper(a, x), want)
+        if np.ndim(a) == 0:
+            for xi, wi in zip(x, want):
+                assert sf.log_regularized_gamma_upper(a, float(xi)) == wi
+
+    def test_mixed_vector(self):
+        x = np.append(np.linspace(0.0, 12.0, 241), [700.0, math.inf])
+        got = sf.log_regularized_gamma_upper(3, x)
+        below = x < 3.0
+        assert np.array_equal(got[below], banded_gamma(3.0, x)[below])
+        assert np.array_equal(got[~below], sf._log_erlang_tail(3, x[~below]))
+        # the two routes agree where they meet
+        finite = ~below & np.isfinite(x)
+        ref = banded_gamma(3.0, x[finite])
+        assert np.max(np.abs(got[finite] - ref) / np.abs(ref)) < 1e-13
+
+
 class TestLogHelpers:
     def test_logsumexp_basic(self):
         vals = [math.log(0.25), math.log(0.5), math.log(0.125)]
