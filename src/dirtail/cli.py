@@ -183,7 +183,7 @@ def _cmd_diagnose_mda(cfg, spec, seed, workers):
         x_grid = cfg.get("x_grid", [0.5, 1.0, 2.0])
         depths = cfg.get("depths", [1e-4, 1e-6, 1e-8])
         n = int(cfg.get("n", 10**5))
-        table = montecarlo.empirical_gumbel_mda(spec, x_grid, depths, n, seed)
+        table = montecarlo.empirical_gumbel_mda(spec, x_grid, depths, n, seed, workers=workers)
         header = ["depth", "v", "x", "ratio", "reference"]
         return header, [list(row) for row in table]
     params = {key: cfg[key] for key in ("x", "t", "mu", "c", "depths") if key in cfg}
@@ -206,7 +206,7 @@ def _cmd_maxstable(cfg, spec, seed, workers):
     i, j = int(pair[0]), int(pair[1])
     # weight rows follow the config's alpha order, not the spec's sorted one
     table = montecarlo.pairwise_asymindep(cfg["alpha"], weights, spec.p, spec.radial,
-                                          i, j, n_grid, n, seed)
+                                          i, j, n_grid, n, seed, workers=workers)
     col_spec = aggtail.validate_spec(cfg["alpha"], np.asarray(weights, dtype=float)[:, i],
                                      spec.p, spec.radial)
     header = ["n_level", "b_n", "a_n", "pair_ratio"]
@@ -321,7 +321,8 @@ def main(argv=None) -> int:
     parser.add_argument("--format", default=None, choices=["csv", "json"])
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker threads for the estimators; never changes results")
+                        help="worker threads for the Monte Carlo commands (simulate, ratio, "
+                             "empirical diagnose-mda, maxstable); never changes results")
     parser.add_argument("--dump-config", default=None,
                         help="write the fully resolved config to this path before running")
     args = parser.parse_args(argv)

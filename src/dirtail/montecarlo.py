@@ -21,9 +21,11 @@ whose weights carry the Beta density's powers, so alpha < 1 costs nothing.
 Every sampler runs on one chunked engine: chunk k of a fixed partition
 draws from a substream seeded by (seed, k) and is reduced on its own, and
 the chunk results combine in index order; each chunk reduces every
-threshold of the call, so one pass serves a whole grid.  Only
-conditional_mc_tail and crude_mc_tail take a worker count; it changes
-scheduling, never a result.
+threshold of the call, so one pass serves a whole grid.  A chunk's simplex
+points arrive as a (d, n) block, one contiguous row per coordinate, and
+every reducer runs as a loop over those d rows.  conditional_mc_tail,
+crude_mc_tail, empirical_gumbel_mda and pairwise_asymindep take a worker
+count; it changes scheduling, never a result.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from scipy.special import expit, roots_jacobi
 from .aggtail import AggregateSpec, lambda_tilde, tail_asymptotic, validate_spec
 from .errors import DomainError, NumericError, ValidationError
 from .radial import RadialModel
-from .specfun import log1mexp, log_gamma, logsumexp
+from .specfun import log1mexp, log_gamma, logsumexp, logsumexp_moments
 
 __all__ = [
     "CHUNK",
@@ -111,9 +113,15 @@ def _chunk_sizes(n: int, chunk: int = CHUNK) -> list[int]:
 
 
 def _chunked(seed: int, sizes: list[int], alpha, fn, workers: int = 1) -> list:
-    """fn(rng, u) for every chunk k, in chunk order.  u holds the chunk's
-    sizes[k] simplex rows, drawn first from rng = default_rng([seed, k]);
-    for d = 1 the simplex is the single point 1 and nothing is drawn.
+    """fn(rng, u) for every chunk k, in chunk order.  u is the chunk's
+    (d, sizes[k]) block of simplex points, one column per point, drawn first
+    from rng = default_rng([seed, k]); for d = 1 the simplex is the single
+    point 1 and nothing is drawn.
+
+    The gamma draws keep the (sizes[k], d) shape of a row-major sampler, so
+    the stream is that of one row per point.  The totals are summed
+    coordinate by coordinate, which for d <= 7 is the order of numpy's row
+    sum; from d = 8 numpy's unrolled sum adds in another order.
 
     Raises NumericError when a row's gamma draws all underflow to 0, which
     small alpha makes likely: the row has no simplex point to normalize.
@@ -123,14 +131,16 @@ def _chunked(seed: int, sizes: list[int], alpha, fn, workers: int = 1) -> list:
     def one_chunk(k: int):
         rng = np.random.default_rng([seed, k])
         if alpha.size == 1:
-            return fn(rng, np.ones((sizes[k], 1)))
-        y = rng.standard_gamma(alpha, size=(sizes[k], alpha.size))
-        total = y.sum(axis=1, keepdims=True)
+            return fn(rng, np.ones((1, sizes[k])))
+        y = rng.standard_gamma(alpha, size=(sizes[k], alpha.size)).T
+        total = y[0] + y[1]
+        for coord in y[2:]:
+            total += coord
         if not np.all(total > 0):
             raise NumericError(
                 f"simplex row sum underflowed to 0 at alpha={alpha.tolist()}: every "
                 f"standard_gamma draw of a row was 0 (alpha too small to sample)")
-        return fn(rng, y / total)
+        return fn(rng, np.divide(y, total, order="C"))
 
     if workers <= 1 or len(sizes) == 1:
         return [one_chunk(k) for k in range(len(sizes))]
@@ -145,24 +155,41 @@ def _chunk_logsums(parts) -> np.ndarray:
     return np.asarray([logsumexp(col) for col in cols]).reshape(table.shape[1:])
 
 
-def _log_cond(radial: RadialModel, z: np.ndarray, level: float, p: float) -> np.ndarray:
-    """The conditional kernel log F_bar((level / z)^{1/p}), one value per row.
+def _log_cond(radial: RadialModel, z, level: float, p: float):
+    """The conditional kernel log F_bar((level / z)^{1/p}), one value per point.
 
     z = 0 maps to an unbounded radius (survival 0); a NaN z reaches
     log_survival and fails there rather than being read as no exceedance.
+    A chunk's radii are formed in one buffer; a scalar z (quadrature's
+    radial-tail paths) gives numpy scalars, which rebind.
     """
     with np.errstate(divide="ignore"):
-        return radial.log_survival(np.minimum((level / z) ** (1.0 / p), 1e300))
+        x = np.divide(level, z)
+    x **= 1.0 / p
+    return radial.log_survival(np.minimum(x, 1e300, out=x if x.ndim else None))
 
 
 def _cond_logsums(radial: RadialModel, z: np.ndarray, levels, p: float):
-    """log sum over rows of the conditional kernel, one level at a time."""
+    """log sum over points of the conditional kernel, one level at a time."""
     return (logsumexp(_log_cond(radial, z, level, p)) for level in levels)
 
 
+def _terms(spec: AggregateSpec, u: np.ndarray):
+    """lambda_i U_i^p for each coordinate row U_i of the (d, n) block u."""
+    for lam_i, u_i in zip(spec.lam, u):
+        term = u_i ** spec.p
+        term *= lam_i
+        yield term
+
+
 def _z(spec: AggregateSpec, u: np.ndarray) -> np.ndarray:
-    """The simplex part Z = sum_i lambda_i U_i^p of each row of u."""
-    return (np.asarray(spec.lam) * u ** spec.p).sum(axis=1)
+    """The simplex part Z = sum_i lambda_i U_i^p of each column of u, summed
+    in coordinate order."""
+    terms = _terms(spec, u)
+    z = next(terms)
+    for term in terms:
+        z += term
+    return z
 
 
 def _z_sup(lam: np.ndarray, p: float) -> float:
@@ -186,8 +213,8 @@ def sample_dirichlet(spec: AggregateSpec, n: int, seed: int, return_radius: bool
     seed = _check_seed(seed)
 
     def draw(rng, u):
-        r = spec.radial.sample(rng, len(u))
-        return u * r[:, None], r
+        r = spec.radial.sample(rng, u.shape[1])
+        return (u * r).T, r
 
     parts = _chunked(seed, _chunk_sizes(n), spec.alpha, draw)
     x = np.vstack([part[0] for part in parts])
@@ -227,8 +254,7 @@ def conditional_mc_tail(spec: AggregateSpec, t, n: int, seed: int,
 
     def moments(rng, u):
         z = _z(spec, u)
-        return [(logsumexp(logs), logsumexp(2.0 * logs))
-                for logs in (_log_cond(spec.radial, z, level, spec.p) for level in levels)]
+        return [logsumexp_moments(_log_cond(spec.radial, z, level, spec.p)) for level in levels]
 
     table = _chunk_logsums(_chunked(seed, _chunk_sizes(n), spec.alpha, moments, workers))
     ests = [_estimate_from_log_moments(ls1, ls2, int(n), seed) for ls1, ls2 in table.tolist()]
@@ -242,7 +268,7 @@ def crude_mc_tail(spec: AggregateSpec, t, n: int, seed: int,
     seed, levels, n = _check_seed(seed), _levels(spec, t), int(n)
 
     def hits_in(rng, u):
-        s = spec.radial.sample(rng, len(u)) ** spec.p * _z(spec, u)
+        s = spec.radial.sample(rng, u.shape[1]) ** spec.p * _z(spec, u)
         return [np.count_nonzero(s > level) for level in levels]
 
     hits = np.sum(_chunked(seed, _chunk_sizes(n), spec.alpha, hits_in, workers), axis=0)
@@ -366,9 +392,14 @@ def max_sum_ratio(spec: AggregateSpec, t_grid, n: int, seed: int) -> np.ndarray:
     seed, levels = _check_seed(seed), _levels(spec, t_grid)
 
     def columns(rng, u):
-        terms = np.asarray(spec.lam) * u ** spec.p
-        return list(zip(_cond_logsums(spec.radial, terms.max(axis=1), levels, spec.p),
-                        _cond_logsums(spec.radial, terms.sum(axis=1), levels, spec.p)))
+        terms = _terms(spec, u)
+        top = next(terms)
+        total = top.copy()
+        for term in terms:
+            np.maximum(top, term, out=top)
+            total += term
+        return list(zip(_cond_logsums(spec.radial, top, levels, spec.p),
+                        _cond_logsums(spec.radial, total, levels, spec.p)))
 
     logs = _chunk_logsums(_chunked(seed, _chunk_sizes(n), spec.alpha, columns)) - math.log(n)
     return np.asarray([(t, num, den, math.exp(num - den)) for t, (num, den) in zip(t_grid, logs)])
@@ -395,7 +426,7 @@ def norming_constants(spec: AggregateSpec, n: int) -> NormingConstants:
 
 
 def pairwise_asymindep(alpha, weights, p: float, radial: RadialModel, i: int, j: int,
-                       n_grid, n: int, seed: int) -> np.ndarray:
+                       n_grid, n: int, seed: int, workers: int = 1) -> np.ndarray:
     """Empirical conditional exceedance P(Y_i > b, Y_j > b) / P(Y_i > b).
 
     Y_k = sum_r weights[r, k] * X_r^p are linear transforms of the powered
@@ -442,18 +473,21 @@ def pairwise_asymindep(alpha, weights, p: float, radial: RadialModel, i: int, j:
     bs = [asym_i.invert(-math.log(nl)) for nl in n_grid]
 
     def columns(rng, u):
-        up = u ** p
-        z_i = up @ w[:, i]
-        z_min = np.minimum(z_i, up @ w[:, j])
+        z_i, z_j = np.zeros(u.shape[1]), np.zeros(u.shape[1])
+        for u_r, w_r in zip(u, w):
+            up = u_r ** p
+            z_i += w_r[i] * up
+            z_j += w_r[j] * up
+        z_min = np.minimum(z_j, z_i, out=z_j)
         return list(zip(_cond_logsums(radial, z_i, bs, p), _cond_logsums(radial, z_min, bs, p)))
 
-    logs = _chunk_logsums(_chunked(seed, _chunk_sizes(n), alpha, columns)) - math.log(n)
+    logs = _chunk_logsums(_chunked(seed, _chunk_sizes(n), alpha, columns, workers)) - math.log(n)
     return np.asarray([(int(nl), b, math.exp(joint - single))
                        for nl, b, (single, joint) in zip(n_grid, bs, logs)])
 
 
 def empirical_gumbel_mda(spec: AggregateSpec, x_grid, depth_grid, n: int,
-                         seed: int) -> np.ndarray:
+                         seed: int, workers: int = 1) -> np.ndarray:
     """Estimates F_bar_S(v + x/w_p(v)) / F_bar_S(v) at asymptotic depths v.
 
     Convergence of the ratios to exp(-x) is the empirical face of the
@@ -477,7 +511,7 @@ def empirical_gumbel_mda(spec: AggregateSpec, x_grid, depth_grid, n: int,
         return [list(_cond_logsums(spec.radial, z, levels, spec.p)) for _d, _v, levels in jobs]
 
     # the ratios take differences of raw log-sums: both sides share 1/n
-    logs = _chunk_logsums(_chunked(seed, _chunk_sizes(n), spec.alpha, columns))
+    logs = _chunk_logsums(_chunked(seed, _chunk_sizes(n), spec.alpha, columns, workers))
     rows = []
     for (depth, v, _levels), (log_base, *log_shifts) in zip(jobs, logs):
         for x, log_shift in zip(x_grid, log_shifts):
@@ -503,7 +537,7 @@ def gumbel_limit_check(spec: AggregateSpec, n: int, replicates: int, x_grid,
     sizes = [reps * n for reps in _chunk_sizes(replicates, max(1, CHUNK // n))]
 
     def block_counts(rng, u):
-        r = spec.radial.sample(rng, len(u))
+        r = spec.radial.sample(rng, u.shape[1])
         s = spec.scale * r ** spec.p * _z(spec, u)
         block_max = s.reshape(-1, n).max(axis=1)
         return (block_max[:, None] <= cut[None, :]).sum(axis=0)

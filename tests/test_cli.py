@@ -246,16 +246,37 @@ class TestOutputContracts:
         assert rc == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_workers_do_not_change_bytes(self, tmp_path):
-        cfg = dict(KOTZ_CONFIG, thresholds=[5.0], n=170000, seed=2024)
-        outs = []
-        for workers, name in [(1, "w1.csv"), (4, "w4.csv")]:
-            out = tmp_path / name
-            rc = cli.main(["simulate", "--config", write_config(tmp_path, cfg),
-                           "--out", str(out), "--workers", str(workers)])
-            assert rc == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+    def test_workers_do_not_change_bytes(self, tmp_path, monkeypatch):
+        # every command that samples passes the worker count to the chunk
+        # engine, and the bytes do not move
+        seen = []
+        chunked = dt.montecarlo._chunked
+
+        def recording(*args, **kwargs):
+            seen.append(args[4] if len(args) > 4 else kwargs.get("workers", 1))
+            return chunked(*args, **kwargs)
+
+        monkeypatch.setattr(dt.montecarlo, "_chunked", recording)
+        gamma2 = {"family": "gamma", "params": {"shape": 2.0}}
+        for command, cfg in [
+            ("simulate", dict(KOTZ_CONFIG, thresholds=[5.0], n=170000, seed=2024)),
+            ("diagnose-mda", {"alpha": [1.0, 1.0], "lambda": [1.0, 0.5], "p": 2.0,
+                              "radial": gamma2, "mode": "empirical", "x_grid": [1.0],
+                              "depths": [1e-4, 1e-6], "n": 140000, "seed": 7}),
+            ("maxstable", {"alpha": [1.0, 2.0], "lambda": [1.0, 1.0], "p": 0.5,
+                           "radial": gamma2, "weights": [[0.8, 0.6], [0.6, 0.8]],
+                           "n_grid": [100, 1000], "n": 140000, "seed": 11}),
+        ]:
+            seen.clear()
+            outs = []
+            for workers, name in [(1, "w1.csv"), (4, "w4.csv")]:
+                out = tmp_path / name
+                rc = cli.main([command, "--config", write_config(tmp_path, cfg),
+                               "--out", str(out), "--workers", str(workers)])
+                assert rc == 0, command
+                outs.append(out.read_bytes())
+            assert outs[0] == outs[1], command
+            assert seen == [1, 4], command
 
 
 class TestImportWeight:

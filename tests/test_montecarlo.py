@@ -8,6 +8,7 @@ import pytest
 import dirtail as dt
 from dirtail import BetaLaw, GammaLaw
 from dirtail.errors import DomainError, ValidationError
+from dirtail import montecarlo as mc
 from dirtail.montecarlo import CHUNK, NormingConstants
 
 GAMMA21 = GammaLaw(2, 1)
@@ -59,6 +60,26 @@ class TestSampleDirichlet:
             dt.sample_dirichlet(KOTZ2, 10, seed=-1)
         with pytest.raises(ValidationError):
             dt.sample_dirichlet(KOTZ2, 10, seed=1.5)
+
+
+class TestChunkBlock:
+    """The engine's (d, n) block and Z against the row-major form they replace."""
+
+    @pytest.mark.parametrize("alpha", [[1.5], [1.0, 2.0], [0.5, 1.0, 3.0],
+                                       [1.0, 0.3, 2.0, 0.7, 1.2]])
+    def test_block_and_z_equal_row_form_bit_for_bit(self, alpha):
+        d, sizes = len(alpha), [CHUNK, 777]
+        spec = dt.validate_spec(alpha, np.linspace(1.0, 0.2, d), 1.7, GAMMA21)
+        got = mc._chunked(13, sizes, spec.alpha, lambda rng, u: (u, mc._z(spec, u)))
+        for k, (u, z) in enumerate(got):
+            if d == 1:
+                rows = np.ones((sizes[k], 1))
+            else:
+                y = np.random.default_rng([13, k]).standard_gamma(spec.alpha, (sizes[k], d))
+                rows = y / y.sum(axis=1, keepdims=True)
+            assert u.shape == (d, sizes[k]) and u.flags.c_contiguous
+            assert np.array_equal(u, rows.T)
+            assert np.array_equal(z, (np.asarray(spec.lam) * rows ** spec.p).sum(axis=1))
 
 
 class TestConditionalEstimator:
@@ -180,9 +201,13 @@ class TestQuadratureOracle:
         assert est.stderr == 0.0 and est.method == "quadrature"
 
     def test_d1_exact(self):
-        spec = dt.validate_spec([2.0], [1.0], 2.0, GAMMA21)
-        est = dt.quadrature_tail(spec, 49.0)
-        assert est.log_p_hat == pytest.approx(GAMMA21.log_survival(7.0), rel=1e-12)
+        # d = 1 and a level past a finite endpoint pass a scalar z to the kernel
+        for p in (0.5, 1.0, 2.0):
+            spec = dt.validate_spec([2.0], [1.0], p, GAMMA21)
+            est = dt.quadrature_tail(spec, 7.0 ** p)
+            assert est.log_p_hat == pytest.approx(GAMMA21.log_survival(7.0), rel=1e-12)
+        spec = dt.validate_spec([1, 1], [1, 1], 0.5, BetaLaw(2, 3))
+        assert dt.quadrature_tail(spec, 1.5).log_p_hat == -math.inf
 
     def test_never_below_conditional(self):
         # both target the same probability; agreement within 4 stderr

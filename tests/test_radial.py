@@ -8,6 +8,7 @@ so each family gets a grid deep enough for its own second-order terms.
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,20 @@ class TestSurvival:
         for u, want in zip(grid, exact):
             assert model.log_survival(u) == pytest.approx(want, rel=1e-14)
         np.testing.assert_allclose(model.log_survival(np.array(grid)), exact, rtol=1e-14)
+
+    def test_gamma_float_path_equals_array_path(self):
+        # a float skips errstate, np.ndim and the 0-d product, not a bit of
+        # the value; a product past the double range is survival 0, quietly
+        for law in (GammaLaw(3, 1), GammaLaw(2.5, 0.7), GammaLaw(2, 1e10)):
+            for u in (0.0, 0.3, 2.0, 7.5, 40.0, 1e300):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = law.log_survival(u)
+                assert type(got) is float
+                assert got == law.log_survival(np.asarray(u))
+        assert GammaLaw(2, 1e10).log_survival(1e300) == -math.inf
+        with pytest.raises(DomainError):
+            GammaLaw(3, 1).log_survival(math.nan)
 
 
 class TestScalingFunction:
