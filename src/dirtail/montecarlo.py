@@ -40,7 +40,7 @@ from scipy.special import expit, roots_jacobi
 from .aggtail import AggregateSpec, lambda_tilde, tail_asymptotic, validate_spec
 from .errors import DomainError, NumericError, ValidationError
 from .radial import RadialModel
-from .specfun import log1mexp, log_gamma, logsumexp, logsumexp_moments
+from .specfun import log1mexp, log_gamma, logsumexp
 
 __all__ = [
     "CHUNK",
@@ -254,7 +254,8 @@ def conditional_mc_tail(spec: AggregateSpec, t, n: int, seed: int,
 
     def moments(rng, u):
         z = _z(spec, u)
-        return [logsumexp_moments(_log_cond(spec.radial, z, level, spec.p)) for level in levels]
+        return [(logsumexp(logs), logsumexp(2.0 * logs))
+                for logs in (_log_cond(spec.radial, z, level, spec.p) for level in levels)]
 
     table = _chunk_logsums(_chunked(seed, _chunk_sizes(n), spec.alpha, moments, workers))
     ests = [_estimate_from_log_moments(ls1, ls2, int(n), seed) for ls1, ls2 in table.tolist()]

@@ -160,9 +160,6 @@ class GammaLaw(RadialModel):
 
     def log_survival(self, u):
         ua = _check_domain_nonneg(u)
-        if isinstance(u, float):
-            # a float product overflows to inf quietly, with no errstate or 0-d array
-            return float(specfun.log_regularized_gamma_upper(self.shape, float(u) * self.rate))
         # u * rate overflowing to inf is survival 0, which the kernel returns
         with np.errstate(over="ignore"):
             out = specfun.log_regularized_gamma_upper(self.shape, ua * self.rate)

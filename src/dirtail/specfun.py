@@ -90,21 +90,6 @@ def logsumexp(values) -> float:
     return float(m + np.log(np.sum(np.exp(shifted, out=shifted))))
 
 
-def logsumexp_moments(values) -> tuple[float, float]:
-    """(logsumexp(values), logsumexp(2 * values)), bit for bit, from one shift:
-    the max of 2x is 2m and 2x - 2m = 2(x - m) exactly, doubling being exact."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        return -math.inf, -math.inf
-    m = np.max(arr)
-    if not np.isfinite(m):
-        return float(m), float(2.0 * m)
-    shifted = arr - m
-    first = m + np.log(np.sum(np.exp(shifted)))
-    shifted *= 2.0
-    return float(first), float(2.0 * m + np.log(np.sum(np.exp(shifted, out=shifted))))
-
-
 def log1mexp(x: float) -> float:
     """log(1 - exp(x)) for x <= 0, accurate near both ends."""
     if x > 0:
@@ -275,15 +260,11 @@ def _log_erlang_tail(n: int, x):
         t += c
         t *= y
     # log x is capped at log(DBL_MAX) so that x = inf gives -inf, not inf - inf;
-    # on arrays every step runs in place in y and t (a float rebinds)
-    if isinstance(x, np.ndarray):
-        out = np.log(np.minimum(x, _DBL_MAX, out=y), out=y)
-        np.log1p(t, out=t)
-    else:
-        out, t = np.log(np.minimum(x, _DBL_MAX)), np.log1p(t)
+    # the updates run in place on arrays (and rebind a float)
+    out = np.log(np.minimum(x, _DBL_MAX))
     out *= n - 1
     out -= x
-    out += t
+    out += np.log1p(t)
     out -= math.lgamma(n)
     return out
 

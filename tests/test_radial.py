@@ -71,9 +71,9 @@ class TestSurvival:
             assert model.log_survival(u) == pytest.approx(want, rel=1e-14)
         np.testing.assert_allclose(model.log_survival(np.array(grid)), exact, rtol=1e-14)
 
-    def test_gamma_float_path_equals_array_path(self):
-        # a float skips errstate, np.ndim and the 0-d product, not a bit of
-        # the value; a product past the double range is survival 0, quietly
+    def test_gamma_float_equals_array(self):
+        # a float gives a float with the 0-d array's bits; a product past the
+        # double range is survival 0, quietly
         for law in (GammaLaw(3, 1), GammaLaw(2.5, 0.7), GammaLaw(2, 1e10)):
             for u in (0.0, 0.3, 2.0, 7.5, 40.0, 1e300):
                 with warnings.catch_warnings():
