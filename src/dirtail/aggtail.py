@@ -312,10 +312,6 @@ class SimplexTailGeometry:
     def c_tilde(self) -> tuple[float, ...]:
         return _exp(self.log_c_tilde)
 
-    @property
-    def c_tilde_final(self) -> float:
-        return self.c_tilde[-1]
-
 
 def simplex_tail_geometry(alpha, lam, p: float) -> SimplexTailGeometry:
     """Laplace recursion for the simplex aggregate, in the given index order.

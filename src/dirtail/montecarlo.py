@@ -11,7 +11,7 @@ of the rarity lives in F_bar, none in the indicator.  A crude frequency
 estimator and, for d <= 3, a deterministic quadrature oracle cross-check it.
 
 The oracle sums the same kernel along lines Z = lam0 B^p + lam1 (1-B)^p
-against Beta laws, one vectorized log_survival call per line.  Its
+against Beta laws, one log_survival call and log-sum-exp per block of lines.  Its
 Gauss-Legendre panels are graded geometrically toward the corners, the
 saddle theta (the p < 1 peak, narrower the deeper the tail) and a finite
 endpoint's support edges (where the integrand drops to 0), which keeps the
@@ -151,8 +151,8 @@ def _chunked(seed: int, sizes: list[int], alpha, fn, workers: int = 1) -> list:
 def _chunk_logsums(parts) -> np.ndarray:
     """Equal-shaped per-chunk tables of log-sums, log-summed entry by entry."""
     table = np.asarray(parts)
-    cols = table.reshape(len(table), -1).T
-    return np.asarray([logsumexp(col) for col in cols]).reshape(table.shape[1:])
+    cols = np.ascontiguousarray(table.reshape(len(table), -1).T)
+    return logsumexp(cols, axis=1).reshape(table.shape[1:])
 
 
 def _log_cond(radial: RadialModel, z, level: float, p: float):
@@ -309,44 +309,53 @@ class _LineRule:
     def __init__(self, a: float, c: float, lam0: float, lam1: float, p: float):
         self.a, self.c, self.lam0, self.lam1, self.p = a, c, lam0, lam1, p
         self.log_norm = log_gamma(a + c) - log_gamma(a) - log_gamma(c)
-        self.halves = {e: _graded_half(e) for e in {a - 1.0, c - 1.0, 0.0}}
+        # the half rules at the corner b = 0, the corner b = 1 and inside
+        self.d, self.lw = map(np.stack, zip(*(_graded_half(e) for e in (a - 1.0, c - 1.0, 0.0))))
         # g is monotone between the corners and its interior extremum: the
         # saddle theta (its maximum) for p < 1, a minimum for p > 1
         x = math.log(lam0 / lam1) / (1.0 - p) if p != 1.0 and lam1 > 0 else None
-        ends = [(0.0, 1.0), (1.0, 0.0)]
-        self.pieces = ends if x is None else [ends[0], (float(expit(x)), float(expit(-x))), ends[1]]
-        self.breakpoints = self.pieces if p < 1.0 else ends
+        ext = [] if x is None else [(float(expit(x)), float(expit(-x)))]
+        self.pts = np.array([(0.0, 1.0)] + ext + [(1.0, 0.0)]).T
+        # the slots: the breakpoints (theta only for p < 1) and an edge per piece
+        self.fixed = self.pts if p < 1.0 else self.pts[:, [0, -1]]
+        self.where = np.arange(1, len(ext) + 2) if p < 1.0 else [1] * (len(ext) + 1)
+        self.width = 2 * (self.fixed.shape[1] + len(ext)) * self.d.shape[1]  # nodes per row
 
     def g(self, b, bc):
         return self.lam0 * b ** self.p + self.lam1 * bc ** self.p
 
-    def nodes(self, level: float):
-        """Points b, 1 - b and log-weights of the rule over {g > level}."""
-        points = list(self.breakpoints)
-        # the support edges: where g crosses a positive level on a monotone piece
-        for lo, hi in zip(self.pieces, self.pieces[1:]):
-            up = self.g(*lo) > level
-            if level > 0 and up != (self.g(*hi) > level):
-                for _ in range(64):
-                    mid = (0.5 * (lo[0] + hi[0]), 0.5 * (lo[1] + hi[1]))
-                    lo, hi = (mid, hi) if (self.g(*mid) > level) == up else (lo, mid)
-                points.append(lo)
-        points.sort()
-        parts = [(np.empty(0),) * 3]  # a line with no support gets no nodes
-        for lo, hi in zip(points, points[1:]):
-            half = 0.5 * (hi[0] - lo[0] if lo[0] < 0.5 else lo[1] - hi[1])
-            if not (half > 0 and self.g(0.5 * (lo[0] + hi[0]), 0.5 * (lo[1] + hi[1])) > level):
-                continue
-            for (s, sc), sign in ((lo, 1.0), (hi, -1.0)):
-                d, lw = self.halves[self.a - 1.0 if s == 0 else self.c - 1.0 if sc == 0 else 0.0]
-                parts.append((s + sign * half * d, sc - sign * half * d, lw + math.log(half)))
-        b, bc, lw = (np.concatenate(x) for x in zip(*parts))
-        return b, bc, lw + (self.a - 1.0) * np.log(b) + (self.c - 1.0) * np.log(bc) + self.log_norm
+    def nodes(self, levels):
+        """Points b, 1 - b and log-weights (-inf on empty panels) of the rule over
+        {g > level}: a row per distinct level (one for all <= 0), and each level's row."""
+        level, row = np.unique(np.maximum(levels, 0.0), return_inverse=True)
+        lv = level[:, None]  # g > 0 inside (0, 1), so no level <= 0 cuts the line
+        # each piece's support edge, or a corner (bounding an empty panel) if none
+        lo, hi = self.pts[:, None, :-1], self.pts[:, None, 1:]
+        up = self.g(*lo) > lv
+        cross = (lv > 0) & (up != (self.g(*hi) > lv))
+        for _ in range(64 if cross.any() else 0):
+            mid = 0.5 * (lo + hi)
+            keep = (self.g(*mid) > lv) == up
+            lo, hi = np.where(keep, mid, lo), np.where(keep, hi, mid)
+        s, sc = (np.insert(np.tile(f, (level.size, 1)), self.where, e, axis=1) for f, e in
+                 zip(self.fixed, np.where(cross, lo, self.pts[:, None, [0, -1][:cross.shape[1]]])))
+        half = 0.5 * np.where(s[:, :-1] < 0.5, s[:, 1:] - s[:, :-1], sc[:, :-1] - sc[:, 1:])
+        live = (half > 0) & (self.g(0.5 * (s[:, :-1] + s[:, 1:]), 0.5 * (sc[:, :-1] + sc[:, 1:])) > lv)
+        # end k of panel j (live on some row) at slot e; an empty j: -inf at b = 1/2
+        k = np.flatnonzero(live.any(axis=0).repeat(2))
+        j, e = k // 2, (k + 1) // 2
+        kind = np.where(s[:, e] == 0, 0, np.where(sc[:, e] == 0, 1, 2))
+        step = ((1.0 - 2.0 * (k % 2)) * half[:, j])[..., None] * self.d[kind]
+        log_half = np.log(half, out=np.full(half.shape, -math.inf), where=live)[:, j, None]
+        b, bc, lw = (x.reshape(level.size, -1) for x in (
+            s[:, e, None] + step, sc[:, e, None] - step, self.lw[kind] + log_half))
+        b[lw == -math.inf] = bc[lw == -math.inf] = 0.5
+        return b, bc, lw + (self.a - 1.0) * np.log(b) + (self.c - 1.0) * np.log(bc) + self.log_norm, row
 
 
 def quadrature_tail(spec: AggregateSpec, t: float) -> Estimate:
-    """Deterministic oracle for P(S_p > t), d <= 3, by the graded Gauss rule
-    of the module docstring.  n counts the integrand evaluations."""
+    """Deterministic oracle for P(S_p > t), d <= 3: the graded Gauss rule of the
+    module docstring, a block of lines at a time.  n counts its evaluations."""
     (tn,) = _levels(spec, t)
     if spec.d > 3:
         raise DomainError(f"quadrature oracle supports d <= 3, got d={spec.d}")
@@ -359,18 +368,19 @@ def quadrature_tail(spec: AggregateSpec, t: float) -> Estimate:
         log_val, n = _log_cond(radial, z_sup, tn, p), 1
     else:
         inner = _LineRule(a[0], a[1], lam[0], lam[1], p)
-        lines = [(0.0, 1.0, 0.0)]  # (log weight, head, tail) of each line
+        lw_line, head, tail = np.zeros(1), np.ones(1), np.zeros(1)  # d = 2: the line Z = g
         if spec.d == 3:
             outer = _LineRule(a[0] + a[1], a[2], _z_sup(np.asarray(lam[:2]), p), lam[2], p)
-            b, bc, lw = outer.nodes(level)
-            lines = zip(lw, b ** p, lam[2] * bc ** p)
-        logs, n = [], 0
-        for lw_line, head, tail in lines:
-            b, bc, lw = inner.nodes((level - tail) / head)
-            z = head * inner.g(b, bc) + tail
-            logs.append(lw_line + logsumexp(lw + _log_cond(radial, z, tn, p)))
-            n += b.size
-        log_val = logsumexp(logs)
+            b, bc, lw_line = (x[0] for x in outer.nodes([level])[:3])
+            head, tail = b ** p, lam[2] * bc ** p
+        b, bc, lw_rule, row = inner.nodes((level - tail) / head)
+        g, n = inner.g(b, bc), int(np.count_nonzero(lw_rule > -math.inf, axis=1)[row].sum())
+        block, logs = max(1, CHUNK // (4 * inner.width)), []  # lines of <= CHUNK / 4 nodes
+        for i in range(0, head.size, block):
+            r, h, tl = row[i:i + block], head[i:i + block, None], tail[i:i + block, None]
+            lw = lw_rule[r] + _log_cond(radial, h * g[r] + tl, tn, p)
+            logs.append(lw_line[i:i + block] + logsumexp(lw, axis=1))
+        log_val = logsumexp(np.concatenate(logs))
         # level < z_sup, so the true integral is positive: 0 means a missed support
         if log_val == -math.inf:
             raise NumericError(f"quadrature integral came out 0 at t={t}: rule missed the support")

@@ -49,11 +49,6 @@ class RadialModel(ABC):
     def log_survival(self, u):
         """log P(R > u); vectorized over u, -inf beyond the endpoint."""
 
-    def survival(self, u):
-        """P(R > u) on the linear scale (underflows to 0 below ~1e-308)."""
-        out = self.log_survival(u)
-        return np.exp(out) if isinstance(out, np.ndarray) else math.exp(out)
-
     def scaling_w(self, u: float) -> float:
         """Gumbel scaling function w(u); defined for 0 < u < x_F."""
         raise UnsupportedClassError(

@@ -77,17 +77,16 @@ def log_gamma(a: float) -> float:
     return math.lgamma(a)
 
 
-def logsumexp(values) -> float:
-    """log(sum(exp(values))) without overflow; handles -inf entries."""
+def logsumexp(values, axis=None):
+    """log(sum(exp(values))) without overflow: a float, or with an axis an array
+    along it.  A sum whose largest term is not finite (-inf, +inf) is that term."""
     arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        return -math.inf
-    m = np.max(arr)
-    if not np.isfinite(m):
-        # all -inf (sum is 0) or a +inf slipped in
-        return float(m)
-    shifted = arr - m
-    return float(m + np.log(np.sum(np.exp(shifted, out=shifted))))
+    m = np.max(arr, axis=axis, keepdims=True, initial=-math.inf)
+    with np.errstate(invalid="ignore", divide="ignore"):  # inf - inf, log 0: m not finite
+        shifted = arr - m
+        total = np.log(np.sum(np.exp(shifted, out=shifted), axis=axis, keepdims=True))
+    out = np.where(np.isfinite(m), m + total, m)
+    return out.item() if axis is None else out.squeeze(axis)
 
 
 def log1mexp(x: float) -> float:

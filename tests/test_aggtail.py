@@ -203,7 +203,7 @@ class TestSimplexRecursion:
         # two-dimensional Laplace integral at the simplex center gives
         # exactly 16*pi/9 for the equal-weight, unit-alpha, p = 1/2 case
         geom = dt.simplex_tail_geometry([1, 1, 1], [1, 1, 1], 0.5)
-        assert geom.c_tilde_final == pytest.approx(16 * math.pi / 9, rel=1e-12)
+        assert geom.c_tilde[-1] == pytest.approx(16 * math.pi / 9, rel=1e-12)
         assert geom.lambda_tilde_final == pytest.approx(math.sqrt(3), rel=1e-14)
 
     def test_saddle_chain_identity(self):
@@ -220,7 +220,7 @@ class TestSimplexRecursion:
         # pinned by the exceedance-interval quadrature oracle (see
         # test_oracle_agreement_asymmetric) and frozen
         geom = dt.simplex_tail_geometry([2, 1, 0.5], [1, 0.8, 0.6], 0.4)
-        assert geom.c_tilde_final == pytest.approx(5.804160392561394, rel=1e-10)
+        assert geom.c_tilde[-1] == pytest.approx(5.804160392561394, rel=1e-10)
         assert geom.lambda_tilde_final == pytest.approx(1.5679771402522726, rel=1e-12)
 
     def test_oracle_agreement_asymmetric(self):
@@ -229,7 +229,7 @@ class TestSimplexRecursion:
         alpha, lam, p = [2.0, 1.0, 0.5], [1.0, 0.8, 0.6], 0.4
         geom = dt.simplex_tail_geometry(alpha, lam, p)
         oracle = _z3_tail_oracle(alpha, lam, p, 1e-6) / 1e-6
-        assert geom.c_tilde_final == pytest.approx(oracle, rel=5e-4)
+        assert geom.c_tilde[-1] == pytest.approx(oracle, rel=5e-4)
 
     def test_permutation_invariance(self):
         alpha, lam = [2, 1, 0.5], [1, 0.8, 0.6]
@@ -237,7 +237,7 @@ class TestSimplexRecursion:
         for perm in itertools.permutations(range(3)):
             geom = dt.simplex_tail_geometry([alpha[i] for i in perm],
                                             [lam[i] for i in perm], 0.4)
-            results.append((geom.lambda_tilde_final, geom.c_tilde_final))
+            results.append((geom.lambda_tilde_final, geom.c_tilde[-1]))
         lts = [r[0] for r in results]
         cts = [r[1] for r in results]
         assert (max(lts) - min(lts)) / min(lts) <= 1e-8

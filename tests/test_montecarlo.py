@@ -9,6 +9,7 @@ import dirtail as dt
 from dirtail import BetaLaw, GammaLaw
 from dirtail.errors import DomainError, ValidationError
 from dirtail import montecarlo as mc
+from dirtail import specfun
 from dirtail.montecarlo import CHUNK, NormingConstants
 
 GAMMA21 = GammaLaw(2, 1)
@@ -21,6 +22,46 @@ class HalfGamma(GammaLaw):
 
     def log_survival(self, u):
         return math.log(0.5) + super().log_survival(u)
+
+
+class RecordingGamma(GammaLaw):
+    """GammaLaw that records the size of every log_survival argument."""
+
+    sizes = []
+
+    def log_survival(self, u):
+        self.sizes.append(np.size(u))
+        return super().log_survival(u)
+
+
+class RecordingBeta(BetaLaw):
+    """BetaLaw that records the size of every log_survival argument."""
+
+    sizes = []
+
+    def log_survival(self, u):
+        self.sizes.append(np.size(u))
+        return super().log_survival(u)
+
+
+def _line_by_line(spec, t):
+    """log P(S_p > t) and its node count for d = 3, one inner line at a time:
+    a single-level _LineRule.nodes call per node of the outer line."""
+    (tn,) = mc._levels(spec, t)
+    p, lam, a = spec.p, spec.lam, spec.alpha
+    level = tn / spec.radial.upper_endpoint ** p
+    inner = mc._LineRule(a[0], a[1], lam[0], lam[1], p)
+    outer = mc._LineRule(a[0] + a[1], a[2], mc._z_sup(np.asarray(lam[:2]), p), lam[2], p)
+    b_out, bc_out, lw_out = (x[0] for x in outer.nodes([level])[:3])
+    logs, n, rows = [], 0, set()
+    for lw_line, head, tail in zip(lw_out, b_out ** p, lam[2] * bc_out ** p):
+        b, bc, lw, row = inner.nodes([(level - tail) / head])
+        assert b.shape[0] == 1 and row.tolist() == [0]
+        z = head * inner.g(b[0], bc[0]) + tail
+        logs.append(lw_line + specfun.logsumexp(lw[0] + mc._log_cond(spec.radial, z, tn, p)))
+        n += np.count_nonzero(np.isfinite(lw[0]))
+        rows.add(tuple(b[0]))
+    return specfun.logsumexp(logs), n, len(rows)
 
 
 class TestSampleDirichlet:
@@ -251,6 +292,47 @@ class TestQuadratureOracle:
         n2 = dt.quadrature_tail(REGIME_A, 30.0).n
         n3 = dt.quadrature_tail(dt.validate_spec([1, 1, 1], [1, 1, 1], 2.0, GAMMA21), 30.0).n
         assert n2 > 100 and n3 >= n2 * n2
+
+    @pytest.mark.parametrize("lam, p, t", [
+        ([1, 0.5, 0.3], 1.0, 0.9),
+        ([1, 0.7, 0.4], 0.5, 1.2),
+        ([1, 0.7, 0.4], 2.5, 0.5),
+    ])
+    def test_d3_blocks_equal_line_by_line(self, lam, p, t):
+        # with a beta radius the inner level, and with it the support edges,
+        # changes from line to line; the blocked rule must not notice
+        spec = dt.validate_spec([1, 2, 1], lam, p, BetaLaw(2, 3))
+        want, n, distinct = _line_by_line(spec, t)
+        assert distinct > 10
+        est = dt.quadrature_tail(spec, t)
+        assert est.log_p_hat == pytest.approx(want, abs=1e-13)
+        assert est.n == n
+
+    def test_n_counts_only_finite_weights(self):
+        # at p > 1 a line that the level cuts keeps its two corner panels and
+        # a line wholly above it the middle one; in a block each line's
+        # missing panels carry weight -inf and are no evaluations
+        spec = dt.validate_spec([1, 2, 1], [1, 0.7, 0.4], 2.5, BetaLaw(2, 3))
+        (level,) = mc._levels(spec, 0.5)
+        p, lam, a = spec.p, spec.lam, spec.alpha
+        outer = mc._LineRule(a[0] + a[1], a[2], mc._z_sup(np.asarray(lam[:2]), p), lam[2], p)
+        b, bc = (x[0] for x in outer.nodes([level])[:2])
+        inner = mc._LineRule(a[0], a[1], lam[0], lam[1], p)
+        lw, row = inner.nodes((level - lam[2] * bc ** p) / b ** p)[2:]
+        finite = np.isfinite(lw[row])
+        assert not finite.all()
+        est = dt.quadrature_tail(spec, 0.5)
+        assert est.n == np.count_nonzero(finite) == _line_by_line(spec, 0.5)[1]
+
+    @pytest.mark.parametrize("radial, alpha, lam, p, t", [
+        (RecordingGamma(3, 1), [1, 1, 1], [1, 1, 1], 0.5, 20.0),
+        (RecordingGamma(3, 1), [1, 1, 1], [1, 0.7, 0.4], 2.0, 40.0),
+        (RecordingBeta(2, 3), [1, 2, 1], [1, 0.5, 0.3], 1.0, 0.9),
+    ])
+    def test_kernel_calls_stay_within_a_chunk(self, radial, alpha, lam, p, t):
+        radial.sizes.clear()
+        dt.quadrature_tail(dt.validate_spec(alpha, lam, p, radial), t)
+        assert len(radial.sizes) > 1 and max(radial.sizes) <= CHUNK
 
     def test_dimension_cap(self):
         spec = dt.validate_spec([1, 1, 1, 1], [1, 1, 1, 1], 2.0, GAMMA21)

@@ -28,15 +28,15 @@ GUMBEL_FAMILIES = [
 
 class TestSurvival:
     def test_examples(self):
-        assert GammaLaw(1, 1).survival(1.0) == pytest.approx(math.exp(-1), rel=1e-13)
-        assert BetaLaw(1, 1).survival(0.25) == pytest.approx(0.75, rel=1e-12)
-        assert WeibullTail(2, 0.5).survival(2.0) == pytest.approx(math.exp(-2), rel=1e-13)
-        assert UnitGumbel(1.0).survival(0.0) == pytest.approx(1.0, rel=1e-13)
+        assert math.exp(GammaLaw(1, 1).log_survival(1.0)) == pytest.approx(math.exp(-1), rel=1e-13)
+        assert math.exp(BetaLaw(1, 1).log_survival(0.25)) == pytest.approx(0.75, rel=1e-12)
+        assert math.exp(WeibullTail(2, 0.5).log_survival(2.0)) == pytest.approx(math.exp(-2), rel=1e-13)
+        assert math.exp(UnitGumbel(1.0).log_survival(0.0)) == pytest.approx(1.0, rel=1e-13)
 
     def test_beyond_endpoint(self):
-        assert BetaLaw(2, 3).survival(1.0) == 0.0
-        assert UnitGumbel(2.0).survival(1.0) == 0.0
-        assert UnitGumbel(2.0).survival(5.0) == 0.0
+        assert math.exp(BetaLaw(2, 3).log_survival(1.0)) == 0.0
+        assert math.exp(UnitGumbel(2.0).log_survival(1.0)) == 0.0
+        assert math.exp(UnitGumbel(2.0).log_survival(5.0)) == 0.0
 
     def test_monotone_non_increasing(self):
         for model in GUMBEL_FAMILIES + [BetaLaw(2, 3)]:
@@ -44,12 +44,12 @@ class TestSurvival:
             grid = np.linspace(0.0, hi - 1e-9, 200)
             vals = model.log_survival(grid)
             assert np.all(np.diff(vals) <= 1e-12)
-            assert model.survival(0.0) <= 1.0
+            assert math.exp(model.log_survival(0.0)) <= 1.0
 
     def test_negative_argument_rejected(self):
         for model in GUMBEL_FAMILIES:
             with pytest.raises(DomainError):
-                model.survival(-0.5)
+                math.exp(model.log_survival(-0.5))
 
     def test_vectorized_matches_scalar(self):
         for model in GUMBEL_FAMILIES + [BetaLaw(1.5, 2.5)]:
@@ -112,7 +112,7 @@ class TestQuantile:
         assert BetaLaw(1, 1).quantile_survival(0.7) == pytest.approx(0.3, rel=1e-12)
         model = GammaLaw(2, 1)
         v = model.quantile_survival(0.5)
-        assert model.survival(v) == pytest.approx(0.5, abs=1e-10)
+        assert math.exp(model.log_survival(v)) == pytest.approx(0.5, abs=1e-10)
 
     def test_roundtrip_all_families(self):
         # |F(quantile_survival(1 - q)) - q| <= 1e-9, log-scale comparison
@@ -130,7 +130,7 @@ class TestQuantile:
                     got = model.log_survival(x)
                     assert got == pytest.approx(math.log(s), rel=1e-9)
                 else:
-                    assert model.survival(x) == pytest.approx(s, abs=1e-9)
+                    assert math.exp(model.log_survival(x)) == pytest.approx(s, abs=1e-9)
 
     def test_survival_quantile_deep(self):
         for model in GUMBEL_FAMILIES:

@@ -244,6 +244,17 @@ class TestLogHelpers:
     def test_logsumexp_all_neginf(self):
         assert sf.logsumexp([-math.inf, -math.inf]) == -math.inf
 
+    def test_logsumexp_rows(self):
+        # a row of all -inf sums to 0, so -inf; every row is the flat call
+        rows = np.array([[-math.inf, -math.inf, -math.inf],
+                         [math.log(0.25), math.log(0.5), -math.inf],
+                         [-1e5, -1e5 + 1.0, -1e5 - 3.0]])
+        got = sf.logsumexp(rows, axis=1)
+        assert got.shape == (3,) and got[0] == -math.inf
+        assert got[1] == pytest.approx(math.log(0.75), rel=1e-14)
+        assert got.tolist() == [sf.logsumexp(row) for row in rows]
+        assert sf.logsumexp(rows.T, axis=0).tolist() == got.tolist()
+
     def test_logsumexp_no_overflow(self):
         assert sf.logsumexp([-1e5, -1e5 + 1.0]) == pytest.approx(
             -1e5 + math.log(1 + math.e), rel=1e-12)
