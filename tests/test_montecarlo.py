@@ -321,8 +321,7 @@ class TestQuadratureOracle:
         lw, row = inner.nodes((level - lam[2] * bc ** p) / b ** p)[2:]
         finite = np.isfinite(lw[row])
         assert not finite.all()
-        est = dt.quadrature_tail(spec, 0.5)
-        assert est.n == np.count_nonzero(finite) == _line_by_line(spec, 0.5)[1]
+        assert dt.quadrature_tail(spec, 0.5).n == np.count_nonzero(finite)
 
     @pytest.mark.parametrize("radial, alpha, lam, p, t", [
         (RecordingGamma(3, 1), [1, 1, 1], [1, 1, 1], 0.5, 20.0),
