@@ -119,20 +119,22 @@ def _chunked(seed: int, sizes: list[int], alpha, fn, workers: int = 1) -> list:
     point 1 and nothing is drawn.
 
     The gamma draws keep the (sizes[k], d) shape of a row-major sampler, so
-    the stream is that of one row per point.  The totals are summed
-    coordinate by coordinate, which for d <= 7 is the order of numpy's row
-    sum; from d = 8 numpy's unrolled sum adds in another order.
+    the stream is that of one row per point; equal alphas go in as one scalar
+    shape, which draws the same stream without numpy's broadcast loop.  The
+    totals are summed coordinate by coordinate, which for d <= 7 is the order
+    of numpy's row sum; from d = 8 numpy's unrolled sum adds in another order.
 
     Raises NumericError when a row's gamma draws all underflow to 0, which
     small alpha makes likely: the row has no simplex point to normalize.
     """
     alpha = np.asarray(alpha, dtype=float)
+    shape = alpha[0] if np.all(alpha == alpha[0]) else alpha
 
     def one_chunk(k: int):
         rng = np.random.default_rng([seed, k])
         if alpha.size == 1:
             return fn(rng, np.ones((1, sizes[k])))
-        y = rng.standard_gamma(alpha, size=(sizes[k], alpha.size)).T
+        y = rng.standard_gamma(shape, size=(sizes[k], alpha.size)).T
         total = y[0] + y[1]
         for coord in y[2:]:
             total += coord
@@ -167,6 +169,22 @@ def _log_cond(radial: RadialModel, z, level: float, p: float):
         x = np.divide(level, z)
     x **= 1.0 / p
     return radial.log_survival(np.minimum(x, 1e300, out=x if x.ndim else None))
+
+
+def _log_moments(logs: np.ndarray) -> tuple[float, float]:
+    """log sum(w) and log sum(w^2) of the weights w = exp(logs), from one
+    in-place exp of logs shifted by their maximum (logs is overwritten).
+    All weights 0 give (-inf, -inf)."""
+    m = float(logs.max())
+    if m == -math.inf:
+        return m, m
+    logs -= m
+    w = np.exp(logs, out=logs)
+    ls1 = m + math.log(w.sum())
+    # squared in place and summed pairwise: a BLAS dot adds in an order that
+    # depends on its thread count
+    w *= w
+    return ls1, 2.0 * m + math.log(w.sum())
 
 
 def _cond_logsums(radial: RadialModel, z: np.ndarray, levels, p: float):
@@ -254,8 +272,7 @@ def conditional_mc_tail(spec: AggregateSpec, t, n: int, seed: int,
 
     def moments(rng, u):
         z = _z(spec, u)
-        return [(logsumexp(logs), logsumexp(2.0 * logs))
-                for logs in (_log_cond(spec.radial, z, level, spec.p) for level in levels)]
+        return [_log_moments(_log_cond(spec.radial, z, level, spec.p)) for level in levels]
 
     table = _chunk_logsums(_chunked(seed, _chunk_sizes(n), spec.alpha, moments, workers))
     ests = [_estimate_from_log_moments(ls1, ls2, int(n), seed) for ls1, ls2 in table.tolist()]

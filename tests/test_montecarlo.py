@@ -107,8 +107,9 @@ class TestChunkBlock:
     """The engine's (d, n) block and Z against the row-major form they replace."""
 
     @pytest.mark.parametrize("alpha", [[1.5], [1.0, 2.0], [0.5, 1.0, 3.0],
-                                       [1.0, 0.3, 2.0, 0.7, 1.2]])
+                                       [1.0, 0.3, 2.0, 0.7, 1.2], [1.0, 1.0, 1.0], [2.0, 2.0]])
     def test_block_and_z_equal_row_form_bit_for_bit(self, alpha):
+        # equal alphas draw with one scalar shape: the same stream as the broadcast draw
         d, sizes = len(alpha), [CHUNK, 777]
         spec = dt.validate_spec(alpha, np.linspace(1.0, 0.2, d), 1.7, GAMMA21)
         got = mc._chunked(13, sizes, spec.alpha, lambda rng, u: (u, mc._z(spec, u)))
@@ -121,6 +122,20 @@ class TestChunkBlock:
             assert u.shape == (d, sizes[k]) and u.flags.c_contiguous
             assert np.array_equal(u, rows.T)
             assert np.array_equal(z, (np.asarray(spec.lam) * rows ** spec.p).sum(axis=1))
+
+
+class TestLogMoments:
+    """The conditional estimator's two log-moments of one chunk's weights."""
+
+    @pytest.mark.parametrize("spread", [1e-3, 1.0, 140.0])
+    def test_match_two_logsumexps(self, spread):
+        logs = np.random.default_rng(41).uniform(-spread, 0.0, CHUNK) - 5.0
+        logs[::7] = -math.inf
+        want = (specfun.logsumexp(logs), specfun.logsumexp(2.0 * logs))
+        assert mc._log_moments(logs.copy()) == pytest.approx(want, rel=1e-15)
+
+    def test_all_zero_weights(self):
+        assert mc._log_moments(np.full(9, -math.inf)) == (-math.inf, -math.inf)
 
 
 class TestConditionalEstimator:

@@ -211,7 +211,7 @@ class TestErlangTail:
             assert sf.log_regularized_gamma_upper(n, math.inf) == -math.inf
             assert sf.log_regularized_gamma_upper(n, np.array([math.inf]))[0] == -math.inf
         for got in (vec, scal):
-            assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-13
+            assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-14
 
     @pytest.mark.parametrize("a", [2.5, float(sf._ERLANG_N_MAX + 1),
                                    np.full(60, 3.0)], ids=["2.5", "n_max+1", "array"])
@@ -225,15 +225,55 @@ class TestErlangTail:
                 assert sf.log_regularized_gamma_upper(a, float(xi)) == wi
 
     def test_mixed_vector(self):
-        x = np.append(np.linspace(0.0, 12.0, 241), [700.0, math.inf])
+        # x < 3 and x past the sum's overflow cap (x = inf among them) take the bands
+        cap = sf._ERLANG_X_MAX[3]
+        x = np.append(np.linspace(0.0, 12.0, 241), [700.0, cap, 1e200, math.inf])
         got = sf.log_regularized_gamma_upper(3, x)
-        below = x < 3.0
-        assert np.array_equal(got[below], banded_gamma(3.0, x)[below])
-        assert np.array_equal(got[~below], sf._log_erlang_tail(3, x[~below]))
-        # the two routes agree where they meet
-        finite = ~below & np.isfinite(x)
-        ref = banded_gamma(3.0, x[finite])
-        assert np.max(np.abs(got[finite] - ref) / np.abs(ref)) < 1e-13
+        banded = (x < 3.0) | (x > cap)
+        assert np.array_equal(got[banded], banded_gamma(3.0, x)[banded])
+        assert np.array_equal(got[~banded], sf._log_erlang_tail(3, x[~banded]))
+        assert got[-1] == -math.inf and x[~banded].max() == cap
+        # the two routes agree where they meet, at both ends
+        ref = banded_gamma(3.0, x[~banded])
+        assert np.max(np.abs(got[~banded] - ref) / np.abs(ref)) < 1e-13
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, sf._ERLANG_N_MAX),
+           st.lists(st.one_of(st.floats(0.0, 1e300), st.just(math.inf)), min_size=2, max_size=2))
+    def test_monotone_property(self, n, xs):
+        # every route (bands below n, the sum, the fraction past the cap) is a
+        # log survival: never NaN, <= 0, and not increasing in x.  Points a few
+        # ulps apart can invert by rounding (below 1e-14 relative, measured)
+        lo, hi = sorted(xs)
+        vec = sf.log_regularized_gamma_upper(n, np.array([lo, hi]))
+        for f_lo, f_hi in (vec, [sf.log_regularized_gamma_upper(n, x) for x in (lo, hi)]):
+            assert f_lo <= 0.0 and f_hi <= 0.0  # fails on NaN too
+            if hi >= lo * (1.0 + 1e-9):
+                assert f_hi <= f_lo
+            else:
+                assert f_hi <= f_lo + 1e-13 * abs(f_lo)
+
+
+class TestFractionBatches:
+    """A continued-fraction entry does not depend on the entries beside it."""
+
+    def test_gamma_fraction_entry_is_its_lone_value(self):
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            a = rng.uniform(0.01, 50.0, 8)
+            x = a + 1.0 + rng.exponential(20.0, 8)
+            got = sf._gamma_cf_upper_log(a, x)
+            lone = [sf._gamma_cf_upper_log(a[i:i + 1], x[i:i + 1])[0] for i in range(8)]
+            assert got.tolist() == lone
+
+    def test_beta_fraction_entry_is_its_lone_value(self):
+        rng = np.random.default_rng(37)
+        for _ in range(50):
+            a, b = rng.uniform(0.01, 50.0, (2, 8))
+            x = rng.uniform(0.0, 1.0, 8) * (a + 1.0) / (a + b + 2.0)
+            got = sf._beta_cf(a, b, x)
+            lone = [sf._beta_cf(a[i:i + 1], b[i:i + 1], x[i:i + 1])[0] for i in range(8)]
+            assert got.tolist() == lone
 
 
 class TestLogHelpers:
