@@ -173,11 +173,12 @@ def _log_cond(radial: RadialModel, z, level: float, p: float):
 
 def _log_moments(logs: np.ndarray) -> tuple[float, float]:
     """log sum(w) and log sum(w^2) of the weights w = exp(logs), from one
-    in-place exp of logs shifted by their maximum (logs is overwritten).
-    All weights 0 give (-inf, -inf)."""
+    in-place exp of logs shifted by their maximum m (logs is overwritten).
+    As in logsumexp, an m that is not finite is the answer: all weights 0
+    give (-inf, -inf)."""
     m = float(logs.max())
-    if m == -math.inf:
-        return m, m
+    if not math.isfinite(m):
+        return m, 2.0 * m
     logs -= m
     w = np.exp(logs, out=logs)
     ls1 = m + math.log(w.sum())
