@@ -131,13 +131,13 @@ def _cmd_approx(cfg, spec, seed, workers):
 
 
 def _estimates(cfg, key, methods, spec, thresholds, seed, workers) -> list:
-    """One estimate of P(S_p > t) per threshold, by the method named in cfg[key]:
-    quadrature threshold by threshold, Monte Carlo in one pass for all of them."""
+    """One estimate of P(S_p > t) per threshold, by the method named in cfg[key],
+    from one call for all of them."""
     method = cfg.get(key, "conditional")
     if method not in methods:
         raise ValidationError(f"{key} must be one of {', '.join(methods)}, got {method!r}")
     if method == "quadrature":
-        return [montecarlo.quadrature_tail(spec, t) for t in thresholds]
+        return montecarlo.quadrature_tail(spec, thresholds)
     if seed is None:
         raise ValidationError(f"the {method} {key} needs an explicit seed (config key or --seed)")
     estimator = montecarlo.crude_mc_tail if method == "crude" else montecarlo.conditional_mc_tail

@@ -478,12 +478,17 @@ class TestTailAsymptoticObject:
     @example(case=("a", "gamma", 2.0, 1.0, [1.0, 2.0], 0.5, 0.5, math.log10(800.0)))
     @example(case=("b", "weibulltail", 1.5, 1.0, [1.0, 2.0, 0.5], 0.3, 0.5, 3.0))
     @example(case=("c", "unitgumbel", 1.0, 1.0, [1.0, 1.0, 1.0], 0.7, 0.5, 3.0))
+    @example(case=("endpoint", "gamma", 0.3125, 3.25, [0.3125, 0.3125], 0.328125, 0.0, 0.0))
     def test_invert_roundtrip_property(self, case):
         """evaluate_log(invert(y)) == y over every family and regime, including
         targets below -745 where exp(y), and so the quantile start, underflows.
 
         The absolute 1e-13 covers targets near 0, where y is a sum of O(1)
         terms that cancel; it is a relative error of 1e-13 in the probability.
+        Where the doubles next to the base point u = threshold_to_base(t)
+        already step over that tolerance (near t = 0 on the endpoint base, y
+        moves 1.3e-11 per ulp of u = 1 - t/scale), y must lie between their
+        values: as close to y as the double grid of u allows.
         """
         regime, family, s1, s2, alpha, lam_min, frac, log10_depth = case
         y = -(10.0 ** log10_depth)
@@ -504,7 +509,10 @@ class TestTailAsymptoticObject:
             # deeper, the gap 1 - t/scale keeps too few digits in t (see ROADMAP)
             assume(y >= asym.evaluate_log(asym.scale * (1.0 - 1e-3)))
         t = asym.invert(y)
-        assert asym.evaluate_log(t) == pytest.approx(y, rel=1e-12, abs=1e-13)
+        if asym.evaluate_log(t) != pytest.approx(y, rel=1e-12, abs=1e-13):
+            u = asym.threshold_to_base(t)
+            ends = [asym._log_at_base(math.nextafter(u, side)) for side in (0.0, math.inf)]
+            assert min(ends) <= y <= max(ends)
 
     def test_invert_evaluation_count(self, monkeypatch):
         """At most 20 evaluations per inversion on the benchmark's VaR levels

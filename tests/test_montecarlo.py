@@ -1,6 +1,7 @@
 """Tests for the simulation and quadrature verification engines."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,18 +45,25 @@ class RecordingBeta(BetaLaw):
         return super().log_survival(u)
 
 
+def _nodes(rule, levels):
+    """Points, log-weights and row map of a rule over the levels, on the panels
+    live on some level's row."""
+    panels, row = rule.panels(levels)
+    return (*rule.nodes(panels, np.arange(row.max() + 1), panels[3].any(axis=0)), row)
+
+
 def _line_by_line(spec, t):
     """log P(S_p > t) and its node count for d = 3, one inner line at a time:
-    a single-level _LineRule.nodes call per node of the outer line."""
+    a single-level rule per node of the outer line."""
     (tn,) = mc._levels(spec, t)
     p, lam, a = spec.p, spec.lam, spec.alpha
     level = tn / spec.radial.upper_endpoint ** p
     inner = mc._LineRule(a[0], a[1], lam[0], lam[1], p)
     outer = mc._LineRule(a[0] + a[1], a[2], mc._z_sup(np.asarray(lam[:2]), p), lam[2], p)
-    b_out, bc_out, lw_out = (x[0] for x in outer.nodes([level])[:3])
+    b_out, bc_out, lw_out = (x[0] for x in _nodes(outer, [level])[:3])
     logs, n, rows = [], 0, set()
     for lw_line, head, tail in zip(lw_out, b_out ** p, lam[2] * bc_out ** p):
-        b, bc, lw, row = inner.nodes([(level - tail) / head])
+        b, bc, lw, row = _nodes(inner, [(level - tail) / head])
         assert b.shape[0] == 1 and row.tolist() == [0]
         z = head * inner.g(b[0], bc[0]) + tail
         logs.append(lw_line + specfun.logsumexp(lw[0] + mc._log_cond(spec.radial, z, tn, p)))
@@ -331,9 +339,9 @@ class TestQuadratureOracle:
         (level,) = mc._levels(spec, 0.5)
         p, lam, a = spec.p, spec.lam, spec.alpha
         outer = mc._LineRule(a[0] + a[1], a[2], mc._z_sup(np.asarray(lam[:2]), p), lam[2], p)
-        b, bc = (x[0] for x in outer.nodes([level])[:2])
+        b, bc = (x[0] for x in _nodes(outer, [level])[:2])
         inner = mc._LineRule(a[0], a[1], lam[0], lam[1], p)
-        lw, row = inner.nodes((level - lam[2] * bc ** p) / b ** p)[2:]
+        lw, row = _nodes(inner, (level - lam[2] * bc ** p) / b ** p)[2:]
         finite = np.isfinite(lw[row])
         assert not finite.all()
         assert dt.quadrature_tail(spec, 0.5).n == np.count_nonzero(finite)
@@ -352,6 +360,53 @@ class TestQuadratureOracle:
         spec = dt.validate_spec([1, 1, 1, 1], [1, 1, 1, 1], 2.0, GAMMA21)
         with pytest.raises(DomainError):
             dt.quadrature_tail(spec, 5.0)
+
+    def test_d3_endpoint_memory_stays_within_blocks(self):
+        # every line has its own level; the inner rule is built a block of
+        # lines at a time, where all lines at once peaked at 18.9 MB
+        spec = dt.validate_spec([1, 1, 1], [1, 0.7, 0.4], 0.5, BetaLaw(2, 3))
+        dt.quadrature_tail(spec, 1.2)  # the half rules are built once, on the first call
+        tracemalloc.start()
+        try:
+            dt.quadrature_tail(spec, 1.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * CHUNK * 8  # eight chunk-sized float arrays
+
+    def test_half_rules_are_cached_read_only(self):
+        d, lw = mc._graded_half(0.5)
+        assert mc._graded_half(0.5)[0] is d
+        for arr in (d, lw):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+
+class TestQuadratureGrid:
+    @pytest.mark.parametrize("alpha, lam, p, radial, ts", [
+        ([2.0], [1.0], 0.5, GAMMA21, [1.0, 7.0, 20.0]),
+        ([1, 1], [1, 0.5], 0.5, GammaLaw(3, 1), [2.0, 10.0, 30.0, 10.0]),
+        ([1, 1], [1, 1], 2.0, GAMMA21, [30.0, 5.0]),
+        # beta radius: each level its own panels; 1.5 lies past the endpoint
+        ([1, 2], [1, 0.5], 2.0, BetaLaw(1, 0.5), [0.3, 0.95, 1.5, 0.7]),
+        ([1, 1], [1, 0.5], 0.5, BetaLaw(2, 3), [0.5, 1.4, 1.0]),
+        ([1, 1, 1], [1, 1, 1], 0.5, GammaLaw(3, 1), [3.0, 8.0]),
+        ([1, 2, 1], [1, 0.5, 0.3], 1.0, BetaLaw(2, 3), [0.9, 2.0, 0.5, 0.99]),
+    ])
+    def test_entries_equal_scalar_calls(self, alpha, lam, p, radial, ts):
+        spec = dt.validate_spec(alpha, lam, p, radial)
+        grid = dt.quadrature_tail(spec, ts)
+        assert isinstance(grid, list) and len(grid) == len(ts)
+        for t, est in zip(ts, grid):
+            assert est == dt.quadrature_tail(spec, t)
+
+    def test_sequence_types(self):
+        ts = [10.0, 30.0]
+        want = dt.quadrature_tail(REGIME_A, ts)
+        assert dt.quadrature_tail(REGIME_A, tuple(ts)) == want
+        assert dt.quadrature_tail(REGIME_A, np.array(ts)) == want
+        assert dt.quadrature_tail(REGIME_A, []) == []
+        assert dt.quadrature_tail(REGIME_A, np.float64(10.0)) == want[0]
 
 
 class TestTwoRadialEquivalence:
