@@ -24,16 +24,17 @@ Every sampler runs on one chunked engine: chunk k of a fixed partition
 draws from a substream seeded by (seed, k) and is reduced on its own, and
 the chunk results combine in index order; each chunk reduces every
 threshold of the call, so one pass serves a whole grid.  A chunk's simplex
-points arrive as a (d, n) block, one contiguous row per coordinate, and
-every reducer runs as a loop over those d rows.  conditional_mc_tail,
-crude_mc_tail, empirical_gumbel_mda and pairwise_asymindep take a worker
-count; it changes scheduling, never a result.
+points arrive as a (d, n) block, one contiguous row per coordinate, in a
+buffer each thread reuses, and every reducer runs as a loop over those d
+rows.  conditional_mc_tail, crude_mc_tail, empirical_gumbel_mda and
+pairwise_asymindep take a worker count; it changes scheduling, never a result.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -62,6 +63,8 @@ __all__ = [
 
 #: fixed chunk size of the deterministic sample partition
 CHUNK = 1 << 16
+#: rows of gamma draws per block, which stays in cache while it is normalized
+_DRAW_ROWS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -116,36 +119,53 @@ def _chunk_sizes(n: int, chunk: int = CHUNK) -> list[int]:
 
 
 def _chunked(seed: int, sizes: list[int], alpha, fn, workers: int = 1) -> list:
-    """fn(rng, u) for every chunk k, in chunk order.  u is the chunk's
+    """fn(rng, u, ws) for every chunk k, in chunk order.  u is the chunk's
     (d, sizes[k]) block of simplex points, one column per point, drawn first
     from rng = default_rng([seed, k]); for d = 1 the simplex is the single
-    point 1 and nothing is drawn.
+    point 1 and nothing is drawn.  ws(key, rows=1) is the thread's buffer
+    named key, made at the largest chunk's length on its first use, cut to
+    rows * sizes[k] doubles.  u and the buffers are reused for the thread's
+    next chunk and freed when the call returns, so fn must not keep them (nor
+    write to u).
 
-    The gamma draws keep the (sizes[k], d) shape of a row-major sampler, so
-    the stream is that of one row per point; equal alphas go in as one scalar
-    shape, which draws the same stream without numpy's broadcast loop.  The
-    totals are summed coordinate by coordinate, which for d <= 7 is the order
-    of numpy's row sum; from d = 8 numpy's unrolled sum adds in another order.
+    The gamma draws come _DRAW_ROWS rows at a time in the row-major order of
+    one (sizes[k], d) draw, so the stream is that of one row per point; equal
+    alphas go in as one scalar shape, which draws the same stream without
+    numpy's broadcast loop.  The totals are summed coordinate by coordinate,
+    which for d <= 7 is the order of numpy's row sum; from d = 8 numpy's
+    unrolled sum adds in another order.
 
     Raises NumericError when a row's gamma draws all underflow to 0, which
     small alpha makes likely: the row has no simplex point to normalize.
     """
     alpha = np.asarray(alpha, dtype=float)
     shape = alpha[0] if np.all(alpha == alpha[0]) else alpha
+    d, size, local = alpha.size, max(sizes), threading.local()
+    ones = np.ones((1, size)) if d == 1 else None
 
     def one_chunk(k: int):
-        rng = np.random.default_rng([seed, k])
-        if alpha.size == 1:
-            return fn(rng, np.ones((1, sizes[k])))
-        y = rng.standard_gamma(shape, size=(sizes[k], alpha.size)).T
-        total = y[0] + y[1]
-        for coord in y[2:]:
-            total += coord
-        if not np.all(total > 0):
-            raise NumericError(
-                f"simplex row sum underflowed to 0 at alpha={alpha.tolist()}: every "
-                f"standard_gamma draw of a row was 0 (alpha too small to sample)")
-        return fn(rng, np.divide(y, total, order="C"))
+        rng, n, bufs = np.random.default_rng([seed, k]), sizes[k], vars(local)
+
+        def ws(key: str, rows: int = 1) -> np.ndarray:
+            if key not in bufs:
+                bufs[key] = np.empty(rows * size)
+            return bufs[key][:rows * n]
+
+        if d == 1:
+            return fn(rng, ones[:, :n], ws)
+        u = ws("u", d).reshape(d, n)
+        for lo in range(0, n, _DRAW_ROWS):
+            m = min(_DRAW_ROWS, n - lo)  # only a block's pages of y and total are touched
+            y = rng.standard_gamma(shape, out=ws("y", d)[:m * d].reshape(m, d)).T
+            total = np.add(y[0], y[1], out=ws("total")[:m])
+            for coord in y[2:]:
+                total += coord
+            if not np.all(total > 0):
+                raise NumericError(
+                    f"simplex row sum underflowed to 0 at alpha={alpha.tolist()}: every "
+                    f"standard_gamma draw of a row was 0 (alpha too small to sample)")
+            np.divide(y, total, out=u[:, lo:lo + m])
+        return fn(rng, u, ws)
 
     if workers <= 1 or len(sizes) == 1:
         return [one_chunk(k) for k in range(len(sizes))]
@@ -160,30 +180,31 @@ def _chunk_logsums(parts) -> np.ndarray:
     return logsumexp(cols, axis=1).reshape(table.shape[1:])
 
 
-def _log_cond(radial: RadialModel, z, level: float, p: float):
+def _log_cond(radial: RadialModel, z, level: float, p: float, out=None):
     """The conditional kernel log F_bar((level / z)^{1/p}), one value per point.
 
     z = 0 maps to an unbounded radius (survival 0); a NaN z reaches
     log_survival and fails there rather than being read as no exceedance.
-    A chunk's radii are formed in one buffer; a scalar z (quadrature's
-    radial-tail paths) gives numpy scalars, which rebind.
+    A chunk's radii are formed in one buffer, out when given; a scalar z
+    (quadrature's radial-tail paths) gives numpy scalars, which rebind.
     """
     with np.errstate(divide="ignore"):
-        x = np.divide(level, z)
+        x = np.divide(level, z, out=out)
     x **= 1.0 / p
     return radial.log_survival(np.minimum(x, 1e300, out=x if x.ndim else None))
 
 
-def _log_moments(logs: np.ndarray) -> tuple[float, float]:
-    """log sum(w) and log sum(w^2) of the weights w = exp(logs), from one
-    in-place exp of logs shifted by their maximum m (logs is overwritten).
-    As in logsumexp, an m that is not finite is the answer: all weights 0
-    give (-inf, -inf)."""
+def _log_sum(logs: np.ndarray, squares: bool = False):
+    """log sum(w) of the weights w = exp(logs), or with squares (log sum(w), log sum(w^2)),
+    from one in-place exp of logs shifted by their maximum m (logs is overwritten); an m
+    that is not finite is the answer, as in logsumexp, whose bits the lone log-sum has."""
     m = float(logs.max())
     if not math.isfinite(m):
-        return m, 2.0 * m
+        return (m, 2.0 * m) if squares else m
     logs -= m
     w = np.exp(logs, out=logs)
+    if not squares:
+        return m + np.log(w.sum())
     ls1 = m + math.log(w.sum())
     # squared in place and summed pairwise: a BLAS dot adds in an order that
     # depends on its thread count
@@ -191,9 +212,9 @@ def _log_moments(logs: np.ndarray) -> tuple[float, float]:
     return ls1, 2.0 * m + math.log(w.sum())
 
 
-def _cond_logsums(radial: RadialModel, z: np.ndarray, levels, p: float):
+def _cond_logsums(radial: RadialModel, z: np.ndarray, levels, p: float, out: np.ndarray):
     """log sum over points of the conditional kernel, one level at a time."""
-    return (logsumexp(_log_cond(radial, z, level, p)) for level in levels)
+    return (_log_sum(_log_cond(radial, z, level, p, out)) for level in levels)
 
 
 def _terms(spec: AggregateSpec, u: np.ndarray):
@@ -234,7 +255,7 @@ def sample_dirichlet(spec: AggregateSpec, n: int, seed: int, return_radius: bool
     """
     seed = _check_seed(seed)
 
-    def draw(rng, u):
+    def draw(rng, u, ws):
         r = spec.radial.sample(rng, u.shape[1])
         return (u * r).T, r
 
@@ -274,9 +295,9 @@ def conditional_mc_tail(spec: AggregateSpec, t, n: int, seed: int,
     """
     seed, levels = _check_seed(seed), _levels(spec, t)
 
-    def moments(rng, u):
-        z = _z(spec, u)
-        return [_log_moments(_log_cond(spec.radial, z, level, spec.p)) for level in levels]
+    def moments(rng, u, ws):
+        z, x = _z(spec, u), ws("x")
+        return [_log_sum(_log_cond(spec.radial, z, lv, spec.p, x), squares=True) for lv in levels]
 
     table = _chunk_logsums(_chunked(seed, _chunk_sizes(n), spec.alpha, moments, workers))
     ests = [_estimate_from_log_moments(ls1, ls2, int(n), seed) for ls1, ls2 in table.tolist()]
@@ -289,8 +310,10 @@ def crude_mc_tail(spec: AggregateSpec, t, n: int, seed: int,
     (3/n with no hit); t is one threshold or a sequence, as above."""
     seed, levels, n = _check_seed(seed), _levels(spec, t), int(n)
 
-    def hits_in(rng, u):
-        s = spec.radial.sample(rng, u.shape[1]) ** spec.p * _z(spec, u)
+    def hits_in(rng, u, ws):
+        s = spec.radial.sample(rng, u.shape[1])
+        s **= spec.p
+        s *= _z(spec, u)
         return [np.count_nonzero(s > level) for level in levels]
 
     hits = np.sum(_chunked(seed, _chunk_sizes(n), spec.alpha, hits_in, workers), axis=0)
@@ -476,15 +499,15 @@ def max_sum_ratio(spec: AggregateSpec, t_grid, n: int, seed: int) -> np.ndarray:
     t_grid = np.asarray(t_grid, dtype=float)
     seed, levels = _check_seed(seed), _levels(spec, t_grid)
 
-    def columns(rng, u):
+    def columns(rng, u, ws):
         terms = _terms(spec, u)
-        top = next(terms)
-        total = top.copy()
+        top, total, x = next(terms), ws("sum"), ws("x")
+        total[:] = top
         for term in terms:
             np.maximum(top, term, out=top)
             total += term
-        return list(zip(_cond_logsums(spec.radial, top, levels, spec.p),
-                        _cond_logsums(spec.radial, total, levels, spec.p)))
+        return list(zip(_cond_logsums(spec.radial, top, levels, spec.p, x),
+                        _cond_logsums(spec.radial, total, levels, spec.p, x)))
 
     logs = _chunk_logsums(_chunked(seed, _chunk_sizes(n), spec.alpha, columns)) - math.log(n)
     return np.asarray([(t, num, den, math.exp(num - den)) for t, (num, den) in zip(t_grid, logs)])
@@ -557,14 +580,17 @@ def pairwise_asymindep(alpha, weights, p: float, radial: RadialModel, i: int, j:
     asym_i = tail_asymptotic(validate_spec(alpha, w[:, i], p, radial))
     bs = [asym_i.invert(-math.log(nl)) for nl in n_grid]
 
-    def columns(rng, u):
-        z_i, z_j = np.zeros(u.shape[1]), np.zeros(u.shape[1])
+    def columns(rng, u, ws):
+        z_i, z_j, up, x = (ws(key) for key in ("z_i", "z_j", "up", "x"))
+        z_i[:] = z_j[:] = 0.0
         for u_r, w_r in zip(u, w):
-            up = u_r ** p
+            np.copyto(up, u_r)
+            up **= p  # the operator takes u_r ** p's fast paths (sqrt, square)
             z_i += w_r[i] * up
             z_j += w_r[j] * up
         z_min = np.minimum(z_j, z_i, out=z_j)
-        return list(zip(_cond_logsums(radial, z_i, bs, p), _cond_logsums(radial, z_min, bs, p)))
+        return list(zip(_cond_logsums(radial, z_i, bs, p, x),
+                        _cond_logsums(radial, z_min, bs, p, x)))
 
     logs = _chunk_logsums(_chunked(seed, _chunk_sizes(n), alpha, columns, workers)) - math.log(n)
     return np.asarray([(int(nl), b, math.exp(joint - single))
@@ -591,9 +617,9 @@ def empirical_gumbel_mda(spec: AggregateSpec, x_grid, depth_grid, n: int,
         levels = [t / spec.scale for t in [v] + [v + float(x) / w_raw for x in x_grid]]
         jobs.append((depth, v, levels))
 
-    def columns(rng, u):
-        z = _z(spec, u)
-        return [list(_cond_logsums(spec.radial, z, levels, spec.p)) for _d, _v, levels in jobs]
+    def columns(rng, u, ws):
+        z, x = _z(spec, u), ws("x")
+        return [list(_cond_logsums(spec.radial, z, levels, spec.p, x)) for _d, _v, levels in jobs]
 
     # the ratios take differences of raw log-sums: both sides share 1/n
     logs = _chunk_logsums(_chunked(seed, _chunk_sizes(n), spec.alpha, columns, workers))
@@ -621,9 +647,11 @@ def gumbel_limit_check(spec: AggregateSpec, n: int, replicates: int, x_grid,
     # each chunk holds whole blocks of n draws
     sizes = [reps * n for reps in _chunk_sizes(replicates, max(1, CHUNK // n))]
 
-    def block_counts(rng, u):
-        r = spec.radial.sample(rng, u.shape[1])
-        s = spec.scale * r ** spec.p * _z(spec, u)
+    def block_counts(rng, u, ws):
+        s = spec.radial.sample(rng, u.shape[1])
+        s **= spec.p
+        s *= spec.scale
+        s *= _z(spec, u)
         block_max = s.reshape(-1, n).max(axis=1)
         return (block_max[:, None] <= cut[None, :]).sum(axis=0)
 

@@ -115,7 +115,7 @@ def _check_domain_nonneg(u):
     if isinstance(u, float):
         bad = u < 0 or u != u
     else:
-        bad = np.any(ua < 0) or np.any(np.isnan(ua))
+        bad = not ua.min(initial=math.inf) >= 0  # a NaN propagates to the minimum
     if bad:
         raise DomainError(f"radius argument must be non-negative, got {u}")
     return ua
@@ -157,10 +157,12 @@ class GammaLaw(RadialModel):
 
     def log_survival(self, u):
         ua = _check_domain_nonneg(u)
-        # u * rate overflowing to inf is survival 0, which the kernel returns
-        with np.errstate(over="ignore"):
-            out = specfun.log_regularized_gamma_upper(self.shape, ua * self.rate)
-        return out if np.ndim(u) else float(out)
+        if self.rate != 1.0:
+            # u * rate overflowing to inf is survival 0, which the kernel returns
+            with np.errstate(over="ignore"):
+                ua = ua * self.rate
+        out = specfun.log_regularized_gamma_upper(self.shape, ua)
+        return out if isinstance(u, float) or np.ndim(u) else float(out)
 
     def scaling_w(self, u: float) -> float:
         return self.rate

@@ -104,6 +104,13 @@ class TestSampleDirichlet:
         b = dt.sample_dirichlet(KOTZ2, 1000, seed=5)
         np.testing.assert_array_equal(a, b)
 
+    def test_prefix_equals_shorter_call(self):
+        # the engine's buffers are reused chunk after chunk: the first chunk
+        # of a longer call must not see what its later chunks write there
+        spec = dt.validate_spec([0.7, 1.3, 2.0], [1.0, 0.6, 0.3], 1.5, GAMMA21)
+        long = dt.sample_dirichlet(spec, 3 * CHUNK + 5, seed=9)
+        assert np.array_equal(long[:CHUNK], dt.sample_dirichlet(spec, CHUNK, seed=9))
+
     def test_seed_validation(self):
         with pytest.raises(ValidationError):
             dt.sample_dirichlet(KOTZ2, 10, seed=-1)
@@ -118,9 +125,9 @@ class TestChunkBlock:
                                        [1.0, 0.3, 2.0, 0.7, 1.2], [1.0, 1.0, 1.0], [2.0, 2.0]])
     def test_block_and_z_equal_row_form_bit_for_bit(self, alpha):
         # equal alphas draw with one scalar shape: the same stream as the broadcast draw
-        d, sizes = len(alpha), [CHUNK, 777]
+        d, sizes = len(alpha), [CHUNK, 2 * mc._DRAW_ROWS + 777]
         spec = dt.validate_spec(alpha, np.linspace(1.0, 0.2, d), 1.7, GAMMA21)
-        got = mc._chunked(13, sizes, spec.alpha, lambda rng, u: (u, mc._z(spec, u)))
+        got = mc._chunked(13, sizes, spec.alpha, lambda rng, u, ws: (u.copy(), mc._z(spec, u)))
         for k, (u, z) in enumerate(got):
             if d == 1:
                 rows = np.ones((sizes[k], 1))
@@ -140,10 +147,57 @@ class TestLogMoments:
         logs = np.random.default_rng(41).uniform(-spread, 0.0, CHUNK) - 5.0
         logs[::7] = -math.inf
         want = (specfun.logsumexp(logs), specfun.logsumexp(2.0 * logs))
-        assert mc._log_moments(logs.copy()) == pytest.approx(want, rel=1e-15)
+        assert mc._log_sum(logs.copy(), squares=True) == pytest.approx(want, rel=1e-15)
 
     def test_all_zero_weights(self):
-        assert mc._log_moments(np.full(9, -math.inf)) == (-math.inf, -math.inf)
+        assert mc._log_sum(np.full(9, -math.inf), squares=True) == (-math.inf, -math.inf)
+
+    @pytest.mark.parametrize("spread", [1e-3, 1.0, 140.0])
+    def test_log_sum_is_logsumexp_bit_for_bit(self, spread):
+        logs = np.random.default_rng(43).uniform(-spread, 0.0, CHUNK) - 5.0
+        logs[::7] = -math.inf
+        for arr in (logs, np.full(CHUNK, -math.inf)):
+            assert mc._log_sum(arr.copy()) == specfun.logsumexp(arr)
+
+
+class TestBufferReuse:
+    """Every sampler through the engine's reused per-thread buffers: a d = 4,
+    unequal-alpha spec over three equal chunks and a short one gives the same
+    bits at one and at two workers."""
+
+    SPEC = dt.validate_spec([0.7, 1.3, 2.0, 0.9], [1.0, 0.8, 0.5, 0.3], 2.0, GAMMA21)
+    N = 3 * CHUNK + 123
+
+    @pytest.mark.parametrize("run", [
+        lambda s, n: dt.conditional_mc_tail(s, [8.0, 20.0], n, seed=5),
+        lambda s, n: dt.crude_mc_tail(s, [8.0, 20.0], n, seed=5),
+        lambda s, n: mc.max_sum_ratio(s, [8.0, 20.0], n, seed=5),
+        lambda s, n: mc.pairwise_asymindep(s.alpha, [[1, 0], [0, 1], [0.5, 0.3], [0.2, 0.7]],
+                                           s.p, s.radial, 0, 1, [100, 1000], n, seed=5),
+        lambda s, n: mc.empirical_gumbel_mda(s, [0.5, 1.0], [1e-3, 1e-5], n, seed=5),
+    ], ids=["conditional", "crude", "max_sum_ratio", "pairwise", "gumbel_mda"])
+    def test_workers_agree_bit_for_bit(self, monkeypatch, run):
+        # max_sum_ratio takes no worker count: the engine is given one here
+        chunked, results = mc._chunked, []
+        for workers in (1, 2):
+            monkeypatch.setattr(mc, "_chunked", lambda *args, w=workers: chunked(*args[:4], w))
+            results.append(run(self.SPEC, self.N))
+        assert repr(results[0]) == repr(results[1])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_buffer_outlives_the_call(self, workers):
+        def run():
+            return dt.conditional_mc_tail(self.SPEC, 8.0, self.N, seed=5, workers=workers)
+
+        run()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < CHUNK  # bytes: one chunk row alone is 8 * CHUNK
 
 
 class TestConditionalEstimator:

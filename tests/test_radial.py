@@ -8,6 +8,7 @@ so each family gets a grid deep enough for its own second-order terms.
 
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -51,6 +52,15 @@ class TestSurvival:
             with pytest.raises(DomainError):
                 math.exp(model.log_survival(-0.5))
 
+    @pytest.mark.parametrize("model", [GammaLaw(3, 1), WeibullTail(2, 0.5), BetaLaw(2, 3),
+                                       UnitGumbel(1.0)], ids=lambda m: m.family_name)
+    def test_nan_or_negative_vector_rejected(self, model):
+        # the vector check is one pass for the minimum, which a NaN reaches
+        for u in (np.array([0.5, math.nan, 0.2]), np.array([0.5, -1e-300]), np.array([math.nan])):
+            with pytest.raises(DomainError, match=re.escape(
+                    f"radius argument must be non-negative, got {u}")):
+                model.log_survival(u)
+
     def test_vectorized_matches_scalar(self):
         for model in GUMBEL_FAMILIES + [BetaLaw(1.5, 2.5)]:
             hi = 0.999 if math.isfinite(model.upper_endpoint) else 30.0
@@ -82,6 +92,10 @@ class TestSurvival:
                 assert type(got) is float
                 assert got == law.log_survival(np.asarray(u))
         assert GammaLaw(2, 1e10).log_survival(1e300) == -math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = GammaLaw(2, 1e10).log_survival(np.array([1e300, 1e-10]))
+        assert got[0] == -math.inf and got[1] == GammaLaw(2, 1e10).log_survival(1e-10)
         with pytest.raises(DomainError):
             GammaLaw(3, 1).log_survival(math.nan)
 
