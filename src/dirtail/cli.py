@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 validation/config error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -311,7 +312,9 @@ def run(command: str, cfg: dict, seed=None, workers: int = 1,
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="dirtail",
         description="Tail asymptotics of aggregated Dirichlet risks, with oracles.")
@@ -325,7 +328,11 @@ def main(argv=None) -> int:
                              "empirical diagnose-mda, maxstable); never changes results")
     parser.add_argument("--dump-config", default=None,
                         help="write the fully resolved config to this path before running")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         cfg = _load_config(args.config)

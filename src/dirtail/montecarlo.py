@@ -494,10 +494,16 @@ def max_sum_ratio(spec: AggregateSpec, t_grid, n: int, seed: int) -> np.ndarray:
 
     Both tails use the conditional estimator with shared simplex draws, so
     the ratio is a smooth function of the noise and always <= 1.  Columns:
-    (t, log numerator, log denominator, ratio).
+    (t, log numerator, log denominator, ratio).  A threshold past the support of
+    S_p, where both tails are exact zeros, is a DomainError.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     seed, levels = _check_seed(seed), _levels(spec, t_grid)
+    top = _z_sup(np.asarray(spec.lam), spec.p) * spec.radial.upper_endpoint ** spec.p
+    past = levels >= top
+    if past.any():
+        raise DomainError(f"thresholds {np.atleast_1d(t_grid)[past].tolist()} lie past the "
+                          f"support of S_p (t / scale >= {top!r}): both tails are 0 there")
 
     def columns(rng, u, ws):
         terms = _terms(spec, u)

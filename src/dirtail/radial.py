@@ -161,8 +161,7 @@ class GammaLaw(RadialModel):
             # u * rate overflowing to inf is survival 0, which the kernel returns
             with np.errstate(over="ignore"):
                 ua = ua * self.rate
-        out = specfun.log_regularized_gamma_upper(self.shape, ua)
-        return out if isinstance(u, float) or np.ndim(u) else float(out)
+        return specfun.log_regularized_gamma_upper(self.shape, ua)
 
     def scaling_w(self, u: float) -> float:
         return self.rate
@@ -173,7 +172,10 @@ class GammaLaw(RadialModel):
         return out if np.ndim(s) else float(out)
 
     def sample(self, rng, size):
-        return rng.standard_gamma(self.shape, size) / self.rate
+        r = rng.standard_gamma(self.shape, size)
+        if self.rate != 1.0:
+            r /= self.rate  # in place: no second array per chunk
+        return r
 
     def to_json(self) -> dict:
         return {"family": "gamma", "params": {"shape": self.shape, "rate": self.rate}}
@@ -240,9 +242,10 @@ class BetaLaw(RadialModel):
         return self.b
 
     def log_survival(self, u):
+        if isinstance(u, float) and u >= 0:  # NaN and negatives fail the check below
+            return specfun.log_beta_survival(self.a, self.b, min(u, 1.0))
         ua = _check_domain_nonneg(u)
-        out = specfun.log_beta_survival(self.a, self.b, np.minimum(ua, 1.0))
-        return out if np.ndim(u) else float(out)
+        return specfun.log_beta_survival(self.a, self.b, np.minimum(ua, 1.0))
 
     def quantile_survival(self, s):
         sa = _check_level(s)
@@ -272,6 +275,8 @@ class UnitGumbel(RadialModel):
         return 1.0
 
     def log_survival(self, u):
+        if isinstance(u, float) and u >= 0:  # the array form's IEEE operations, as floats
+            return float(-self.kappa * u / (1.0 - u)) if u < 1.0 else -math.inf
         ua = _check_domain_nonneg(u)
         um = np.minimum(ua, 1.0)
         # the equal form kappa - kappa / (1 - u) cancels for small u

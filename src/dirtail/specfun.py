@@ -25,7 +25,8 @@ Q(n, x) = e^{-x} sum_{k<n} x^k / k! (Abramowitz & Stegun 6.5.13), taken as
 -x + log(sum) for every x >= n, where Q(n, x) < 1/2, up to the x where the
 sum would overflow.  Entries with x < n or past that cap (x = inf among
 them), other shapes and array shapes take the bands.  All kernels are
-vectorized over numpy arrays.
+vectorized over numpy arrays; float arguments run the same bands without
+the array bookkeeping, and give the same bits.
 """
 
 from __future__ import annotations
@@ -113,8 +114,17 @@ def _log_tail(upper, lower, log_fraction, *args):
     """log of the upper tail q = upper(*args), by the bands of q.
 
     lower(*args) is 1 - q and log_fraction(*args) is log q by the
-    continued fraction; each runs only on the entries of its band.
+    continued fraction; each runs only on the entries of its band.  Float
+    arguments take the same bands with plain ifs, the fraction on 1-element
+    arrays, and give a float with the bits of the array path.
     """
+    if all(isinstance(arg, float) for arg in args):
+        q = upper(*args)
+        if q > 0.5:
+            return float(np.log1p(-lower(*args)))
+        if q < _FLOOR:
+            return float(log_fraction(*(np.array([arg]) for arg in args))[0])
+        return float(np.log(q))
     args = np.broadcast_arrays(*args)
     shape = args[0].shape
     args = [arg.ravel() for arg in args]
@@ -205,6 +215,13 @@ def _check_beta_args(a, b, x):
 
 def log_beta_survival(a, b, x):
     """log P(B_{a,b} > x); scalar in, scalar out, arrays pass through."""
+    if isinstance(x, float) and isinstance(a, (int, float)) and isinstance(b, (int, float)):
+        # the checks of _check_beta_args as plain comparisons, which a NaN fails
+        if not (a > 0 and b > 0):
+            raise DomainError(f"beta parameters must be positive, got a={a}, b={b}")
+        if not 0 <= x <= 1:
+            raise DomainError(f"beta argument must lie in [0, 1], got x={x}")
+        return _log_tail(betaincc, betainc, _beta_cf_upper_log, float(a), float(b), x)
     _check_beta_args(a, b, x)
     out = _log_tail(betaincc, betainc, _beta_cf_upper_log,
                     np.asarray(a, dtype=float), np.asarray(b, dtype=float),
@@ -290,6 +307,8 @@ def log_regularized_gamma_upper(a, x):
         out = np.empty(xx.shape)
         out[closed] = _log_erlang_tail(n, xx[closed])
         out[~closed] = _log_tail(gammaincc, gammainc, _gamma_cf_upper_log, ax, xx[~closed])
+    elif ax.ndim == xx.ndim == 0:
+        out = _log_tail(gammaincc, gammainc, _gamma_cf_upper_log, float(a), lo)
     else:
         out = _log_tail(gammaincc, gammainc, _gamma_cf_upper_log, ax, xx)
-    return float(out) if xx.ndim == 0 and ax.ndim == 0 else out
+    return out

@@ -289,6 +289,37 @@ class TestImportWeight:
         assert out.strip() == "[]"
 
 
+class TestParser:
+    EQUAL_PAIR = {"alpha": [1.0, 1.0], "lambda": [1.0, 1.0], "p": 0.5,
+                  "radial": {"family": "gamma", "params": {"shape": 2.0, "rate": 1.0}}}
+
+    def test_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    def test_back_to_back_commands_print_their_lone_bytes(self, tmp_path, capsys):
+        runs = [["approx", "--config",
+                 write_config(tmp_path, dict(KOTZ_CONFIG, thresholds=[5.0, 9.0]), "a.json")],
+                ["constants", "--config", write_config(tmp_path, self.EQUAL_PAIR, "c.json")]]
+        together = []
+        for argv in runs:
+            assert cli.main(argv) == 0
+            together.append(capsys.readouterr().out)
+        code = "import sys; from dirtail import cli; sys.exit(cli.main(sys.argv[1:]))"
+        alone = [subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                                text=True, check=True).stdout for argv in runs]
+        assert together == alone
+
+    def test_unknown_command_after_a_call_is_2_with_usage(self, tmp_path, capsys):
+        path = write_config(tmp_path, dict(KOTZ_CONFIG, thresholds=[5.0]))
+        assert cli.main(["approx", "--config", path]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simluate", "--config", path])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: dirtail ") and "invalid choice: 'simluate'" in err
+
+
 class TestExitCodes:
     def test_malformed_json_is_2_with_location(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

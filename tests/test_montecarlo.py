@@ -1,7 +1,9 @@
 """Tests for the simulation and quadrature verification engines."""
 
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -492,6 +494,17 @@ class TestMaxSumRatio:
         for spec, t, n in [(REGIME_A, 30.319, CHUNK + 777), (KOTZ2, 9.0, 3000)]:
             table = dt.max_sum_ratio(spec, [t], n, seed=57)
             assert table[0, 2] == dt.conditional_mc_tail(spec, t, n, seed=57).log_p_hat
+
+    def test_threshold_past_the_support_is_domain_error(self, monkeypatch):
+        # past z_sup * x_F^p both tails are exact zeros; raised before any draw
+        spec = dt.validate_spec([1, 1], [1, 1], 0.5, BetaLaw(2, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = dt.max_sum_ratio(spec, [0.5], 1000, 1)
+            assert np.all(np.isfinite(table))
+            monkeypatch.setattr(mc, "_chunked", None)
+            with pytest.raises(DomainError, match=re.escape("thresholds [1.5] lie past the support")):
+                dt.max_sum_ratio(spec, [0.5, 1.5], 1000, 1)
 
     def test_no_single_big_jump_at_unit_power(self):
         spec = dt.validate_spec([1, 1, 1], [1, 1, 1], 1.0, GammaLaw(3, 1))

@@ -13,8 +13,10 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import special as sp
 
 from dirtail import BetaLaw, GammaLaw, RadialModel, UnitGumbel, WeibullTail, mda_diagnostic
+from dirtail import specfun
 from dirtail.errors import DomainError, NumericError, UnsupportedClassError, ValidationError
 
 GUMBEL_FAMILIES = [
@@ -60,6 +62,39 @@ class TestSurvival:
             with pytest.raises(DomainError, match=re.escape(
                     f"radius argument must be non-negative, got {u}")):
                 model.log_survival(u)
+
+    @pytest.mark.parametrize("model", [GammaLaw(2.5), BetaLaw(2, 3), UnitGumbel(1.0)],
+                             ids=lambda m: m.family_name)
+    def test_nan_or_negative_float_rejected(self, model):
+        # the float fast paths leave these to the shared check
+        for u in (math.nan, -0.5, -1e-300, -math.inf):
+            with pytest.raises(DomainError, match=re.escape(
+                    f"radius argument must be non-negative, got {u}")):
+                model.log_survival(u)
+
+    # per law, radii in each band of the linear tail q: q > 1/2, log q, q below
+    # _FLOOR (the continued fraction), and at or past a finite endpoint
+    @pytest.mark.parametrize("model, q, bands", [
+        (BetaLaw(2, 3), lambda u: sp.betaincc(2, 3, u), [[0.0, 0.1], [0.7, 0.999], [], [1.0, 1.5]]),
+        (BetaLaw(2, 300), lambda u: sp.betaincc(2, 300, u), [[1e-3], [0.05], [0.9, 0.999], []]),
+        (GammaLaw(2.5), lambda u: sp.gammaincc(2.5, u), [[0.5], [5.0, 400.0], [700.0, 1e5], []]),
+        (UnitGumbel(1.0), None, [[0.0, 1e-12, 0.3], [0.999], [], [1.0, 5.0, math.inf]]),
+    ], ids=["beta23", "beta2-300", "gamma2.5", "unitgumbel"])
+    def test_float_equals_array_in_every_band(self, model, q, bands):
+        body, log_q, deep, past = bands
+        if q is not None:
+            assert all(q(u) > 0.5 for u in body)
+            assert all(specfun._FLOOR <= q(u) <= 0.5 for u in log_q)
+            assert all(q(u) < specfun._FLOOR for u in deep)
+        for u in body + log_q + deep + past:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = model.log_survival(u)
+                want = model.log_survival(np.array([u]))
+            assert type(got) is float
+            assert np.array(got).tobytes() == want.tobytes(), u
+            assert np.array(model.log_survival(np.float64(u))).tobytes() == want.tobytes(), u
+        assert all(model.log_survival(u) == -math.inf for u in past)
 
     def test_vectorized_matches_scalar(self):
         for model in GUMBEL_FAMILIES + [BetaLaw(1.5, 2.5)]:
@@ -183,6 +218,13 @@ class TestSample:
         for s in [0.5, 1e-2, 1e-3]:
             freq = np.count_nonzero(r > model.quantile_survival(s)) / self.N
             assert abs(freq - s) <= 5 * math.sqrt(s * (1 - s) / self.N), s
+
+    def test_gamma_draws_are_standard_gamma_over_rate(self):
+        # rate 1 skips the division, another rate divides in place: the same bits
+        for law in (GammaLaw(3, 1), GammaLaw(2.5, 0.7)):
+            got = law.sample(np.random.default_rng(7), 1000)
+            want = np.random.default_rng(7).standard_gamma(law.shape, 1000) / law.rate
+            assert got.tobytes() == want.tobytes()
 
     def test_custom_law_must_implement_sample(self):
         class SurvivalOnly(RadialModel):

@@ -8,6 +8,7 @@ which covers every band of both tails.
 """
 
 import math
+import re
 import warnings
 
 import mpmath as mp
@@ -110,6 +111,13 @@ class TestBetaSurvival:
             sf.log_beta_survival(1.0, 1.0, 1.5)
         with pytest.raises(DomainError):
             sf.log_beta_survival(1.0, 1.0, -0.1)
+        # a float argument is checked by plain comparisons, with the array path's messages
+        for a, b, x, msg in [(math.nan, 1.0, 0.5, "beta parameters must be positive, got a=nan"),
+                             (1.0, -2.0, 0.5, "beta parameters must be positive, got a=1.0, b=-2.0"),
+                             (2, 3, math.nan, "beta argument must lie in [0, 1], got x=nan")]:
+            for arg in (x, np.asarray(x)):
+                with pytest.raises(DomainError, match=re.escape(msg)):
+                    sf.log_beta_survival(a, b, arg)
 
 
 class TestBetaPowerSurvival:
