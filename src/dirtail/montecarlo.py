@@ -8,17 +8,8 @@ Z = sum_i lambda_i U_i^p sampled and the radius integrated out exactly,
 every sample contributes its exact log-scale survival value, so tail
 probabilities down to ~1e-60 are estimable with ordinary sample sizes; all
 of the rarity lives in F_bar, none in the indicator.  A crude frequency
-estimator and, for d <= 3, a deterministic quadrature oracle cross-check it.
-
-The oracle sums the same kernel along lines Z = lam0 B^p + lam1 (1-B)^p
-against Beta laws, one log_survival call and log-sum-exp per block of lines.  Its
-Gauss-Legendre panels are graded geometrically toward the corners, the
-saddle theta (the p < 1 peak, narrower the deeper the tail) and a finite
-endpoint's support edges (where the integrand drops to 0), which keeps the
-convergence exponential at any depth; the corner panels are Gauss-Jacobi,
-whose weights carry the Beta density's powers, so alpha < 1 costs nothing.
-Those half rules are built once per exponent and kept, and a threshold
-grid builds its line rules, and their panels, once for all its thresholds.
+estimator and, for d <= 3, a deterministic quadrature oracle cross-check it;
+the oracle (dirtail.quadrature) sums the same kernel along lines.
 
 Every sampler runs on one chunked engine: chunk k of a fixed partition
 draws from a substream seeded by (seed, k) and is reduced on its own, and
@@ -32,19 +23,17 @@ pairwise_asymindep take a worker count; it changes scheduling, never a result.
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, roots_jacobi
 
 from .aggtail import AggregateSpec, lambda_tilde, tail_asymptotic, validate_spec
 from .errors import DomainError, NumericError, ValidationError
 from .radial import RadialModel
-from .specfun import log1mexp, log_gamma, logsumexp
+from .specfun import log1mexp, logsumexp
 
 __all__ = [
     "CHUNK",
@@ -71,10 +60,11 @@ _DRAW_ROWS = 1 << 13
 class Estimate:
     """A tail-probability estimate with its uncertainty.
 
-    For the deterministic quadrature method stderr = 0 means no error
-    estimate, and n counts integrand evaluations; a conditional estimate has
-    stderr 0 only when its sample variance vanishes identically; a crude one
-    with no hit reports the rule-of-three bound 3/n.
+    For the deterministic quadrature method stderr is an error estimate,
+    p_hat times the rule's nested differences in log plus rounding, and n
+    counts kernel evaluations; a conditional estimate has stderr 0 only when
+    its sample variance vanishes identically; a crude one with no hit reports
+    the rule-of-three bound 3/n.
 
     A conditional estimate also reports rel_err = stderr / p_hat and ess, the
     effective sample size (sum w)^2 / sum w^2 of its weights w (Asmussen &
@@ -325,167 +315,6 @@ def crude_mc_tail(spec: AggregateSpec, t, n: int, seed: int,
 
 
 # ----------------------------------------------------------------------
-# quadrature oracle (d <= 3)
-# ----------------------------------------------------------------------
-
-_POINTS = 12  # Gauss points per panel
-_GRADE = 0.25  # size ratio of neighbouring graded panels
-_LEVELS = 12  # graded panels per half-interval, before its end panel
-
-
-@functools.cache
-def _graded_panels():
-    """The graded Gauss-Legendre panels shared by every half rule: distances
-    in [_GRADE^_LEVELS, 1] from a breakpoint and their log-weights."""
-    x, w = roots_jacobi(_POINTS, 0.0, 0.0)
-    size = _GRADE ** np.arange(_LEVELS)
-    d = np.outer(size, _GRADE + (1.0 - _GRADE) * 0.5 * (1.0 + x)).ravel()
-    lw = np.add.outer(np.log(0.5 * (1.0 - _GRADE) * size), np.log(w)).ravel()
-    return d, lw
-
-
-@functools.lru_cache(maxsize=64)
-def _graded_half(e: float):
-    """Distances d in (0, 1] from a breakpoint, with log-weights integrating
-    d^e * smooth(d); the end panel's weights carry -e log d against the d^e.
-    Built once per e; the arrays are read-only because they are shared."""
-    d, lw = _graded_panels()
-    x, w = roots_jacobi(_POINTS, 0.0, e)
-    d_end = _GRADE ** _LEVELS * 0.5 * (1.0 + x)
-    lw_end = np.log(w) + math.log(0.5 * _GRADE ** _LEVELS) - e * np.log1p(x)
-    half = np.append(d, d_end), np.append(lw, lw_end)
-    for arr in half:
-        arr.setflags(write=False)
-    return half
-
-
-class _LineRule:
-    """Graded rule on the line g(b) = lam0 b^p + lam1 (1-b)^p against Beta(a, c).
-    Points are pairs (b, 1 - b), exact both ways, for nodes a hair from a corner."""
-
-    def __init__(self, a: float, c: float, lam0: float, lam1: float, p: float):
-        self.a, self.c, self.lam0, self.lam1, self.p = a, c, lam0, lam1, p
-        self.log_norm = log_gamma(a + c) - log_gamma(a) - log_gamma(c)
-        # the half rules at the corner b = 0, the corner b = 1 and inside
-        self.d, self.lw = map(np.stack, zip(*(_graded_half(e) for e in (a - 1.0, c - 1.0, 0.0))))
-        # g is monotone between the corners and its interior extremum: the
-        # saddle theta (its maximum) for p < 1, a minimum for p > 1
-        x = math.log(lam0 / lam1) / (1.0 - p) if p != 1.0 and lam1 > 0 else None
-        ext = [] if x is None else [(float(expit(x)), float(expit(-x)))]
-        self.pts = np.array([(0.0, 1.0)] + ext + [(1.0, 0.0)]).T
-        # the slots: the breakpoints (theta only for p < 1) and an edge per piece
-        self.fixed = self.pts if p < 1.0 else self.pts[:, [0, -1]]
-        self.where = np.arange(1, len(ext) + 2) if p < 1.0 else [1] * (len(ext) + 1)
-        self.width = 2 * (self.fixed.shape[1] + len(ext)) * self.d.shape[1]  # nodes per row
-
-    def g(self, b, bc):
-        return self.lam0 * b ** self.p + self.lam1 * bc ** self.p
-
-    def panels(self, levels):
-        """The panels of the rule over {g > level}, a row per distinct level (one
-        for all <= 0): their slot points s and 1 - s, half-widths and whether
-        each is live (not empty); and each level's row."""
-        level, row = np.unique(np.maximum(levels, 0.0), return_inverse=True)
-        lv = level[:, None]  # g > 0 inside (0, 1), so no level <= 0 cuts the line
-        # each piece's support edge, or a corner (bounding an empty panel) if none
-        lo, hi = self.pts[:, None, :-1], self.pts[:, None, 1:]
-        up = self.g(*lo) > lv
-        cross = (lv > 0) & (up != (self.g(*hi) > lv))
-        for _ in range(64 if cross.any() else 0):
-            mid = 0.5 * (lo + hi)
-            keep = (self.g(*mid) > lv) == up
-            lo, hi = np.where(keep, mid, lo), np.where(keep, hi, mid)
-        s, sc = (np.insert(np.tile(f, (level.size, 1)), self.where, e, axis=1) for f, e in
-                 zip(self.fixed, np.where(cross, lo, self.pts[:, None, [0, -1][:cross.shape[1]]])))
-        half = 0.5 * np.where(s[:, :-1] < 0.5, s[:, 1:] - s[:, :-1], sc[:, :-1] - sc[:, 1:])
-        live = (half > 0) & (self.g(0.5 * (s[:, :-1] + s[:, 1:]), 0.5 * (sc[:, :-1] + sc[:, 1:])) > lv)
-        return (s, sc, half, live), row
-
-    def nodes(self, panels, rows, cols):
-        """Points b, 1 - b and log-weights of the rule on the given rows of
-        panels, over the panels marked in cols; a row's empty panels get
-        weight -inf at b = 1/2."""
-        s, sc, half, live = (x[rows] for x in panels)
-        # end k of panel j (a marked one) at slot e
-        k = np.flatnonzero(np.repeat(cols, 2))
-        j, e = k // 2, (k + 1) // 2
-        kind = np.where(s[:, e] == 0, 0, np.where(sc[:, e] == 0, 1, 2))
-        step = ((1.0 - 2.0 * (k % 2)) * half[:, j])[..., None] * self.d[kind]
-        log_half = np.log(half, out=np.full(half.shape, -math.inf), where=live)[:, j, None]
-        b, bc, lw = (x.reshape(len(s), -1) for x in (
-            s[:, e, None] + step, sc[:, e, None] - step, self.lw[kind] + log_half))
-        b[lw == -math.inf] = bc[lw == -math.inf] = 0.5
-        return b, bc, lw + (self.a - 1.0) * np.log(b) + (self.c - 1.0) * np.log(bc) + self.log_norm
-
-
-def _line_integrals(spec: AggregateSpec, levels: np.ndarray, tns: np.ndarray):
-    """(log integral, evaluations) of the graded rule at each level below z_sup,
-    with the rules, and one panels call per rule, shared by all levels.
-
-    d = 2 integrates the one line Z = g; d = 3 the inner line at each node of
-    the outer one.  Each level's lines take the panels live on any of them, so
-    a level's value does not depend on the others.  The lines run in blocks
-    of at most CHUNK / 4 nodes, each block on nodes built for its lines, once
-    for a run of blocks whose lines share their rows (every block of a call,
-    for a radius without endpoint)."""
-    p, lam, a, radial = spec.p, spec.lam, spec.alpha, spec.radial
-    inner = _LineRule(a[0], a[1], lam[0], lam[1], p)
-    if spec.d == 2:
-        lines = [(np.zeros(1), np.ones(1), np.zeros(1))] * levels.size
-    else:
-        outer = _LineRule(a[0] + a[1], a[2], _z_sup(np.asarray(lam[:2]), p), lam[2], p)
-        panels, row = outer.panels(levels)
-        lines = [(lw[0], b[0] ** p, lam[2] * bc[0] ** p)
-                 for b, bc, lw in (outer.nodes(panels, [r], panels[3][r]) for r in row)]
-    panels, row = inner.panels(np.concatenate([(lv - tail) / head
-                                               for lv, (_, head, tail) in zip(levels, lines)]))
-
-    @functools.lru_cache(maxsize=1)  # a run of blocks on the same rows builds them once
-    def rule(rows, cols):
-        b, bc, lw = inner.nodes(panels, list(rows), np.array(cols))
-        return inner.g(b, bc), lw, np.count_nonzero(lw > -math.inf)
-
-    block = max(1, CHUNK // (4 * inner.width))  # lines of <= CHUNK / 4 nodes
-    ends = np.cumsum([head.size for _, head, _ in lines])[:-1]
-    for tn, (lw_line, head, tail), rows in zip(tns, lines, np.split(row, ends)):
-        cols = tuple(panels[3][rows].any(axis=0).tolist())
-        logs, n = [], 0
-        for i in range(0, rows.size, block):
-            g, lw, count = rule(tuple(rows[i:i + block].tolist()), cols)
-            lw = lw + _log_cond(radial, head[i:i + block, None] * g + tail[i:i + block, None], tn, p)
-            logs.append(lw_line[i:i + block] + logsumexp(lw, axis=1))
-            n += count
-        log_val = logsumexp(np.concatenate(logs))
-        # level < z_sup, so the true integral is positive: 0 means a missed support
-        if log_val == -math.inf:
-            raise NumericError(f"quadrature integral came out 0 at t={tn * spec.scale:g}: "
-                               "rule missed the support")
-        yield log_val, n
-
-
-def quadrature_tail(spec: AggregateSpec, t) -> Estimate | list[Estimate]:
-    """Deterministic oracle for P(S_p > t), d <= 3: the graded Gauss rule of the
-    module docstring, a block of lines at a time.  n counts its evaluations.
-    A sequence t gives a list, each entry equal to the scalar call, from one
-    set of rules and one panels call per rule for the whole grid."""
-    tns = _levels(spec, t)
-    if spec.d > 3:
-        raise DomainError(f"quadrature oracle supports d <= 3, got d={spec.d}")
-    p, radial = spec.p, spec.radial
-    z_sup = _z_sup(np.asarray(spec.lam), p)
-    # Z <= level puts the radius past a finite endpoint (level 0 for none)
-    levels = tns / radial.upper_endpoint ** p
-    on_line = (levels < z_sup) & (spec.d > 1)
-    inside = _line_integrals(spec, levels[on_line], tns[on_line])  # runs at the first next()
-    # off the lines: the radial tail itself, or 0 with the radius past its endpoint
-    results = [next(inside) if line else (_log_cond(radial, z_sup, tn, p), 1)
-               for tn, line in zip(tns, on_line)]
-    ests = [Estimate(p_hat=math.exp(log_val), log_p_hat=log_val, stderr=0.0,
-                     n=n, seed=0, method="quadrature") for log_val, n in results]
-    return ests if np.ndim(t) else ests[0]
-
-
-# ----------------------------------------------------------------------
 # diagnostics built on the conditional estimator
 # ----------------------------------------------------------------------
 
@@ -664,3 +493,7 @@ def gumbel_limit_check(spec: AggregateSpec, n: int, replicates: int, x_grid,
     counts = sum(_chunked(seed, sizes, spec.alpha, block_counts))
     emp = counts / float(replicates)
     return np.asarray([(x, e, math.exp(-math.exp(-x))) for x, e in zip(x_arr, emp)])
+
+
+# the oracle builds on Estimate and the kernel above; it is public here too
+from .quadrature import quadrature_tail  # noqa: E402

@@ -1,0 +1,400 @@
+"""The deterministic quadrature oracle for P(S_p > t), d <= 3.
+
+It sums the conditional kernel of the Monte Carlo estimators,
+log F_bar((t_norm / Z)^{1/p}), along lines Z = lam0 B^p + lam1 (1-B)^p
+against Beta laws: the one line of d = 2, and for d = 3 an inner line at
+each node of an outer one.  Its Gauss-Legendre panels are graded
+geometrically toward the corners, the saddle theta (the p < 1 peak,
+narrower the deeper the tail) and a finite endpoint's support edges (where
+the integrand drops to 0), which keeps the convergence exponential at any
+depth; the end panels are Gauss-Jacobi, whose weights carry the Beta
+density's powers, so alpha < 1 costs nothing.
+
+Each kind of breakpoint (the corner b = 0, the corner b = 1, inside) is
+graded only as deep as it needs.  Every kind starts _START levels deep and
+deepens by two while the nested difference |I_L - I_{L-2}| of its halves
+exceeds _TOL of the integral, up to _CAP levels; the rule L - 2 deep shares
+every panel but the end one, so the check costs one end panel per half, and
+a deeper half evaluates only its new panels (QUADPACK takes its error
+estimate from nested rules too; Piessens et al. 1983).  The reported error
+is the summed differences plus rounding, which they cannot see.  Depths are
+chosen per threshold, so a threshold grid gives the scalar calls' values.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+
+import numpy as np
+from scipy.special import expit, roots_jacobi
+
+from .aggtail import AggregateSpec
+from .errors import DomainError, NumericError
+from .montecarlo import CHUNK, Estimate, _levels, _log_cond, _z_sup
+from .radial import RadialModel
+from .specfun import log_gamma
+
+__all__ = ["quadrature_tail"]
+
+_POINTS = 12  # Gauss points per panel
+_GRADE = 0.25  # size ratio of neighbouring graded panels
+_TOL = 1e-11  # nested difference, relative to the integral, that stops a kind deepening
+_START, _CAP = 4, 24  # graded levels per half-panel before its end panel: first and most
+_EPS, _H = float(np.finfo(float).eps), 1e-6  # double rounding; relative step of a derivative
+
+
+@functools.cache
+def _graded_panels():
+    """The graded Gauss-Legendre panels shared by every half rule, a row per
+    level k: distances in [_GRADE^(k+1), _GRADE^k] from a breakpoint and their
+    log-weights."""
+    x, w = roots_jacobi(_POINTS, 0.0, 0.0)
+    size = _GRADE ** np.arange(_CAP)
+    return (np.outer(size, _GRADE + (1.0 - _GRADE) * 0.5 * (1.0 + x)),
+            np.add.outer(np.log(0.5 * (1.0 - _GRADE) * size), np.log(w)))
+
+
+@functools.lru_cache(maxsize=256)
+def _graded_half(e: float, lo: int, hi: int):
+    """Distances d in (0, 1] from a breakpoint, with log-weights integrating
+    d^e * smooth(d), of the half rule graded hi levels deep: its panels at
+    levels lo..hi-1, its end panel [0, _GRADE^hi] and, for lo = 0, last the
+    end panel of the rule hi - 2 levels deep, which shares the rest.  End
+    panels' weights carry -e log d against the d^e.  Built once per
+    (e, lo, hi); the arrays are read-only because they are shared."""
+    d, lw = _graded_panels()
+    x, w = roots_jacobi(_POINTS, 0.0, e)
+    parts = [(d[lo:hi].ravel(), lw[lo:hi].ravel())]
+    for level in (hi, hi - 2)[:2 if lo == 0 else 1]:
+        size = _GRADE ** level
+        parts.append((size * 0.5 * (1.0 + x), np.log(w) + math.log(0.5 * size) - e * np.log1p(x)))
+    half = tuple(np.concatenate(arrs) for arrs in zip(*parts))
+    for arr in half:
+        arr.setflags(write=False)
+    return half
+
+
+def _half_groups(hi, full: bool):
+    """(index into the halves, (lo, hi) of their rule table, segment starts,
+    halves per block) for halves graded hi levels deep, a group per hi: their
+    half rules whole when full (segments: the levels but the last two, those
+    two, the end panel, the check end panel), else the levels hi - 2 and
+    hi - 1 and the end panel.  A block holds at most CHUNK / 4 nodes."""
+    for level in np.unique(hi).tolist():
+        starts = [0, _POINTS * (level - 2), _POINTS * level, _POINTS * (level + 1)] if full \
+            else [0, 2 * _POINTS]
+        yield (np.flatnonzero(hi == level), (0 if full else level - 2, level), starts,
+               max(1, CHUNK // (4 * _POINTS * (level + 2 if full else 3))))
+
+
+class _LineRule:
+    """Graded rule on the line g(b) = lam0 b^p + lam1 (1-b)^p against Beta(a, c).
+    Points are pairs (b, 1 - b), exact both ways, for nodes a hair from a corner.
+    Half k of a panel (its end k % 2 of panel k // 2) is graded toward that
+    end, a breakpoint of one of three kinds: the corner b = 0 (kind 0), the
+    corner b = 1 (1), or inside (2: the saddle or a support edge)."""
+
+    def __init__(self, a: float, c: float, lam0: float, lam1: float, p: float):
+        self.a, self.c, self.lam0, self.lam1, self.p = a, c, lam0, lam1, p
+        self.log_norm = log_gamma(a + c) - log_gamma(a) - log_gamma(c)
+        self.tables, self.flat = {}, None
+        # g is monotone between the corners and its interior extremum: the
+        # saddle theta (its maximum) for p < 1, a minimum for p > 1
+        x = math.log(lam0 / lam1) / (1.0 - p) if p != 1.0 and lam1 > 0 else None
+        ext = [] if x is None else [(float(expit(x)), float(expit(-x)))]
+        self.pts = np.array([(0.0, 1.0)] + ext + [(1.0, 0.0)]).T
+        # the slots: the breakpoints (theta only for p < 1) and an edge per piece
+        self.fixed = self.pts if p < 1.0 else self.pts[:, [0, -1]]
+        self.where = np.arange(1, len(ext) + 2) if p < 1.0 else [1] * (len(ext) + 1)
+
+    def g(self, b, bc):
+        return self.lam0 * b ** self.p + self.lam1 * bc ** self.p
+
+    def table(self, lo: int, hi: int):
+        """The half rules _graded_half(e, lo, hi) of the three kinds' exponents,
+        a column each."""
+        if (lo, hi) not in self.tables:
+            self.tables[lo, hi] = tuple(np.stack(arrs, axis=1) for arrs in zip(*(
+                _graded_half(e, lo, hi) for e in (self.a - 1.0, self.c - 1.0, 0.0))))
+        return self.tables[lo, hi]
+
+    def panels(self, levels):
+        """The panels of the rule over {g > level}, a row per distinct level (one
+        for all <= 0): their slot points s and 1 - s, half-widths, whether each
+        is live (not empty) and the kind of each half (-1 on an empty panel);
+        and each level's row."""
+        if self.flat is not None and np.max(levels, initial=0.0) <= 0.0:  # no edges
+            return self.flat, np.zeros(np.size(levels), dtype=np.intp)
+        level, row = np.unique(np.maximum(levels, 0.0), return_inverse=True)
+        lv = level[:, None]  # g > 0 inside (0, 1), so no level <= 0 cuts the line
+        # each piece's support edge, or a corner (bounding an empty panel) if none
+        lo, hi = (np.broadcast_to(x, (2, level.size, x.shape[-1]))
+                  for x in (self.pts[:, None, :-1], self.pts[:, None, 1:]))
+        up = self.g(*lo) > lv
+        cross = (lv > 0) & (up != (self.g(*hi) > lv))
+        # 16 rounds of 15 points each, 64 halvings in all: a round keeps the
+        # last point on lo's side and the first one past it (hi if none is)
+        for _ in range(16 if cross.any() else 0):
+            step = (hi - lo) / 16.0
+            pts = lo + step * np.arange(1.0, 16.0)[:, None, None, None]
+            keep = (self.g(pts[:, 0], pts[:, 1]) > lv) == up
+            j = np.where(keep.all(axis=0), 15, keep.argmin(axis=0))
+            lo, hi = lo + step * j, np.where(j == 15, hi, lo + step * (j + 1))
+        s, sc = (np.insert(np.tile(f, (level.size, 1)), self.where, e, axis=1) for f, e in
+                 zip(self.fixed, np.where(cross, lo, self.pts[:, None, [0, -1][:cross.shape[1]]])))
+        half = 0.5 * np.where(s[:, :-1] < 0.5, s[:, 1:] - s[:, :-1], sc[:, :-1] - sc[:, 1:])
+        mid = 0.5 * (s[:, :-1] + s[:, 1:]), 0.5 * (sc[:, :-1] + sc[:, 1:])
+        live = (half > 0) & (self.g(*mid) > lv)
+        k = np.arange(2 * half.shape[1])
+        e = (k + 1) // 2  # the slot of half k's breakpoint
+        kind = np.where(s[:, e] == 0, 0, np.where(sc[:, e] == 0, 1, 2))
+        kind[~live[:, k // 2]] = -1
+        panels = s, sc, half, live, kind
+        if level.tolist() == [0.0]:  # the row of every level <= 0, kept for the next call
+            self.flat = panels
+        return panels, row
+
+    def nodes(self, panels, r, k, d, lw):
+        """Points b, 1 - b and log-weights of the half rules (d, lw), a column
+        for each half k of row r of panels and a row per node."""
+        s, sc, half = panels[:3]
+        j, e = k // 2, (k + 1) // 2
+        step = d * ((1.0 - 2.0 * (k % 2)) * half[r, j])
+        b, bc = s[r, e] + step, sc[r, e] - step
+        lw = lw + (np.log(half[r, j]) + self.log_norm)
+        for power, x in ((self.a - 1.0, b), (self.c - 1.0, bc)):
+            if power:
+                lw += power * np.log(x)
+        return b, bc, lw
+
+
+def _segment_logsums(f: np.ndarray, starts) -> np.ndarray:
+    """Column by column, the log-sums of exp(f) over the segments of rows that
+    begin at starts, each summed row after row; f is overwritten."""
+    m = f.max(axis=0)
+    zero = ~np.isfinite(m)
+    m[zero] = 0.0
+    f -= m
+    # terms below e^-700 of a column's largest change no sum that matters, and
+    # exp is several times slower where its results underflow
+    np.exp(np.maximum(f, -700.0, out=f), out=f)
+    out = np.log(np.add.reduceat(f, starts, axis=0))
+    out += m
+    out[:, zero] = -math.inf  # a column of -inf sums to -inf
+    return out
+
+
+def _errors(sums: np.ndarray, kind: np.ndarray):
+    """Each line's log integral, and |I_L - I_{L-2}| of its halves relative to
+    it, summed by kind (3, lines).  sums (4, halves, lines) holds each half's
+    log-sums over its levels but the last two, the last two, its end panel and
+    its check end panel; kind (halves, lines) is each half's kind.  The sums
+    over halves take one order whatever the number of lines (cumsum)."""
+    top = sums[:3].max(axis=(0, 1))
+    live = np.isfinite(top)  # a line of -inf is 0, with no error
+    w = np.exp(np.maximum(sums - np.where(live, top, 0.0), -700.0))
+    total = np.cumsum(w[:3].reshape(3 * len(kind), top.size), axis=0)[-1]
+    value = np.where(live, np.log(total) + top, -math.inf)
+    diff = np.abs(w[1] + w[2] - w[3])
+    diff *= live / total
+    return value, np.cumsum(np.where(kind == np.arange(3)[:, None, None], diff, 0.0), axis=1)[:, -1]
+
+
+class _Lines:
+    """The kernel integrated along lines Z = head * g + tail of one rule, each
+    kind of breakpoint graded to its own depth on each line.  Each half keeps
+    the four log-sums of _errors, so it deepens by two levels from the kernel
+    at its new nodes alone.  Every array of rows ends in an axis of lines."""
+
+    def __init__(self, rule: _LineRule, radial: RadialModel, p: float):
+        self.rule, self.radial, self.p = rule, radial, p
+        self.panels = self.rows = None
+
+    def add(self, levels, tn, head, tail, depth):
+        """Lines at levels (of g) for normalized thresholds tn, graded depth
+        (3, lines) levels deep, kind by kind."""
+        panels, row = self.rule.panels(levels)
+        offset = 0 if self.panels is None else len(self.panels[0])
+        self.panels = panels if self.panels is None else tuple(
+            np.concatenate(pair) for pair in zip(self.panels, panels))
+        kind = panels[-1][row].T
+        new = dict(row=row + offset, kind=kind, tn=tn, head=head, tail=tail, depth=depth,
+                   sums=np.full((4,) + kind.shape, -math.inf), n=np.zeros(row.size, dtype=np.int64),
+                   value=np.empty(row.size), err=np.empty((3, row.size)))
+        start = 0 if self.rows is None else self.rows["row"].size
+        self.rows = new if self.rows is None else {
+            key: np.concatenate([self.rows[key], arr], axis=-1) for key, arr in new.items()}
+        k, r = np.nonzero(kind >= 0)
+        self._run(k, r + start, full=True)
+        self._update(slice(start, None))
+
+    def deepen(self, grow):
+        """Grade two levels deeper the kinds marked in grow (3, lines)."""
+        kind = self.rows["kind"]
+        k, r = np.nonzero(np.take_along_axis(grow, np.maximum(kind, 0), axis=0) & (kind >= 0))
+        self._run(k, r, full=False)
+        self.rows["depth"] += 2 * grow
+        self._update(np.flatnonzero(grow.any(axis=0)))
+
+    def _update(self, lines):
+        x = self.rows
+        x["value"][lines], x["err"][:, lines] = _errors(x["sums"][..., lines], x["kind"][:, lines])
+
+    def _run(self, k, r, full: bool):
+        """Evaluate half k of line r: whole, or its next two levels."""
+        x, nk = self.rows, len(self.rows["kind"])
+        kind = x["kind"][k, r]
+        hi = x["depth"][kind, r] + (0 if full else 2)
+        for idx, lohi, starts, per_block in _half_groups(hi, full):
+            d, lw = self.rule.table(*lohi)
+            # lines on one row of panels share their nodes: with few distinct
+            # (row, half) pairs, their nodes are made once and gathered
+            key = x["row"][r[idx]] * nk + k[idx]
+            mark = np.zeros(self.panels[-1].size, dtype=bool)
+            mark[key] = True
+            shared = np.count_nonzero(mark) <= per_block
+            if shared:
+                pr, pk = np.divmod(np.flatnonzero(mark), nk)
+                hk = self.panels[-1][pr, pk]
+                b, bc, lw_at = self.rule.nodes(self.panels, pr, pk, d[:, hk], lw[:, hk])
+                g_at, at = self.rule.g(b, bc), np.cumsum(mark)[key] - 1
+            for i in range(0, idx.size, per_block):
+                sel = idx[i:i + per_block]
+                ks, rs = k[sel], r[sel]
+                # a row per node and a column per half, so each line's numbers
+                # broadcast along rows, the contiguous way
+                if shared:
+                    z = g_at[:, at[i:i + per_block]]
+                else:
+                    b, bc, lw_at = self.rule.nodes(self.panels, x["row"][rs], ks, d[:, kind[sel]],
+                                                   lw[:, kind[sel]])
+                    z = self.rule.g(b, bc)
+                z *= x["head"][rs]
+                z += x["tail"][rs]
+                # z holds the radii, then f the kernel; dropping each when done
+                # keeps at most two block-sized arrays alive
+                f = _log_cond(self.radial, z, x["tn"][rs], self.p, out=z)
+                del z
+                f += lw_at[:, at[i:i + per_block]] if shared else lw_at
+                sums = _segment_logsums(f, starts)
+                del f
+                x["n"] += len(d) * np.bincount(rs, minlength=x["n"].size)
+                if not full:
+                    old = x["sums"][:, ks, rs]
+                    sums = [np.logaddexp(old[0], old[1]), sums[0], sums[1], old[2]]
+                x["sums"][:, ks, rs] = sums
+
+
+def _d2_integrals(spec: AggregateSpec, levels: np.ndarray, tns: np.ndarray):
+    """(log integral, error, evaluations) on the one line of d = 2, a line per
+    level; each line deepens its own kinds, so none depends on the others."""
+    if not levels.size:
+        return []
+    lines = _Lines(_LineRule(*spec.alpha, *spec.lam, spec.p), spec.radial, spec.p)
+    lines.add(levels, tns, np.ones(levels.size), np.zeros(levels.size),
+              np.full((3, levels.size), _START))
+    while True:
+        value, err = lines.rows["value"], lines.rows["err"]
+        grow = (err > _TOL) & (lines.rows["depth"] < _CAP)
+        if not grow.any():
+            err = err[0] + err[1] + err[2]
+            return zip(value.tolist(), err.tolist(), lines.rows["n"].tolist())
+        lines.deepen(grow)
+
+
+def _d3_integral(spec: AggregateSpec, level: float, tn: float):
+    """(log integral, error, evaluations) for d = 3: the inner line at each node
+    of the outer one, the inner lines sharing their depths.  An outer node's
+    integrand is its inner line's integral, so each round takes the outer
+    log-sums afresh from its nodes."""
+    p, lam, a = spec.p, spec.lam, spec.alpha
+    outer = _LineRule(a[0] + a[1], a[2], _z_sup(np.asarray(lam[:2]), p), lam[2], p)
+    panels, _ = outer.panels(np.array([level]))
+    kind = panels[-1][0]
+    lines = _Lines(_LineRule(a[0], a[1], lam[0], lam[1], p), spec.radial, p)
+    depth_out, depth_in = np.full(3, _START), np.full(3, _START)
+    # the outer nodes, a line each: log-weight, half and slot (which of the
+    # four log-sums; 4 once a deeper rule no longer needs it)
+    nodes = dict(lw=np.empty(0), k=np.empty(0, dtype=int), slot=np.empty(0, dtype=int))
+
+    def add_nodes(ks, full: bool):
+        hi = depth_out[kind[ks]] + (0 if full else 2)
+        for sel, lohi, starts, _ in _half_groups(hi, full):  # a few thousand nodes
+            d, lw = outer.table(*lohi)
+            hk = kind[ks[sel]]
+            b, bc, lw = outer.nodes(panels, 0 * sel, ks[sel], d[:, hk], lw[:, hk])
+            slots = np.repeat([0, 1, 2, 3] if full else [1, 2], np.diff(starts + [len(lw)]))
+            for key, new in (("lw", lw.ravel()), ("k", np.tile(ks[sel], len(lw))),
+                             ("slot", np.repeat(slots, len(sel)))):
+                nodes[key] = np.concatenate([nodes[key], new])
+            head, tail = b.ravel() ** p, lam[2] * bc.ravel() ** p
+            lines.add((level - tail) / head, np.full(head.size, tn), head, tail,
+                      np.repeat(depth_in[:, None], head.size, axis=1))
+
+    add_nodes(np.flatnonzero(kind >= 0), full=True)
+    while True:
+        v = nodes["lw"] + lines.rows["value"]
+        # the outer log-sums of each half, from the nodes' values shifted by their largest
+        top = v.max() if np.isfinite(v.max()) else 0.0
+        with np.errstate(divide="ignore"):
+            sums = np.log(np.bincount(nodes["slot"] * kind.size + nodes["k"], np.exp(v - top),
+                                      minlength=5 * kind.size)[:4 * kind.size]) + top
+        (value,), err_out = _errors(sums.reshape(4, kind.size, 1), kind[:, None])
+        if value == -math.inf:  # the rule missed the support; quadrature_tail says so
+            return value, 0.0, int(lines.rows["n"].sum())
+        # an inner line's errors count by its share of the integral
+        share = np.where(nodes["slot"] < 3, np.exp(v - value), 0.0)
+        err_in, err_out = (share * lines.rows["err"]).sum(axis=1), err_out[:, 0]
+        grow_in, grow_out = ((err > _TOL) & (depth < _CAP) for err, depth in
+                             ((err_in, depth_in), (err_out, depth_out)))
+        if not (grow_in.any() or grow_out.any()):
+            return float(value), float(err_out.sum() + err_in.sum()), int(lines.rows["n"].sum())
+        if grow_in.any():
+            lines.deepen(np.outer(grow_in, nodes["slot"] < 4))
+            depth_in += 2 * grow_in
+        if grow_out.any():
+            deeper = grow_out[np.maximum(kind, 0)] & (kind >= 0)
+            nodes["slot"] = np.where(deeper[nodes["k"]], np.array([0, 0, 3, 4, 4])[nodes["slot"]],
+                                     nodes["slot"])
+            add_nodes(np.flatnonzero(deeper), full=False)
+            depth_out += 2 * grow_out
+
+
+def quadrature_tail(spec: AggregateSpec, t) -> Estimate | list[Estimate]:
+    """Deterministic oracle for P(S_p > t), d <= 3: the graded Gauss rule of the
+    module docstring.  stderr is p_hat times the rule's error in log, and n
+    counts its kernel evaluations, check nodes included.  A sequence t gives a
+    list, each entry equal to the scalar call."""
+    tns = _levels(spec, t)
+    if spec.d > 3:
+        raise DomainError(f"quadrature oracle supports d <= 3, got d={spec.d}")
+    p, radial = spec.p, spec.radial
+    z_sup = _z_sup(np.asarray(spec.lam), p)
+    # Z <= level puts the radius past a finite endpoint (level 0 for none)
+    levels = tns / radial.upper_endpoint ** p
+    on_line = (levels < z_sup) & (spec.d > 1)
+    if spec.d == 2:
+        inside = iter(_d2_integrals(spec, levels[on_line], tns[on_line]))
+    else:
+        inside = (_d3_integral(spec, lv, tn) for lv, tn in zip(levels[on_line], tns[on_line]))
+    # rounding, which the nested differences cannot see: the radii carry
+    # relative errors of order eps, which move the kernel by
+    # eps |d log F_bar / d log x|, taken at the smallest radius, where the
+    # kernel is largest (near a finite endpoint the slope is large); and the
+    # log-sum itself is good to an ulp or two of |log p_hat|
+    kernel = _log_cond(radial, np.array([[z_sup], [z_sup / (1.0 - _H) ** p]]), tns[on_line], p)
+    slopes = iter((np.abs(kernel[1] - kernel[0]) / _H).tolist())
+    ests = []
+    for tn, line in zip(tns, on_line):
+        # off the lines: the radial tail itself, or 0 with the radius past its endpoint
+        log_val, err, n = next(inside) if line else (_log_cond(radial, z_sup, tn, p), 0.0, 1)
+        if line:
+            # level < z_sup, so the true integral is positive: 0 means a missed support
+            if log_val == -math.inf:
+                raise NumericError(f"quadrature integral came out 0 at t={tn * spec.scale:g}: "
+                                   "rule missed the support")
+            err += _EPS * (next(slopes) + 2.0 * abs(log_val))
+        ests.append(Estimate(p_hat=math.exp(log_val), log_p_hat=log_val,
+                             stderr=math.exp(log_val) * err, n=n, seed=0, method="quadrature"))
+    return ests if np.ndim(t) else ests[0]

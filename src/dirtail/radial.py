@@ -192,6 +192,9 @@ class WeibullTail(RadialModel):
     def __post_init__(self):
         if not (self.index > 0 and self.scale > 0):
             raise ValidationError(f"WeibullTail needs index, scale > 0, got {self}")
+        # below this radius scale * u^index stays under e^709 < DBL_MAX
+        object.__setattr__(self, "_u_safe", math.exp(
+            min(709.0, (709.0 - math.log(max(self.scale, 1.0))) / self.index)))
 
     @property
     def upper_endpoint(self) -> float:
@@ -199,7 +202,10 @@ class WeibullTail(RadialModel):
 
     def log_survival(self, u):
         ua = _check_domain_nonneg(u)
-        out = -self.scale * ua ** self.index
+        if isinstance(u, float) and u < self._u_safe:  # no overflow: skip errstate's 2 us
+            return float(-self.scale * ua ** self.index)
+        with np.errstate(over="ignore"):  # a power past DBL_MAX is log survival -inf
+            out = -self.scale * ua ** self.index
         return out if np.ndim(u) else float(out)
 
     def scaling_w(self, u: float) -> float:

@@ -19,12 +19,15 @@ three bands of the linear-scale tail q:
 
 Only entries in the deep band reach the hand-written fractions.
 
-One route bypasses the bands: a scalar gamma shape that is a whole number
-n <= _ERLANG_N_MAX (the Erlang law) has the finite tail
+Two routes bypass the bands, finite sums by one Horner loop.  A scalar gamma
+shape that is a whole number n <= _ERLANG_N_MAX (the Erlang law) has the tail
 Q(n, x) = e^{-x} sum_{k<n} x^k / k! (Abramowitz & Stegun 6.5.13), taken as
 -x + log(sum) for every x >= n, where Q(n, x) < 1/2, up to the x where the
-sum would overflow.  Entries with x < n or past that cap (x = inf among
-them), other shapes and array shapes take the bands.  All kernels are
+sum would overflow; entries with x < n or past that cap (x = inf among them)
+take the bands.  A scalar whole first beta shape a <= _ERLANG_N_MAX has
+P(B_{a,b} > x) = (1 - x)^b sum_{j<a} (b)_j / j! x^j (DLMF 8.17.5), taken as
+b log1p(-x) + log(sum) wherever that gives q < 1/2.  Other shapes and array
+shapes take the bands.  All kernels are
 vectorized over numpy arrays; float arguments run the same bands without
 the array bookkeeping, and give the same bits.
 """
@@ -59,6 +62,11 @@ _INV_FACT = [1.0 / math.factorial(k) for k in range(_ERLANG_N_MAX)]
 _ERLANG_X_MAX = {1: _DBL_MAX} | {
     n: math.exp((math.log(_DBL_MAX) - 1.0 + math.lgamma(n)) / (n - 1))
     for n in range(2, _ERLANG_N_MAX + 1)}
+#: log of the largest finite sum a Horner loop may reach, with room to spare
+_LOG_SUM_MAX = 700.0
+#: the finite sums serve entries whose tail is below 1/2, where log q <= log(1/2)
+#: keeps its digits
+_LOG_HALF = -math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -214,20 +222,33 @@ def _check_beta_args(a, b, x):
 
 
 def log_beta_survival(a, b, x):
-    """log P(B_{a,b} > x); scalar in, scalar out, arrays pass through."""
+    """log P(B_{a,b} > x); scalar in, scalar out, arrays pass through.
+
+    A scalar whole first shape a <= _ERLANG_N_MAX takes the finite sum
+    (_log_beta_sum) at every entry where it gives q < 1/2; the other entries,
+    and other shapes, take the bands."""
     if isinstance(x, float) and isinstance(a, (int, float)) and isinstance(b, (int, float)):
         # the checks of _check_beta_args as plain comparisons, which a NaN fails
         if not (a > 0 and b > 0):
             raise DomainError(f"beta parameters must be positive, got a={a}, b={b}")
         if not 0 <= x <= 1:
             raise DomainError(f"beta argument must lie in [0, 1], got x={x}")
+        coef = _beta_series(a, b)
+        if coef is not None:
+            out = _log_beta_sum(coef, float(b), x)
+            if out < _LOG_HALF:
+                return out
         return _log_tail(betaincc, betainc, _beta_cf_upper_log, float(a), float(b), x)
     _check_beta_args(a, b, x)
-    out = _log_tail(betaincc, betainc, _beta_cf_upper_log,
-                    np.asarray(a, dtype=float), np.asarray(b, dtype=float),
-                    np.asarray(x, dtype=float))
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
+    aa, bb, xx = (np.asarray(v, dtype=float) for v in (a, b, x))
+    coef = _beta_series(float(a), float(b)) if aa.ndim == bb.ndim == 0 and xx.ndim else None
+    if coef is None:
+        out = _log_tail(betaincc, betainc, _beta_cf_upper_log, aa, bb, xx)
+        return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
+    out = _log_beta_sum(coef, float(b), xx)
+    body = ~(out < _LOG_HALF)
+    if body.any():
+        out[body] = _log_tail(betaincc, betainc, _beta_cf_upper_log, aa, bb, xx[body])
     return out
 
 
@@ -268,24 +289,56 @@ def _gamma_cf_upper_log(a, x):
     return out
 
 
-def _log_erlang_tail(n: int, x):
-    """log Q(n, x) for a whole shape n and n <= x <= _ERLANG_X_MAX[n], from the
-    finite sum: -x + log(1 + x + x^2/2! + ... + x^{n-1}/(n-1)!).
-
-    The sum runs by Horner in x in one buffer and takes one in-place log.
-    Its terms are positive, so nothing cancels, and the cap keeps it finite.
-    """
-    if n == 1:
-        return -x
-    t = x * _INV_FACT[n - 1]
-    for c in _INV_FACT[n - 2:0:-1]:
+def _log_series(coef, x):
+    """log(coef[0] + coef[1] x + ... + coef[-1] x^(len - 1)) for x >= 0 and two
+    or more positive coefficients, by Horner in x in one buffer with one
+    in-place log (math.log for a float).  The terms are positive, so nothing
+    cancels."""
+    t = x * coef[-1]
+    for c in coef[-2:0:-1]:
         t += c
         t *= x
-    t += 1.0
-    # in place on arrays; a float rebinds
-    t = np.log(t, out=t) if isinstance(t, np.ndarray) else math.log(t)
+    t += coef[0]
+    return np.log(t, out=t) if isinstance(t, np.ndarray) else math.log(t)
+
+
+def _log_erlang_tail(n: int, x):
+    """log Q(n, x) for a whole shape n and n <= x <= _ERLANG_X_MAX[n], from the
+    finite sum: -x + log(1 + x + x^2/2! + ... + x^{n-1}/(n-1)!), the cap keeping
+    the sum finite."""
+    if n == 1:
+        return -x
+    t = _log_series(_INV_FACT[:n], x)
     t -= x
     return t
+
+
+def _beta_series(a, b):
+    """The coefficients (b)_j / j!, j < a, of the finite sum of a whole first
+    shape a <= _ERLANG_N_MAX, or None for other a and where the sum, at most
+    C(a + b - 1, a - 1) < (a + b)^(a - 1), could overflow."""
+    if not (1 <= a <= _ERLANG_N_MAX and a == int(a)
+            and (a - 1) * math.log(a + b) < _LOG_SUM_MAX):
+        return None
+    coef = [1.0]
+    for j in range(1, int(a)):
+        coef.append(coef[-1] * (b + j - 1.0) / j)
+    return coef
+
+
+def _log_beta_sum(coef, b, x):
+    """log P(B_{a,b} > x) = b log(1 - x) + log sum_{j<a} (b)_j / j! x^j (DLMF 8.17.5)
+    from _beta_series' coefficients; x = 1 gives -inf."""
+    if isinstance(x, float):
+        if x == 1.0:
+            return -math.inf
+        return b * math.log1p(-x) + (_log_series(coef, x) if len(coef) > 1 else 0.0)
+    with np.errstate(divide="ignore"):
+        out = np.log1p(-x)
+    out *= b
+    if len(coef) > 1:
+        out += _log_series(coef, x)
+    return out
 
 
 def log_regularized_gamma_upper(a, x):

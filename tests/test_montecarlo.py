@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import dirtail as dt
-from dirtail import BetaLaw, GammaLaw
+from dirtail import BetaLaw, GammaLaw, WeibullTail
 from dirtail.errors import DomainError, ValidationError
 from dirtail import montecarlo as mc
+from dirtail import quadrature as quad
 from dirtail import specfun
 from dirtail.montecarlo import CHUNK, NormingConstants
 
@@ -47,31 +48,115 @@ class RecordingBeta(BetaLaw):
         return super().log_survival(u)
 
 
-def _nodes(rule, levels):
-    """Points, log-weights and row map of a rule over the levels, on the panels
-    live on some level's row."""
-    panels, row = rule.panels(levels)
-    return (*rule.nodes(panels, np.arange(row.max() + 1), panels[3].any(axis=0)), row)
+def _half_sums(rule, panels, k, kind, lo, hi, kernel):
+    """The log-sums of half k of row 0 of panels graded hi levels deep: whole
+    for lo = 0 (its levels but the last two, the last two, its end panel, its
+    check end panel), else its levels lo..hi-1 and end panel; and its nodes."""
+    d, lw = rule.table(lo, hi)
+    b, bc, w = rule.nodes(panels, np.zeros(1, dtype=int), np.array([k]), d[:, [kind]],
+                          lw[:, [kind]])
+    f = w[:, 0] + kernel(b[:, 0], bc[:, 0])
+    cuts = [quad._POINTS * (hi - 2), quad._POINTS * hi, quad._POINTS * (hi + 1)] if lo == 0 else \
+        [2 * quad._POINTS]
+    return [specfun.logsumexp(part) for part in np.split(f, cuts)], f.size
+
+
+class _Line:
+    """One line of a rule at its level, graded kind by kind: each live half's
+    four log-sums, deepened two levels at a time as quadrature_tail does."""
+
+    def __init__(self, rule, level, kernel, depth):
+        self.rule, self.kernel, self.depth = rule, kernel, list(depth)
+        self.panels = rule.panels(np.array([level]))[0]
+        kinds = self.panels[-1][0]
+        self.halves, self.n = {}, 0
+        for k in np.flatnonzero(kinds >= 0):
+            self.halves[k] = kinds[k], self._sums(k, kinds[k], 0)
+
+    def _sums(self, k, kind, lo):
+        sums, n = _half_sums(self.rule, self.panels, k, kind, lo,
+                             self.depth[kind] + (2 if lo else 0), self.kernel)
+        self.n += n
+        return sums
+
+    def deepen(self, grow):
+        for k, (kind, old) in self.halves.items():
+            if grow[kind]:
+                new = self._sums(k, kind, self.depth[kind])
+                self.halves[k] = kind, [np.logaddexp(old[0], old[1]), *new, old[2]]
+        self.depth = [d + 2 * g for d, g in zip(self.depth, grow)]
+
+    def value(self):
+        return specfun.logsumexp([s for _, sums in self.halves.values() for s in sums[:3]])
+
+    def errors(self):
+        """|I_L - I_{L-2}| relative to the value, summed by kind."""
+        v, err = self.value(), [0.0] * 3
+        for kind, sums in self.halves.values():
+            err[kind] += abs(math.exp(np.logaddexp(sums[1], sums[2]) - v) - math.exp(sums[3] - v))
+        return err
 
 
 def _line_by_line(spec, t):
-    """log P(S_p > t) and its node count for d = 3, one inner line at a time:
-    a single-level rule per node of the outer line."""
+    """log P(S_p > t), its truncation error and its node count for d = 3 by the
+    adaptive rule of quadrature_tail, one inner line at a time: each half of
+    the outer line keeps its nodes (log-weight, slot, inner line), and each
+    round deepens first the inner kinds, then the outer ones, whose error is
+    above tolerance."""
     (tn,) = mc._levels(spec, t)
     p, lam, a = spec.p, spec.lam, spec.alpha
     level = tn / spec.radial.upper_endpoint ** p
-    inner = mc._LineRule(a[0], a[1], lam[0], lam[1], p)
-    outer = mc._LineRule(a[0] + a[1], a[2], mc._z_sup(np.asarray(lam[:2]), p), lam[2], p)
-    b_out, bc_out, lw_out = (x[0] for x in _nodes(outer, [level])[:3])
-    logs, n, rows = [], 0, set()
-    for lw_line, head, tail in zip(lw_out, b_out ** p, lam[2] * bc_out ** p):
-        b, bc, lw, row = _nodes(inner, [(level - tail) / head])
-        assert b.shape[0] == 1 and row.tolist() == [0]
-        z = head * inner.g(b[0], bc[0]) + tail
-        logs.append(lw_line + specfun.logsumexp(lw[0] + mc._log_cond(spec.radial, z, tn, p)))
-        n += np.count_nonzero(np.isfinite(lw[0]))
-        rows.add(tuple(b[0]))
-    return specfun.logsumexp(logs), n, len(rows)
+    inner = quad._LineRule(a[0], a[1], lam[0], lam[1], p)
+    outer = quad._LineRule(a[0] + a[1], a[2], mc._z_sup(np.asarray(lam[:2]), p), lam[2], p)
+    depth_in, depth_out, dropped = [quad._START] * 3, [quad._START] * 3, 0
+
+    def line(b, bc):
+        head, tail = b ** p, lam[2] * bc ** p
+        def kernel(ib, ibc):
+            return mc._log_cond(spec.radial, head * inner.g(ib, ibc) + tail, tn, p)
+        return _Line(inner, (level - tail) / head, kernel, depth_in)
+
+    def outer_nodes(k, kind, lo, hi):
+        d, lw = outer.table(lo, hi)
+        b, bc, w = outer.nodes(panels, np.zeros(1, dtype=int), np.array([k]), d[:, [kind]],
+                               lw[:, [kind]])
+        cuts = [hi - 2, hi, hi + 1] if lo == 0 else [2]
+        sizes = np.diff([0] + [quad._POINTS * c for c in cuts] + [w.size])
+        slots = np.repeat([0, 1, 2, 3] if lo == 0 else [1, 2], sizes)
+        return [[wi, si, line(bi, bci)]
+                for wi, si, bi, bci in zip(w[:, 0], slots, b[:, 0], bc[:, 0])]
+
+    panels = outer.panels(np.array([level]))[0]
+    kinds = panels[-1][0]
+    nodes = {k: outer_nodes(k, kinds[k], 0, quad._START) for k in np.flatnonzero(kinds >= 0)}
+    while True:
+        vals = {k: [w + ln.value() for w, _, ln in ns] for k, ns in nodes.items()}
+        sums = {k: [specfun.logsumexp([v for v, (_, s, _) in zip(vals[k], ns) if s == slot])
+                    for slot in range(4)] for k, ns in nodes.items()}
+        value = specfun.logsumexp([x for ss in sums.values() for x in ss[:3]])
+        err_out, err_in = [0.0] * 3, [0.0] * 3
+        for k, ss in sums.items():
+            err_out[kinds[k]] += abs(math.exp(np.logaddexp(ss[1], ss[2]) - value)
+                                     - math.exp(ss[3] - value))
+            for v, (_, s, ln) in zip(vals[k], nodes[k]):
+                for kind, e in enumerate(ln.errors() if s < 3 else []):
+                    err_in[kind] += math.exp(v - value) * e
+        grow_in = [e > quad._TOL and d < quad._CAP for e, d in zip(err_in, depth_in)]
+        grow_out = [e > quad._TOL and d < quad._CAP for e, d in zip(err_out, depth_out)]
+        if not any(grow_in + grow_out):
+            n = dropped + sum(ln.n for ns in nodes.values() for _, _, ln in ns)
+            return value, sum(err_out) + sum(err_in), n, nodes
+        for ns in nodes.values():
+            for _, _, ln in ns:
+                ln.deepen(grow_in)
+        depth_in = [d + 2 * g for d, g in zip(depth_in, grow_in)]
+        for k, ns in nodes.items():
+            if grow_out[kinds[k]]:
+                dropped += sum(ln.n for _, s, ln in ns if s == 3)
+                kept = [[w, {1: 0, 2: 3}.get(s, s), ln] for w, s, ln in ns if s != 3]
+                lo = depth_out[kinds[k]]
+                nodes[k] = kept + outer_nodes(k, kinds[k], lo, lo + 2)
+        depth_out = [d + 2 * g for d, g in zip(depth_out, grow_out)]
 
 
 class TestSampleDirichlet:
@@ -314,11 +399,13 @@ class TestThresholdGrid:
 
 class TestQuadratureOracle:
     def test_unit_weights_p1_is_radial_tail(self):
-        # with all weights one and p = 1 the aggregate *is* the radius
+        # with all weights one and p = 1 the aggregate *is* the radius: the
+        # reported error covers the measured one and stays small
         spec = dt.validate_spec([1, 1], [1, 1], 1.0, GAMMA21)
         est = dt.quadrature_tail(spec, 10.0)
         assert est.p_hat == pytest.approx(11 * math.exp(-10), rel=1e-9)
-        assert est.stderr == 0.0 and est.method == "quadrature"
+        assert abs(est.p_hat - 11 * math.exp(-10)) <= est.stderr <= 1e-9 * est.p_hat
+        assert est.method == "quadrature"
 
     def test_d1_exact(self):
         # d = 1 and a level past a finite endpoint pass a scalar z to the kernel
@@ -381,26 +468,21 @@ class TestQuadratureOracle:
         # with a beta radius the inner level, and with it the support edges,
         # changes from line to line; the blocked rule must not notice
         spec = dt.validate_spec([1, 2, 1], lam, p, BetaLaw(2, 3))
-        want, n, distinct = _line_by_line(spec, t)
-        assert distinct > 10
+        want, _, n, nodes = _line_by_line(spec, t)
+        assert len({tuple(ln.panels[0][0]) for ns in nodes.values() for _, _, ln in ns}) > 10
         est = dt.quadrature_tail(spec, t)
         assert est.log_p_hat == pytest.approx(want, abs=1e-13)
         assert est.n == n
 
-    def test_n_counts_only_finite_weights(self):
-        # at p > 1 a line that the level cuts keeps its two corner panels and
-        # a line wholly above it the middle one; in a block each line's
-        # missing panels carry weight -inf and are no evaluations
+    def test_n_counts_only_live_halves(self):
+        # at p > 1 the level cuts each inner line near both corners (panels 0
+        # and 2 live, halves 0, 1, 4, 5) or near one (panel 2); an empty
+        # panel's halves are never evaluated, and n counts the nodes of the others
         spec = dt.validate_spec([1, 2, 1], [1, 0.7, 0.4], 2.5, BetaLaw(2, 3))
-        (level,) = mc._levels(spec, 0.5)
-        p, lam, a = spec.p, spec.lam, spec.alpha
-        outer = mc._LineRule(a[0] + a[1], a[2], mc._z_sup(np.asarray(lam[:2]), p), lam[2], p)
-        b, bc = (x[0] for x in _nodes(outer, [level])[:2])
-        inner = mc._LineRule(a[0], a[1], lam[0], lam[1], p)
-        lw, row = _nodes(inner, (level - lam[2] * bc ** p) / b ** p)[2:]
-        finite = np.isfinite(lw[row])
-        assert not finite.all()
-        assert dt.quadrature_tail(spec, 0.5).n == np.count_nonzero(finite)
+        _, _, n, nodes = _line_by_line(spec, 0.5)
+        live = {tuple(ln.halves.keys()) for ns in nodes.values() for _, _, ln in ns}
+        assert live == {(0, 1, 4, 5), (4, 5)}
+        assert dt.quadrature_tail(spec, 0.5).n == n
 
     @pytest.mark.parametrize("radial, alpha, lam, p, t", [
         (RecordingGamma(3, 1), [1, 1, 1], [1, 1, 1], 0.5, 20.0),
@@ -431,11 +513,59 @@ class TestQuadratureOracle:
         assert peak < 8 * CHUNK * 8  # eight chunk-sized float arrays
 
     def test_half_rules_are_cached_read_only(self):
-        d, lw = mc._graded_half(0.5)
-        assert mc._graded_half(0.5)[0] is d
+        d, lw = quad._graded_half(0.5, 0, 6)
+        assert quad._graded_half(0.5, 0, 6)[0] is d
         for arr in (d, lw):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+        # the rules nest: 6 levels share 4 with the rule 4 deep and add the two
+        # of its step; its last end panel is the check of the rule 8 deep
+        p = quad._POINTS
+        assert np.array_equal(d[:4 * p], quad._graded_half(0.5, 0, 4)[0][:4 * p])
+        assert np.array_equal(d[4 * p:7 * p], quad._graded_half(0.5, 4, 6)[0])
+        assert np.array_equal(d[6 * p:7 * p], quad._graded_half(0.5, 0, 8)[0][-p:])
+
+
+class TestQuadratureError:
+    """The reported error, stderr / p_hat in log, against the measured one."""
+
+    PINNED = [  # test_pinned_values' cases
+        ([0.2, 0.4], [1, 0.3], 2.0, GammaLaw(3, 1), 80.0),
+        ([1, 2, 1], [1, 0.5, 0.3], 1.0, BetaLaw(2, 3), 0.9),
+        ([1, 2, 1], [1, 0.5, 0.3], 1.0, BetaLaw(2, 3), 0.99),
+        ([1, 1, 1], [1, 0.7, 0.4], 0.5, BetaLaw(2, 3), 1.2),
+    ]
+    # alpha 0.3 at a corner, p < 1 and a heavy Weibull tail at depth 1e-4: the
+    # fixed 12-level rule erred by up to 1.3e-7 in log here
+    HARD = [([a0, a1], [1, 0.4], p, WeibullTail(0.5), 1e-4)
+            for a0, a1 in [(0.3, 2.5), (2.5, 0.3), (0.3, 0.3)] for p in (0.3, 0.5)]
+
+    @pytest.mark.parametrize("alpha, lam, p, radial, t", PINNED + HARD)
+    def test_bounds_deepest_rule(self, alpha, lam, p, radial, t, monkeypatch):
+        spec = dt.validate_spec(alpha, lam, p, radial)
+        if t < 1e-3:  # a depth
+            t = dt.tail_asymptotic(spec).invert(math.log(t))
+        est = dt.quadrature_tail(spec, t)
+        with monkeypatch.context() as m:
+            m.setattr(quad, "_TOL", 0.0)  # every kind graded to the cap
+            deepest = dt.quadrature_tail(spec, t)
+        err = abs(est.log_p_hat - deepest.log_p_hat)
+        assert err <= est.stderr / est.p_hat and err <= 2.6e-10
+
+    def test_bounds_mpmath_at_an_endpoint(self):
+        # Q8b: the radius ends 6.3e-5 above the smallest one on the line, so
+        # rounding the radii, not the rule, sets the error (1.3e-12)
+        spec = dt.validate_spec([1, 2], [1, 0.5], 1.0, BetaLaw(2, 3))
+        est = dt.quadrature_tail(spec, 0.9999370034198778)
+        assert abs(est.log_p_hat - -47.89211545592941) <= est.stderr / est.p_hat < 1e-10
+
+    @pytest.mark.parametrize("alpha, lam, p, most", [
+        ([1, 1, 1], [1, 1, 1], 0.5, 0.4 * 389376),  # Q4; 389 376 took the 12-level rule
+        ([2, 1, 0.5], [1, 0.8, 0.6], 0.4, 389376),  # Q5, whose corner b = 1 goes 12 deep
+    ])
+    def test_evaluations(self, alpha, lam, p, most):
+        spec = dt.validate_spec(alpha, lam, p, GammaLaw(3, 1))
+        assert dt.quadrature_tail(spec, dt.tail_asymptotic(spec).invert(math.log(1e-8))).n <= most
 
 
 class TestQuadratureGrid:

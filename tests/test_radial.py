@@ -36,6 +36,15 @@ class TestSurvival:
         assert math.exp(WeibullTail(2, 0.5).log_survival(2.0)) == pytest.approx(math.exp(-2), rel=1e-13)
         assert math.exp(UnitGumbel(1.0).log_survival(0.0)) == pytest.approx(1.0, rel=1e-13)
 
+    def test_weibull_power_overflow_is_minus_inf(self):
+        # u^index past DBL_MAX is a log survival of -inf, with no warning
+        law = WeibullTail(2, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert law.log_survival(1e300) == -math.inf
+            assert law.log_survival(np.array([1e300, 2.0])).tolist() == [-math.inf, -2.0]
+            assert law.log_survival(np.float64(1e160)) == -math.inf
+
     def test_beyond_endpoint(self):
         assert math.exp(BetaLaw(2, 3).log_survival(1.0)) == 0.0
         assert math.exp(UnitGumbel(2.0).log_survival(1.0)) == 0.0

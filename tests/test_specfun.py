@@ -262,6 +262,48 @@ class TestErlangTail:
                 assert f_hi <= f_lo + 1e-13 * abs(f_lo)
 
 
+def banded_beta(a, b, x):
+    """log P(B_{a,b} > x) by the banded scipy/Lentz path alone."""
+    return sf._log_tail(sp.betaincc, sp.betainc, sf._beta_cf_upper_log,
+                        *(np.asarray(v, dtype=float) for v in (a, b, x)))
+
+
+class TestBetaFiniteSum:
+    """The finite sum for a whole first shape a <= _ERLANG_N_MAX where q < 1/2."""
+
+    @pytest.mark.parametrize("b", [0.5, 3.0, 40.0])
+    @pytest.mark.parametrize("a", [1, 2, 3, 5, 10, 20, sf._ERLANG_N_MAX])
+    def test_mpmath_grid(self, a, b):
+        # from just past the median into the deep band, and up to a hair from 1
+        x = np.concatenate([sp.betainccinv(a, b, np.geomspace(0.49, 1e-300, 40)),
+                            1.0 - np.geomspace(1e-15, 1e-3, 10)])
+        x = np.unique(x[(x > 0) & (x < 1)])
+        with mp.workdps(50):  # the sum itself, exact for a whole a
+            ref = np.array([float(mp.log((1 - mp.mpf(xi)) ** b * mp.fsum(
+                mp.rf(b, j) / mp.factorial(j) * mp.mpf(xi) ** j for j in range(a)))) for xi in x])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vec = sf.log_beta_survival(a, b, x)
+            scal = np.array([sf.log_beta_survival(float(a), b, float(xi)) for xi in x])
+            assert sf.log_beta_survival(a, b, 1.0) == -math.inf
+            assert sf.log_beta_survival(a, b, np.array([0.9, 1.0]))[1] == -math.inf
+        for got in (vec, scal):
+            assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-14
+
+    def test_other_entries_take_the_bands(self):
+        # q >= 1/2, other shapes and array shapes keep the bands bit for bit
+        x = np.linspace(0.0, 1.0, 401)
+        got = sf.log_beta_survival(2, 3.0, x)
+        summed = sf._log_beta_sum(sf._beta_series(2, 3.0), 3.0, x) < sf._LOG_HALF
+        assert 100 < summed.sum() < 400
+        assert np.array_equal(got[~summed], banded_beta(2, 3.0, x)[~summed])
+        assert np.array_equal(got[summed], sf._log_beta_sum([1.0, 3.0], 3.0, x[summed]))
+        for a, b in [(2.5, 3.0), (sf._ERLANG_N_MAX + 1, 3.0), (np.full(401, 2.0), 3.0)]:
+            assert np.array_equal(sf.log_beta_survival(a, b, x), banded_beta(a, b, x))
+        # a sum past e^700 (a = 40, b = 1e20) is left to the bands too
+        assert sf._beta_series(40, 1e20) is None
+
+
 class TestFractionBatches:
     """A continued-fraction entry does not depend on the entries beside it."""
 
