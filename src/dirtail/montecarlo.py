@@ -17,7 +17,11 @@ the chunk results combine in index order; each chunk reduces every
 threshold of the call, so one pass serves a whole grid.  A chunk's simplex
 points arrive as a (d, n) block, one contiguous row per coordinate, in a
 buffer each thread reuses, and every reducer runs as a loop over those d
-rows.  conditional_mc_tail, crude_mc_tail, empirical_gumbel_mda and
+rows.  The conditional reducers form y = Z^{-1/p} once per chunk; each level
+t_norm then asks the radial law for the weights F_bar(t_norm^{1/p} y) / e^m
+(RadialModel.survival_weights: a whole-shape GammaLaw's closed form, else
+log_survival shifted by its maximum) and sums them and their squares.
+conditional_mc_tail, crude_mc_tail, empirical_gumbel_mda and
 pairwise_asymindep take a worker count; it changes scheduling, never a result.
 """
 
@@ -114,9 +118,11 @@ def _chunked(seed: int, sizes: list[int], alpha, fn, workers: int = 1) -> list:
     from rng = default_rng([seed, k]); for d = 1 the simplex is the single
     point 1 and nothing is drawn.  ws(key, rows=1) is the thread's buffer
     named key, made at the largest chunk's length on its first use, cut to
-    rows * sizes[k] doubles.  u and the buffers are reused for the thread's
-    next chunk and freed when the call returns, so fn must not keep them (nor
-    write to u).
+    rows * sizes[k] doubles; for d >= 2, ws("u", rows <= d) is the first rows
+    of u, which fn may take as scratch once it is done with u (for d = 1 it
+    is a buffer of its own: fn must not write to u then).  u and the buffers
+    are reused for the thread's next chunk and freed when the call returns,
+    so fn must not keep them.
 
     The gamma draws come _DRAW_ROWS rows at a time in the row-major order of
     one (sizes[k], d) draw, so the stream is that of one row per point; equal
@@ -170,41 +176,41 @@ def _chunk_logsums(parts) -> np.ndarray:
     return logsumexp(cols, axis=1).reshape(table.shape[1:])
 
 
-def _log_cond(radial: RadialModel, z, level: float, p: float, out=None):
-    """The conditional kernel log F_bar((level / z)^{1/p}), one value per point.
+def _log_moments(radial: RadialModel, z: np.ndarray, levels, p: float, ws,
+                 squares: bool = False) -> list:
+    """log sum over points of the conditional kernel F_bar((level / z)^{1/p}) at
+    each level, or with squares (log sum w, log sum w^2) pairs.
 
-    z = 0 maps to an unbounded radius (survival 0); a NaN z reaches
-    log_survival and fails there rather than being read as no exceedance.
-    A chunk's radii are formed in one buffer, out when given; a scalar z
-    (quadrature's radial-tail paths) gives numpy scalars, which rebind.
+    y = (1/z)^{1/p} is formed once, over z (which is overwritten), with its
+    least and greatest entries; z = 0 is an unbounded radius y = inf.  Each
+    level asks the radial law for its weights w = F_bar(level^{1/p} y) / e^m
+    (RadialModel.survival_weights) and sums them, and their squares,
+    pairwise: m + log sum w.  Their scratch is the first two rows of the
+    simplex block (ws("u", 2)), which every caller is done with, so the
+    kernel takes no memory of its own from d = 2 on.  An m that is not
+    finite is the answer, as in logsumexp.  A NaN z reaches log_survival and
+    fails there rather than being read as no exceedance.
     """
     with np.errstate(divide="ignore"):
-        x = np.divide(level, z, out=out)
-    x **= 1.0 / p
-    return radial.log_survival(np.minimum(x, 1e300, out=x if x.ndim else None))
-
-
-def _log_sum(logs: np.ndarray, squares: bool = False):
-    """log sum(w) of the weights w = exp(logs), or with squares (log sum(w), log sum(w^2)),
-    from one in-place exp of logs shifted by their maximum m (logs is overwritten); an m
-    that is not finite is the answer, as in logsumexp, whose bits the lone log-sum has."""
-    m = float(logs.max())
-    if not math.isfinite(m):
-        return (m, 2.0 * m) if squares else m
-    logs -= m
-    w = np.exp(logs, out=logs)
-    if not squares:
-        return m + np.log(w.sum())
-    ls1 = m + math.log(w.sum())
-    # squared in place and summed pairwise: a BLAS dot adds in an order that
-    # depends on its thread count
-    w *= w
-    return ls1, 2.0 * m + math.log(w.sum())
-
-
-def _cond_logsums(radial: RadialModel, z: np.ndarray, levels, p: float, out: np.ndarray):
-    """log sum over points of the conditional kernel, one level at a time."""
-    return (_log_sum(_log_cond(radial, z, level, p, out)) for level in levels)
+        y = np.divide(1.0, z, out=z)
+    y **= 1.0 / p
+    lo, hi, out = float(y.min()), float(y.max()), ws("u", 2).reshape(2, y.size)
+    sums = []
+    for level in levels:
+        # numpy's power overflows to inf, where a float's raises OverflowError
+        m, w = radial.survival_weights(y, float(np.float64(level) ** (1.0 / p)), lo, hi, out)
+        if not math.isfinite(m):
+            sums.append((m, 2.0 * m) if squares else m)
+            continue
+        ls1 = m + math.log(w.sum())
+        if not squares:
+            sums.append(ls1)
+            continue
+        # squared in place and summed pairwise: a BLAS dot adds in an order
+        # that depends on its thread count
+        w *= w
+        sums.append((ls1, 2.0 * m + math.log(w.sum())))
+    return sums
 
 
 def _terms(spec: AggregateSpec, u: np.ndarray):
@@ -286,8 +292,7 @@ def conditional_mc_tail(spec: AggregateSpec, t, n: int, seed: int,
     seed, levels = _check_seed(seed), _levels(spec, t)
 
     def moments(rng, u, ws):
-        z, x = _z(spec, u), ws("x")
-        return [_log_sum(_log_cond(spec.radial, z, lv, spec.p, x), squares=True) for lv in levels]
+        return _log_moments(spec.radial, _z(spec, u), levels, spec.p, ws, squares=True)
 
     table = _chunk_logsums(_chunked(seed, _chunk_sizes(n), spec.alpha, moments, workers))
     ests = [_estimate_from_log_moments(ls1, ls2, int(n), seed) for ls1, ls2 in table.tolist()]
@@ -336,13 +341,13 @@ def max_sum_ratio(spec: AggregateSpec, t_grid, n: int, seed: int) -> np.ndarray:
 
     def columns(rng, u, ws):
         terms = _terms(spec, u)
-        top, total, x = next(terms), ws("sum"), ws("x")
+        top, total = next(terms), ws("sum")
         total[:] = top
         for term in terms:
             np.maximum(top, term, out=top)
             total += term
-        return list(zip(_cond_logsums(spec.radial, top, levels, spec.p, x),
-                        _cond_logsums(spec.radial, total, levels, spec.p, x)))
+        return list(zip(_log_moments(spec.radial, top, levels, spec.p, ws),
+                        _log_moments(spec.radial, total, levels, spec.p, ws)))
 
     logs = _chunk_logsums(_chunked(seed, _chunk_sizes(n), spec.alpha, columns)) - math.log(n)
     return np.asarray([(t, num, den, math.exp(num - den)) for t, (num, den) in zip(t_grid, logs)])
@@ -416,7 +421,7 @@ def pairwise_asymindep(alpha, weights, p: float, radial: RadialModel, i: int, j:
     bs = [asym_i.invert(-math.log(nl)) for nl in n_grid]
 
     def columns(rng, u, ws):
-        z_i, z_j, up, x = (ws(key) for key in ("z_i", "z_j", "up", "x"))
+        z_i, z_j, up = (ws(key) for key in ("z_i", "z_j", "up"))
         z_i[:] = z_j[:] = 0.0
         for u_r, w_r in zip(u, w):
             np.copyto(up, u_r)
@@ -424,8 +429,8 @@ def pairwise_asymindep(alpha, weights, p: float, radial: RadialModel, i: int, j:
             z_i += w_r[i] * up
             z_j += w_r[j] * up
         z_min = np.minimum(z_j, z_i, out=z_j)
-        return list(zip(_cond_logsums(radial, z_i, bs, p, x),
-                        _cond_logsums(radial, z_min, bs, p, x)))
+        return list(zip(_log_moments(radial, z_i, bs, p, ws),
+                        _log_moments(radial, z_min, bs, p, ws)))
 
     logs = _chunk_logsums(_chunked(seed, _chunk_sizes(n), alpha, columns, workers)) - math.log(n)
     return np.asarray([(int(nl), b, math.exp(joint - single))
@@ -445,21 +450,20 @@ def empirical_gumbel_mda(spec: AggregateSpec, x_grid, depth_grid, n: int,
         raise DomainError("the Gumbel diagnostic needs a Gumbel-class radial law")
     asym = tail_asymptotic(spec)
 
-    jobs = []
+    jobs, levels = [], []
     for depth in depth_grid:
         v = asym.invert(math.log(depth))
         w_raw = spec.radial.power_scaling_wp(spec.p, v / spec.scale) / spec.scale
-        levels = [t / spec.scale for t in [v] + [v + float(x) / w_raw for x in x_grid]]
-        jobs.append((depth, v, levels))
+        levels += [t / spec.scale for t in [v] + [v + float(x) / w_raw for x in x_grid]]
+        jobs.append((depth, v))
 
     def columns(rng, u, ws):
-        z, x = _z(spec, u), ws("x")
-        return [list(_cond_logsums(spec.radial, z, levels, spec.p, x)) for _d, _v, levels in jobs]
+        return _log_moments(spec.radial, _z(spec, u), levels, spec.p, ws)
 
     # the ratios take differences of raw log-sums: both sides share 1/n
     logs = _chunk_logsums(_chunked(seed, _chunk_sizes(n), spec.alpha, columns, workers))
     rows = []
-    for (depth, v, _levels), (log_base, *log_shifts) in zip(jobs, logs):
+    for (depth, v), (log_base, *log_shifts) in zip(jobs, logs.reshape(len(jobs), len(x_grid) + 1)):
         for x, log_shift in zip(x_grid, log_shifts):
             rows.append((depth, v, float(x), math.exp(log_shift - log_base),
                          math.exp(-float(x))))

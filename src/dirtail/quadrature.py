@@ -31,7 +31,7 @@ from scipy.special import expit, roots_jacobi
 
 from .aggtail import AggregateSpec
 from .errors import DomainError, NumericError
-from .montecarlo import CHUNK, Estimate, _levels, _log_cond, _z_sup
+from .montecarlo import CHUNK, Estimate, _levels, _z_sup
 from .radial import RadialModel
 from .specfun import log_gamma
 
@@ -42,6 +42,20 @@ _GRADE = 0.25  # size ratio of neighbouring graded panels
 _TOL = 1e-11  # nested difference, relative to the integral, that stops a kind deepening
 _START, _CAP = 4, 24  # graded levels per half-panel before its end panel: first and most
 _EPS, _H = float(np.finfo(float).eps), 1e-6  # double rounding; relative step of a derivative
+
+
+def _log_cond(radial: RadialModel, z, level: float, p: float, out=None):
+    """The conditional kernel log F_bar((level / z)^{1/p}), one value per point.
+
+    z = 0 maps to an unbounded radius (survival 0); a NaN z reaches
+    log_survival and fails there rather than being read as no exceedance.
+    The radii are formed in one buffer, out when given; a scalar z (the
+    radial-tail paths) gives numpy scalars, which rebind.
+    """
+    with np.errstate(divide="ignore"):
+        x = np.divide(level, z, out=out)
+    x **= 1.0 / p
+    return radial.log_survival(np.minimum(x, 1e300, out=x if x.ndim else None))
 
 
 @functools.cache

@@ -27,9 +27,10 @@ sum would overflow; entries with x < n or past that cap (x = inf among them)
 take the bands.  A scalar whole first beta shape a <= _ERLANG_N_MAX has
 P(B_{a,b} > x) = (1 - x)^b sum_{j<a} (b)_j / j! x^j (DLMF 8.17.5), taken as
 b log1p(-x) + log(sum) wherever that gives q < 1/2.  Other shapes and array
-shapes take the bands.  All kernels are
-vectorized over numpy arrays; float arguments run the same bands without
-the array bookkeeping, and give the same bits.
+shapes take the bands.  erlang_weights gives the Erlang tails of an array
+divided by the largest, e^{x_lo - x} sum(x) / sum(x_lo), without a log.
+All kernels are vectorized over numpy arrays; float arguments run the same
+bands without the array bookkeeping, and give the same bits.
 """
 
 from __future__ import annotations
@@ -67,6 +68,11 @@ _LOG_SUM_MAX = 700.0
 #: the finite sums serve entries whose tail is below 1/2, where log q <= log(1/2)
 #: keeps its digits
 _LOG_HALF = -math.log(2.0)
+#: log of the least weight a log-sum forms: the weights of a chunk are scaled to
+#: a largest of 1, so raising smaller ones to e^-300 moves no bit of the sum,
+#: while numpy's exp takes 10 to 100 times longer on arguments below -708 and
+#: products with subnormal factors are slow too (w^2 >= e^-600 stays normal)
+_LOG_WEIGHT_FLOOR = -300.0
 
 
 @dataclass(frozen=True)
@@ -289,16 +295,22 @@ def _gamma_cf_upper_log(a, x):
     return out
 
 
-def _log_series(coef, x):
-    """log(coef[0] + coef[1] x + ... + coef[-1] x^(len - 1)) for x >= 0 and two
-    or more positive coefficients, by Horner in x in one buffer with one
-    in-place log (math.log for a float).  The terms are positive, so nothing
-    cancels."""
-    t = x * coef[-1]
+def _series(coef, x, out=None):
+    """coef[0] + coef[1] x + ... + coef[-1] x^(len - 1) for two or more
+    coefficients, by Horner in x in one buffer (out when given) or as a float."""
+    t = x * coef[-1] if out is None else np.multiply(x, coef[-1], out=out)
     for c in coef[-2:0:-1]:
         t += c
         t *= x
     t += coef[0]
+    return t
+
+
+def _log_series(coef, x):
+    """log of _series(coef, x) for x >= 0 and positive coefficients, with one
+    in-place log (math.log for a float).  The terms are positive, so nothing
+    cancels."""
+    t = _series(coef, x)
     return np.log(t, out=t) if isinstance(t, np.ndarray) else math.log(t)
 
 
@@ -311,6 +323,31 @@ def _log_erlang_tail(n: int, x):
     t = _log_series(_INV_FACT[:n], x)
     t -= x
     return t
+
+
+def erlang_weights(n: int, x: np.ndarray, x_lo: float, x_hi: float, out: np.ndarray):
+    """(m, w) with w = Q(n, x) / e^m and m = log Q(n, x_lo), for a whole shape
+    n <= _ERLANG_N_MAX and an array x in [n, _ERLANG_X_MAX[n]] with least entry
+    x_lo and greatest x_hi: w = e^{x_lo - x} P(x) / P(x_lo), P(x) the finite
+    sum, so m + log(sum w) is the log-sum of Q(n, x) with no log pass and no
+    maximum.  x is first clipped at x_lo - _LOG_WEIGHT_FLOOR = x_lo + 300,
+    where a weight is at most e^-216 (n <= 40): the clip moves no bit of the
+    sum, and exp and the squares of w stay out of the slow subnormal range.
+    x is overwritten; w is out (x itself for n = 1).
+    """
+    top = x_lo - _LOG_WEIGHT_FLOOR
+    if x_hi > top:
+        np.minimum(x, top, out=x)
+    if n == 1:
+        w = np.subtract(x_lo, x, out=x)
+        return -x_lo, np.exp(w, out=w)
+    coef = _INV_FACT[:n]
+    w = _series(coef, x, out)
+    p_lo = _series(coef, x_lo)
+    w *= 1.0 / p_lo
+    e = np.subtract(x_lo, x, out=x)
+    w *= np.exp(e, out=e)
+    return math.log(p_lo) - x_lo, w
 
 
 def _beta_series(a, b):

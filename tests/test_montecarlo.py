@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import dirtail as dt
-from dirtail import BetaLaw, GammaLaw, WeibullTail
+from dirtail import BetaLaw, GammaLaw, UnitGumbel, WeibullTail
 from dirtail.errors import DomainError, ValidationError
 from dirtail import montecarlo as mc
 from dirtail import quadrature as quad
@@ -113,7 +113,7 @@ def _line_by_line(spec, t):
     def line(b, bc):
         head, tail = b ** p, lam[2] * bc ** p
         def kernel(ib, ibc):
-            return mc._log_cond(spec.radial, head * inner.g(ib, ibc) + tail, tn, p)
+            return quad._log_cond(spec.radial, head * inner.g(ib, ibc) + tail, tn, p)
         return _Line(inner, (level - tail) / head, kernel, depth_in)
 
     def outer_nodes(k, kind, lo, hi):
@@ -226,6 +226,31 @@ class TestChunkBlock:
             assert np.array_equal(z, (np.asarray(spec.lam) * rows ** spec.p).sum(axis=1))
 
 
+class GivenLogs(dt.RadialModel):
+    """A law whose log_survival is a fixed array of log-weights, one per point,
+    whatever the radii: it drives the kernel's sums with chosen values."""
+
+    def __init__(self, logs):
+        self.logs = logs
+
+    upper_endpoint = math.inf
+
+    def log_survival(self, u):
+        return self.logs.copy()
+
+    def quantile_survival(self, s):
+        raise NotImplementedError
+
+    def sample(self, rng, size):
+        raise NotImplementedError
+
+
+def _moments(radial, z, levels, p, squares=False):
+    """mc._log_moments on a copy of z, with buffers of its own."""
+    return mc._log_moments(radial, np.array(z, dtype=float), levels, p,
+                           lambda key, rows=1: np.empty(rows * np.size(z)), squares)
+
+
 class TestLogMoments:
     """The conditional estimator's two log-moments of one chunk's weights."""
 
@@ -234,17 +259,107 @@ class TestLogMoments:
         logs = np.random.default_rng(41).uniform(-spread, 0.0, CHUNK) - 5.0
         logs[::7] = -math.inf
         want = (specfun.logsumexp(logs), specfun.logsumexp(2.0 * logs))
-        assert mc._log_sum(logs.copy(), squares=True) == pytest.approx(want, rel=1e-15)
+        (got,) = _moments(GivenLogs(logs), np.ones(CHUNK), [1.0], 1.0, squares=True)
+        assert got == pytest.approx(want, rel=1e-15)
 
     def test_all_zero_weights(self):
-        assert mc._log_sum(np.full(9, -math.inf), squares=True) == (-math.inf, -math.inf)
+        # z = 0 is an unbounded radius: past BetaLaw's endpoint, every weight is 0
+        assert _moments(BetaLaw(2, 3), np.zeros(9), [1.0], 0.5, squares=True) == \
+            [(-math.inf, -math.inf)]
 
     @pytest.mark.parametrize("spread", [1e-3, 1.0, 140.0])
     def test_log_sum_is_logsumexp_bit_for_bit(self, spread):
         logs = np.random.default_rng(43).uniform(-spread, 0.0, CHUNK) - 5.0
         logs[::7] = -math.inf
         for arr in (logs, np.full(CHUNK, -math.inf)):
-            assert mc._log_sum(arr.copy()) == specfun.logsumexp(arr)
+            assert _moments(GivenLogs(arr), np.ones(CHUNK), [1.0], 1.0) == \
+                [specfun.logsumexp(arr)]
+
+
+class TestKernelEquivalence:
+    """The per-chunk log-moments against the kernel formed one level at a time,
+    log F_bar((level / z)^{1/p}) summed by logsumexp: within 1e-13 in log, on
+    levels below, inside and above GammaLaw's closed-form range."""
+
+    RADIALS = [GammaLaw(3, 1), GammaLaw(2, 0.5), GammaLaw(1, 2), GammaLaw(40, 1.5),
+               GammaLaw(2.5, 2), HalfGamma(3, 1), WeibullTail(2, 1.5), BetaLaw(2, 3),
+               UnitGumbel(2)]
+
+    @staticmethod
+    def _z(p, zeros):
+        u = np.random.default_rng(7).dirichlet([1.0, 0.5, 2.0], 5000).T
+        z = 1.0 * u[0] ** p + 0.7 * u[1] ** p + 0.4 * u[2] ** p
+        if zeros:
+            z[::97] = 0.0
+        return z
+
+    @staticmethod
+    def _levels(radial, z, p):
+        """Levels whose radii c y, y = (1/z)^{1/p}, fall below GammaLaw's
+        closed-form range [n, cap], at its foot, inside it (twice: the least
+        rate c y at 4 n and at 1e20, whose spacing is wider than the weight
+        floor) and above it."""
+        y = (1.0 / z[z > 0]) ** (1.0 / p)
+        n, cap = radial._erlang if isinstance(radial, GammaLaw) and radial._erlang[0] else (3, 1e154)
+        rate = getattr(radial, "rate", 1.0)
+        with np.errstate(over="ignore"):
+            cs = np.array([0.5 * n / (rate * y.min()), n / (rate * y.min()),
+                           4.0 * n / (rate * y.min()), 1e20 / (rate * y.min()),
+                           2.0 * cap / (rate * y.max())])
+            levels = cs ** p
+        return levels[np.isfinite(levels)].tolist()  # a level past DBL_MAX is left out
+
+    @pytest.mark.parametrize("zeros", [False, True], ids=["positive", "zeros"])
+    @pytest.mark.parametrize("p", [0.3, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("radial", RADIALS, ids=lambda r: repr(r))
+    def test_matches_the_per_level_kernel(self, radial, p, zeros):
+        z = self._z(p, zeros)
+        levels = self._levels(radial, z, p)
+        got = _moments(radial, z, levels, p, squares=True)
+        for level, pair in zip(levels, got):
+            with np.errstate(over="ignore"):  # level / z and 2 logs may pass DBL_MAX
+                logs = quad._log_cond(radial, z.copy(), level, p)
+                want = specfun.logsumexp(logs), specfun.logsumexp(2.0 * logs)
+            for g, w in zip(pair, want):
+                assert g == w or abs(g - w) <= 1e-13 * abs(w), (level, g, w)
+        assert [ls for ls, _ in got] == _moments(radial, z, levels, p)
+
+    def test_closed_form_skips_log_survival(self, monkeypatch):
+        # inside the range no level reaches the banded tail; below it they do
+        z = self._z(0.5, False)
+        below, _foot, inside, _far, _above = self._levels(GAMMA21, z, 0.5)
+        want = _moments(GAMMA21, z, [inside], 0.5)
+        calls = []
+        real = specfun.log_regularized_gamma_upper
+        monkeypatch.setattr(specfun, "log_regularized_gamma_upper",
+                            lambda a, x: calls.append(np.size(x)) or real(a, x))
+        assert _moments(GAMMA21, z, [inside], 0.5) == want and calls == []
+        _moments(GAMMA21, z, [below], 0.5)
+        assert calls == [z.size]
+
+    @pytest.mark.parametrize("radial", RADIALS, ids=lambda r: repr(r))
+    def test_nan_is_domain_error(self, radial):
+        z = self._z(1.0, False)
+        z[5] = math.nan
+        for kernel in (lambda: _moments(radial, z, [1.0], 1.0),
+                       lambda: quad._log_cond(radial, z.copy(), 1.0, 1.0)):
+            with pytest.raises(DomainError, match="radius argument must be non-negative"):
+                kernel()
+
+    @pytest.mark.parametrize("radial", [GammaLaw(2, 1), GammaLaw(3, 1), WeibullTail(2, 1)],
+                             ids=lambda r: repr(r))
+    def test_d1_weights_are_exactly_one(self, radial):
+        # at d = 1 every point has the same radius: a chunk's estimate is that of
+        # n equal values of the survival, and its ess is n.  At 11.25 the closed
+        # form's weight P(x) / P(x) rounds away from 1 for shapes 2 and 3.
+        spec, n, ts = dt.validate_spec([1.0], [1.0], 1.0, radial), 1000, [4.0, 9.0, 11.25, 20.0]
+        for t, est in zip(ts, dt.conditional_mc_tail(spec, ts, n, seed=3)):
+            m = float(radial.log_survival(np.full(n, t))[0])
+            assert est == mc._estimate_from_log_moments(m + math.log(n), 2.0 * m + math.log(n),
+                                                        n, 3)
+            assert est.ess == pytest.approx(n, rel=1e-12)
+        m, w = radial.survival_weights(np.ones(9), 11.25, 1.0, 1.0, np.empty((2, 9)))
+        assert m == radial.log_survival(np.full(9, 11.25))[0] and np.all(w == 1.0)
 
 
 class TestBufferReuse:
