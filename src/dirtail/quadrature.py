@@ -8,7 +8,9 @@ geometrically toward the corners, the saddle theta (the p < 1 peak,
 narrower the deeper the tail) and a finite endpoint's support edges (where
 the integrand drops to 0), which keeps the convergence exponential at any
 depth; the end panels are Gauss-Jacobi, whose weights carry the Beta
-density's powers, so alpha < 1 costs nothing.
+density's powers, so alpha < 1 costs nothing.  An edge is sought only on a
+piece of the line its level cuts: Illinois secant steps in the coordinate
+exact there (b, or 1 - b past 1/2) stop at one ulp, on the live side.
 
 Each kind of breakpoint (the corner b = 0, the corner b = 1, inside) is
 graded only as deep as it needs.  Every kind starts _START levels deep and
@@ -16,9 +18,11 @@ deepens by two while the nested difference |I_L - I_{L-2}| of its halves
 exceeds _TOL of the integral, up to _CAP levels; the rule L - 2 deep shares
 every panel but the end one, so the check costs one end panel per half, and
 a deeper half evaluates only its new panels (QUADPACK takes its error
-estimate from nested rules too; Piessens et al. 1983).  The reported error
-is the summed differences plus rounding, which they cannot see.  Depths are
-chosen per threshold, so a threshold grid gives the scalar calls' values.
+estimate from nested rules too; Piessens et al. 1983).  A round costs the
+kernel at its new nodes and an _errors call over the lines it ran (and one
+for d = 3's outer line).  The reported error is the summed differences plus
+rounding, which they cannot see.  Depths are chosen per threshold, so a
+threshold grid gives the scalar calls' values.
 """
 
 from __future__ import annotations
@@ -94,12 +98,12 @@ def _half_groups(hi, full: bool):
     halves per block) for halves graded hi levels deep, a group per hi: their
     half rules whole when full (segments: the levels but the last two, those
     two, the end panel, the check end panel), else the levels hi - 2 and
-    hi - 1 and the end panel.  A block holds at most CHUNK / 4 nodes."""
-    for level in np.unique(hi).tolist():
+    hi - 1 and the end panel.  A block holds at most CHUNK / 2 nodes."""
+    for level in np.flatnonzero(np.bincount(hi)).tolist():
         starts = [0, _POINTS * (level - 2), _POINTS * level, _POINTS * (level + 1)] if full \
             else [0, 2 * _POINTS]
         yield (np.flatnonzero(hi == level), (0 if full else level - 2, level), starts,
-               max(1, CHUNK // (4 * _POINTS * (level + 2 if full else 3))))
+               max(1, CHUNK // (2 * _POINTS * (level + 2 if full else 3))))
 
 
 class _LineRule:
@@ -112,71 +116,79 @@ class _LineRule:
     def __init__(self, a: float, c: float, lam0: float, lam1: float, p: float):
         self.a, self.c, self.lam0, self.lam1, self.p = a, c, lam0, lam1, p
         self.log_norm = log_gamma(a + c) - log_gamma(a) - log_gamma(c)
-        self.tables, self.flat = {}, None
-        # g is monotone between the corners and its interior extremum: the
-        # saddle theta (its maximum) for p < 1, a minimum for p > 1
+        # g is monotone between the corners and its extremum theta (for p < 1 the
+        # saddle, its maximum; else a minimum); past b = 1/2 edges are found in 1 - b
         x = math.log(lam0 / lam1) / (1.0 - p) if p != 1.0 and lam1 > 0 else None
         ext = [] if x is None else [(float(expit(x)), float(expit(-x)))]
-        self.pts = np.array([(0.0, 1.0)] + ext + [(1.0, 0.0)]).T
-        # the slots: the breakpoints (theta only for p < 1) and an edge per piece
-        self.fixed = self.pts if p < 1.0 else self.pts[:, [0, -1]]
-        self.where = np.arange(1, len(ext) + 2) if p < 1.0 else [1] * (len(ext) + 1)
+        self.grid = np.array(sorted([(0.0, 1.0), (0.5, 0.5), (1.0, 0.0)] + ext)).T
+        self.g_grid, self.t = self.g(*self.grid), 1 + (ext[0][0] > 0.5) if ext else 3  # theta's col
+        # the slots, grid columns: the corners, theta for p < 1, each piece's edge (corner if none)
+        self.take, self.slot = ([0, 0, self.t, 3, 3], np.array([1, 3])) if ext and p < 1.0 else \
+            ([0, 0, 3, 3], np.array([1, 2])) if ext else ([0, 0, 2], np.array([1]))
+        self.k = np.arange(2 * len(self.take) - 2)  # the halves
+        self.whole = self._layout(*self.grid[:, None, self.take])  # the rule where no level cuts
 
     def g(self, b, bc):
         return self.lam0 * b ** self.p + self.lam1 * bc ** self.p
 
     def table(self, lo: int, hi: int):
-        """The half rules _graded_half(e, lo, hi) of the three kinds' exponents,
-        a column each."""
-        if (lo, hi) not in self.tables:
-            self.tables[lo, hi] = tuple(np.stack(arrs, axis=1) for arrs in zip(*(
-                _graded_half(e, lo, hi) for e in (self.a - 1.0, self.c - 1.0, 0.0))))
-        return self.tables[lo, hi]
+        """The half rules _graded_half(e, lo, hi) of the kinds' exponents, a column each."""
+        return tuple(np.array(arrs).T for arrs in zip(*(
+            _graded_half(e, lo, hi) for e in (self.a - 1.0, self.c - 1.0, 0.0))))
 
     def panels(self, levels):
-        """The panels of the rule over {g > level}, a row per distinct level (one
-        for all <= 0): their slot points s and 1 - s, half-widths, whether each
-        is live (not empty) and the kind of each half (-1 on an empty panel);
-        and each level's row."""
-        if self.flat is not None and np.max(levels, initial=0.0) <= 0.0:  # no edges
-            return self.flat, np.zeros(np.size(levels), dtype=np.intp)
+        """The panels of the rule over {g > level}, a row per distinct level (one for
+        all if none cuts the line): slot points s and 1 - s, half-widths and each
+        half's kind (-1 on an empty panel); and each level's row."""
+        if (top := np.max(levels, initial=0.0)) <= 0.0 or top < self.g_grid.min():  # g > 0 inside
+            return self.whole, np.zeros(levels.size, dtype=np.intp)
         level, row = np.unique(np.maximum(levels, 0.0), return_inverse=True)
-        lv = level[:, None]  # g > 0 inside (0, 1), so no level <= 0 cuts the line
-        # each piece's support edge, or a corner (bounding an empty panel) if none
-        lo, hi = (np.broadcast_to(x, (2, level.size, x.shape[-1]))
-                  for x in (self.pts[:, None, :-1], self.pts[:, None, 1:]))
-        up = self.g(*lo) > lv
-        cross = (lv > 0) & (up != (self.g(*hi) > lv))
-        # 16 rounds of 15 points each, 64 halvings in all: a round keeps the
-        # last point on lo's side and the first one past it (hi if none is)
-        for _ in range(16 if cross.any() else 0):
-            step = (hi - lo) / 16.0
-            pts = lo + step * np.arange(1.0, 16.0)[:, None, None, None]
-            keep = (self.g(pts[:, 0], pts[:, 1]) > lv) == up
-            j = np.where(keep.all(axis=0), 15, keep.argmin(axis=0))
-            lo, hi = lo + step * j, np.where(j == 15, hi, lo + step * (j + 1))
-        s, sc = (np.insert(np.tile(f, (level.size, 1)), self.where, e, axis=1) for f, e in
-                 zip(self.fixed, np.where(cross, lo, self.pts[:, None, [0, -1][:cross.shape[1]]])))
+        s, sc = self.grid[:, None, self.take].repeat(level.size, axis=1)
+        up = self.g_grid > level[:, None]
+        r, j = np.nonzero((up[:, :-1] != up[:, 1:]) & (level[:, None] > 0))
+        slot = self.slot[(j >= self.t).astype(int)]  # the piece's
+        s[r, slot], sc[r, slot] = self._edges(j, level[r], up[r, j])
+        return self._layout(s, sc, level[:, None]), row
+
+    def _layout(self, s, sc, level=None):
+        """The panels between slots s (1 - s: sc), a row each, over {g > level} (or g > 0)."""
         half = 0.5 * np.where(s[:, :-1] < 0.5, s[:, 1:] - s[:, :-1], sc[:, :-1] - sc[:, 1:])
-        mid = 0.5 * (s[:, :-1] + s[:, 1:]), 0.5 * (sc[:, :-1] + sc[:, 1:])
-        live = (half > 0) & (self.g(*mid) > lv)
-        k = np.arange(2 * half.shape[1])
-        e = (k + 1) // 2  # the slot of half k's breakpoint
-        kind = np.where(s[:, e] == 0, 0, np.where(sc[:, e] == 0, 1, 2))
-        kind[~live[:, k // 2]] = -1
-        panels = s, sc, half, live, kind
-        if level.tolist() == [0.0]:  # the row of every level <= 0, kept for the next call
-            self.flat = panels
-        return panels, row
+        live = half > 0
+        if level is not None:
+            live &= self.g(0.5 * (s[:, :-1] + s[:, 1:]), 0.5 * (sc[:, :-1] + sc[:, 1:])) > level
+        e = (self.k + 1) // 2  # the slot of half k's breakpoint
+        kind = np.where(live[:, self.k // 2], 2 - 2 * (s[:, e] == 0) - (sc[:, e] == 0), -1)
+        return s, sc, half, kind
+
+    def _edges(self, j, level, first_live):
+        """(b, 1 - b) at the live side's last double of g = level in grid pieces j (first end
+        live where first_live): Illinois secants in x = b or 1 - b, taking g - level as
+        (lb - level) + lb ((1-x)^p - 1) + la x^p, whose rounding shrinks with x."""
+        flip = self.grid[0, j + 1] > 0.5
+        x, h = self.grid[flip * 1, [j, j + 1]], self.g_grid[[j, j + 1]] - level
+        (a, b), (ha, hb) = (np.where(first_live, v, v[::-1]) for v in (x, h))
+        la, lb = np.where(flip, self.lam1, self.lam0), np.where(flip, self.lam0, self.lam1)
+        last, room = np.zeros(a.shape, dtype=bool), np.ones(a.shape)  # live end moved last; ulps
+        while (np.nextafter(a, b) != b).any():  # an edge done stays so: its ends' signs repeat
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            d, x = np.minimum(room * np.spacing(hi), 0.5 * (hi - lo)), b - hb * (b - a) / (hb - ha)
+            y = np.fmin(np.fmax(x, lo + d), hi - d)  # ha > 0 >= hb, and fmax drops a NaN
+            room = np.where(y == x, 1.0, 2.0 * room)  # twice as far inside each time running
+            hy = (lb - level) + lb * np.expm1(self.p * np.log1p(-y)) + la * y ** self.p
+            up = hy > 0
+            ha, hb = np.where(up | last, ha, 0.5 * ha), np.where(up & last, 0.5 * hb, hb)
+            a, ha = np.where(up, y, a), np.where(up, hy, ha)
+            b, hb, last = np.where(up, b, y), np.where(up, hb, hy), up
+        return np.where(flip, 1.0 - a, a), np.where(flip, a, 1.0 - a)
 
     def nodes(self, panels, r, k, d, lw):
         """Points b, 1 - b and log-weights of the half rules (d, lw), a column
         for each half k of row r of panels and a row per node."""
         s, sc, half = panels[:3]
-        j, e = k // 2, (k + 1) // 2
-        step = d * ((1.0 - 2.0 * (k % 2)) * half[r, j])
+        h, e = half[r, k // 2], (k + 1) // 2
+        step = d * np.where(k % 2, -h, h)  # from the breakpoint into the panel
         b, bc = s[r, e] + step, sc[r, e] - step
-        lw = lw + (np.log(half[r, j]) + self.log_norm)
+        lw = lw + (np.log(h) + self.log_norm)
         for power, x in ((self.a - 1.0, b), (self.c - 1.0, bc)):
             if power:
                 lw += power * np.log(x)
@@ -185,7 +197,7 @@ class _LineRule:
 
 def _segment_logsums(f: np.ndarray, starts) -> np.ndarray:
     """Column by column, the log-sums of exp(f) over the segments of rows that
-    begin at starts, each summed row after row; f is overwritten."""
+    begin at starts, in one order whatever the columns; f is overwritten."""
     m = f.max(axis=0)
     zero = ~np.isfinite(m)
     m[zero] = 0.0
@@ -204,56 +216,60 @@ def _errors(sums: np.ndarray, kind: np.ndarray):
     it, summed by kind (3, lines).  sums (4, halves, lines) holds each half's
     log-sums over its levels but the last two, the last two, its end panel and
     its check end panel; kind (halves, lines) is each half's kind.  The sums
-    over halves take one order whatever the number of lines (cumsum)."""
+    over halves take one order whatever the number of lines (accumulate)."""
     top = sums[:3].max(axis=(0, 1))
     live = np.isfinite(top)  # a line of -inf is 0, with no error
     w = np.exp(np.maximum(sums - np.where(live, top, 0.0), -700.0))
-    total = np.cumsum(w[:3].reshape(3 * len(kind), top.size), axis=0)[-1]
+    total = np.add.accumulate(w[:3].reshape(3 * len(kind), top.size))[-1]
     value = np.where(live, np.log(total) + top, -math.inf)
     diff = np.abs(w[1] + w[2] - w[3])
     diff *= live / total
-    return value, np.cumsum(np.where(kind == np.arange(3)[:, None, None], diff, 0.0), axis=1)[:, -1]
+    by_kind = np.where(kind[:, None] == np.arange(3)[:, None], diff[:, None], 0.0)
+    return value, np.add.accumulate(by_kind)[-1]
 
 
 class _Lines:
-    """The kernel integrated along lines Z = head * g + tail of one rule, each
-    kind of breakpoint graded to its own depth on each line.  Each half keeps
-    the four log-sums of _errors, so it deepens by two levels from the kernel
-    at its new nodes alone.  Every array of rows ends in an axis of lines."""
+    """The kernel integrated along lines Z = head * g + tail of one rule, each kind of
+    breakpoint graded to its own depth on each line; each half keeps the four log-sums of
+    _errors, so it deepens two levels by its new nodes alone.  Rows end in an axis of lines."""
 
-    def __init__(self, rule: _LineRule, radial: RadialModel, p: float):
-        self.rule, self.radial, self.p = rule, radial, p
-        self.panels = self.rows = None
+    def __init__(self, rule: _LineRule, radial: RadialModel):
+        self.rule, self.radial = rule, radial
+        self.panels, self.rows = rule.whole, {}  # panels row 0: the rule where no level cuts
+        self.fresh, self.shared = 0, (None,)  # first line errors() owes; last block's nodes
 
-    def add(self, levels, tn, head, tail, depth):
-        """Lines at levels (of g) for normalized thresholds tn, graded depth
-        (3, lines) levels deep, kind by kind."""
+    def add(self, levels, tn, head, tail, depth, **more):
+        """Lines at levels (of g) for normalized thresholds tn (each or all), graded
+        depth (3,) levels deep, kind by kind, with more arrays of rows."""
         panels, row = self.rule.panels(levels)
-        offset = 0 if self.panels is None else len(self.panels[0])
-        self.panels = panels if self.panels is None else tuple(
-            np.concatenate(pair) for pair in zip(self.panels, panels))
         kind = panels[-1][row].T
-        new = dict(row=row + offset, kind=kind, tn=tn, head=head, tail=tail, depth=depth,
-                   sums=np.full((4,) + kind.shape, -math.inf), n=np.zeros(row.size, dtype=np.int64),
-                   value=np.empty(row.size), err=np.empty((3, row.size)))
-        start = 0 if self.rows is None else self.rows["row"].size
-        self.rows = new if self.rows is None else {
-            key: np.concatenate([self.rows[key], arr], axis=-1) for key, arr in new.items()}
-        k, r = np.nonzero(kind >= 0)
+        if panels is not self.rule.whole:
+            row = row + len(self.panels[0])
+            self.panels = tuple(np.concatenate(pair) for pair in zip(self.panels, panels))
+        new = dict(row=row, kind=kind, tn=np.full(row.size, tn), head=head, tail=tail,
+                   depth=np.repeat(depth[:, None], row.size, axis=1), value=np.empty(row.size),
+                   sums=np.full((4,) + kind.shape, -math.inf), n=np.zeros(row.size, dtype=int),
+                   err=np.empty((3, row.size)), **more)
+        start = self.rows["row"].size if self.rows else 0
+        self.rows = {key: np.concatenate([self.rows[key], arr], axis=-1) if self.rows else arr
+                     for key, arr in new.items()}
+        r, k = np.nonzero(kind.T >= 0)  # line by line, so blocks share their (row, half) pairs
         self._run(k, r + start, full=True)
-        self._update(slice(start, None))
 
     def deepen(self, grow):
         """Grade two levels deeper the kinds marked in grow (3, lines)."""
         kind = self.rows["kind"]
-        k, r = np.nonzero(np.take_along_axis(grow, np.maximum(kind, 0), axis=0) & (kind >= 0))
+        r, k = np.nonzero((np.take_along_axis(grow, np.maximum(kind, 0), axis=0) & (kind >= 0)).T)
         self._run(k, r, full=False)
         self.rows["depth"] += 2 * grow
-        self._update(np.flatnonzero(grow.any(axis=0)))
+        self.fresh = 0
 
-    def _update(self, lines):
-        x = self.rows
-        x["value"][lines], x["err"][:, lines] = _errors(x["sums"][..., lines], x["kind"][:, lines])
+    def errors(self):
+        """Each line's log integral and errors by kind, afresh for lines run since last called."""
+        x, new = self.rows, slice(self.fresh, None)
+        x["value"][new], x["err"][:, new] = _errors(x["sums"][..., new], x["kind"][:, new])
+        self.fresh = x["value"].size
+        return x["value"], x["err"]
 
     def _run(self, k, r, full: bool):
         """Evaluate half k of line r: whole, or its next two levels."""
@@ -261,116 +277,102 @@ class _Lines:
         kind = x["kind"][k, r]
         hi = x["depth"][kind, r] + (0 if full else 2)
         for idx, lohi, starts, per_block in _half_groups(hi, full):
-            d, lw = self.rule.table(*lohi)
-            # lines on one row of panels share their nodes: with few distinct
-            # (row, half) pairs, their nodes are made once and gathered
-            key = x["row"][r[idx]] * nk + k[idx]
-            mark = np.zeros(self.panels[-1].size, dtype=bool)
-            mark[key] = True
-            shared = np.count_nonzero(mark) <= per_block
-            if shared:
-                pr, pk = np.divmod(np.flatnonzero(mark), nk)
-                hk = self.panels[-1][pr, pk]
-                b, bc, lw_at = self.rule.nodes(self.panels, pr, pk, d[:, hk], lw[:, hk])
-                g_at, at = self.rule.g(b, bc), np.cumsum(mark)[key] - 1
-            for i in range(0, idx.size, per_block):
-                sel = idx[i:i + per_block]
-                ks, rs = k[sel], r[sel]
-                # a row per node and a column per half, so each line's numbers
-                # broadcast along rows, the contiguous way
-                if shared:
-                    z = g_at[:, at[i:i + per_block]]
-                else:
-                    b, bc, lw_at = self.rule.nodes(self.panels, x["row"][rs], ks, d[:, kind[sel]],
-                                                   lw[:, kind[sel]])
-                    z = self.rule.g(b, bc)
-                z *= x["head"][rs]
-                z += x["tail"][rs]
+            ks, rs = k[idx], r[idx]
+            tn, head, tail = (x[name][rs] for name in ("tn", "head", "tail"))
+            x["n"] += (starts[-1] + _POINTS) * np.bincount(rs, minlength=x["n"].size)
+            key = x["row"][rs] * nk + ks
+            for i in range(0, ks.size, per_block):
+                sel = slice(i, i + per_block)
+                # lines on one row of panels share the nodes of its halves, kept for the next block
+                seen = np.bincount(key[sel]) > 0
+                pairs, at = np.flatnonzero(seen), seen.cumsum()[key[sel]] - 1
+                if self.shared[0] != (lohi, pairs.tobytes()):
+                    (d, lw), (pr, pk) = self.rule.table(*lohi), np.divmod(pairs, nk)
+                    hk = self.panels[-1][pr, pk]
+                    b, bc, lw_at = self.rule.nodes(self.panels, pr, pk, d[:, hk], lw[:, hk])
+                    self.shared = (lohi, pairs.tobytes()), self.rule.g(b, bc), lw_at
+                # a row per node and a column per half: each line's numbers broadcast along rows
+                z = self.shared[1][:, at]
+                z *= head[sel]
+                z += tail[sel]
                 # z holds the radii, then f the kernel; dropping each when done
                 # keeps at most two block-sized arrays alive
-                f = _log_cond(self.radial, z, x["tn"][rs], self.p, out=z)
+                f = _log_cond(self.radial, z, tn[sel], self.rule.p, out=z)
                 del z
-                f += lw_at[:, at[i:i + per_block]] if shared else lw_at
+                f += self.shared[2][:, at]
                 sums = _segment_logsums(f, starts)
                 del f
-                x["n"] += len(d) * np.bincount(rs, minlength=x["n"].size)
                 if not full:
-                    old = x["sums"][:, ks, rs]
+                    old = x["sums"][:, ks[sel], rs[sel]]
                     sums = [np.logaddexp(old[0], old[1]), sums[0], sums[1], old[2]]
-                x["sums"][:, ks, rs] = sums
+                x["sums"][:, ks[sel], rs[sel]] = sums
 
 
 def _d2_integrals(spec: AggregateSpec, levels: np.ndarray, tns: np.ndarray):
     """(log integral, error, evaluations) on the one line of d = 2, a line per
     level; each line deepens its own kinds, so none depends on the others."""
-    if not levels.size:
-        return []
-    lines = _Lines(_LineRule(*spec.alpha, *spec.lam, spec.p), spec.radial, spec.p)
-    lines.add(levels, tns, np.ones(levels.size), np.zeros(levels.size),
-              np.full((3, levels.size), _START))
+    lines = _Lines(_LineRule(*spec.alpha, *spec.lam, spec.p), spec.radial)
+    lines.add(levels, tns, np.ones(levels.size), np.zeros(levels.size), np.full(3, _START))
     while True:
-        value, err = lines.rows["value"], lines.rows["err"]
+        value, err = lines.errors()
         grow = (err > _TOL) & (lines.rows["depth"] < _CAP)
-        if not grow.any():
-            err = err[0] + err[1] + err[2]
-            return zip(value.tolist(), err.tolist(), lines.rows["n"].tolist())
+        if not grow.any():  # the kinds' errors summed in order, sum() starting from +0
+            return zip(value.tolist(), sum(err).tolist(), lines.rows["n"].tolist())
         lines.deepen(grow)
 
 
 def _d3_integral(spec: AggregateSpec, level: float, tn: float):
-    """(log integral, error, evaluations) for d = 3: the inner line at each node
-    of the outer one, the inner lines sharing their depths.  An outer node's
-    integrand is its inner line's integral, so each round takes the outer
-    log-sums afresh from its nodes."""
+    """(log integral, error, evaluations) for d = 3: the inner line at each node of the
+    outer one, the inner lines sharing their depths.  An outer node's integrand is its
+    inner line's integral, so each round takes the outer log-sums afresh from its nodes."""
     p, lam, a = spec.p, spec.lam, spec.alpha
     outer = _LineRule(a[0] + a[1], a[2], _z_sup(np.asarray(lam[:2]), p), lam[2], p)
     panels, _ = outer.panels(np.array([level]))
     kind = panels[-1][0]
-    lines = _Lines(_LineRule(a[0], a[1], lam[0], lam[1], p), spec.radial, p)
+    lines = _Lines(_LineRule(a[0], a[1], lam[0], lam[1], p), spec.radial)
     depth_out, depth_in = np.full(3, _START), np.full(3, _START)
-    # the outer nodes, a line each: log-weight, half and slot (which of the
-    # four log-sums; 4 once a deeper rule no longer needs it)
-    nodes = dict(lw=np.empty(0), k=np.empty(0, dtype=int), slot=np.empty(0, dtype=int))
 
     def add_nodes(ks, full: bool):
+        """The outer nodes of halves ks, whole or their next two levels, in their inner
+        lines' rows: log-weight lw, half k, slot (which of the four log-sums; 4 if none)."""
         hi = depth_out[kind[ks]] + (0 if full else 2)
+        parts = []
         for sel, lohi, starts, _ in _half_groups(hi, full):  # a few thousand nodes
             d, lw = outer.table(*lohi)
             hk = kind[ks[sel]]
-            b, bc, lw = outer.nodes(panels, 0 * sel, ks[sel], d[:, hk], lw[:, hk])
-            slots = np.repeat([0, 1, 2, 3] if full else [1, 2], np.diff(starts + [len(lw)]))
-            for key, new in (("lw", lw.ravel()), ("k", np.tile(ks[sel], len(lw))),
-                             ("slot", np.repeat(slots, len(sel)))):
-                nodes[key] = np.concatenate([nodes[key], new])
-            head, tail = b.ravel() ** p, lam[2] * bc.ravel() ** p
-            lines.add((level - tail) / head, np.full(head.size, tn), head, tail,
-                      np.repeat(depth_in[:, None], head.size, axis=1))
+            b, bc, lw = outer.nodes(panels, 0, ks[sel], d[:, hk], lw[:, hk])
+            slot = np.repeat([0, 1, 2, 3] if full else [1, 2], np.diff(starts + [len(lw)]))
+            parts.append((lw, np.tile(ks[sel], (len(lw), 1)), np.repeat(slot[:, None], len(hk), 1),
+                          b ** p, lam[2] * bc ** p))
+        lw, k, slot, head, tail = (np.concatenate(arrs, axis=None) for arrs in zip(*parts))
+        lines.add((level - tail) / head, tn, head, tail, depth_in, lw=lw, k=k, slot=slot)
 
     add_nodes(np.flatnonzero(kind >= 0), full=True)
     while True:
-        v = nodes["lw"] + lines.rows["value"]
+        inner, err = lines.errors()
+        x = lines.rows
+        v = x["lw"] + inner
         # the outer log-sums of each half, from the nodes' values shifted by their largest
         top = v.max() if np.isfinite(v.max()) else 0.0
         with np.errstate(divide="ignore"):
-            sums = np.log(np.bincount(nodes["slot"] * kind.size + nodes["k"], np.exp(v - top),
+            sums = np.log(np.bincount(x["slot"] * kind.size + x["k"], np.exp(v - top),
                                       minlength=5 * kind.size)[:4 * kind.size]) + top
         (value,), err_out = _errors(sums.reshape(4, kind.size, 1), kind[:, None])
         if value == -math.inf:  # the rule missed the support; quadrature_tail says so
-            return value, 0.0, int(lines.rows["n"].sum())
+            return value, 0.0, int(x["n"].sum())
         # an inner line's errors count by its share of the integral
-        share = np.where(nodes["slot"] < 3, np.exp(v - value), 0.0)
-        err_in, err_out = (share * lines.rows["err"]).sum(axis=1), err_out[:, 0]
+        share = np.where(x["slot"] < 3, np.exp(v - value), 0.0)
+        err_in, err_out = (share * err).sum(axis=1), err_out[:, 0]
         grow_in, grow_out = ((err > _TOL) & (depth < _CAP) for err, depth in
                              ((err_in, depth_in), (err_out, depth_out)))
         if not (grow_in.any() or grow_out.any()):
-            return float(value), float(err_out.sum() + err_in.sum()), int(lines.rows["n"].sum())
+            return float(value), float(err_out.sum() + err_in.sum()), int(x["n"].sum())
         if grow_in.any():
-            lines.deepen(np.outer(grow_in, nodes["slot"] < 4))
+            lines.deepen(np.outer(grow_in, x["slot"] < 4))
             depth_in += 2 * grow_in
         if grow_out.any():
             deeper = grow_out[np.maximum(kind, 0)] & (kind >= 0)
-            nodes["slot"] = np.where(deeper[nodes["k"]], np.array([0, 0, 3, 4, 4])[nodes["slot"]],
-                                     nodes["slot"])
+            x["slot"] = np.where(deeper[x["k"]], np.array([0, 0, 3, 4, 4])[x["slot"]], x["slot"])
             add_nodes(np.flatnonzero(deeper), full=False)
             depth_out += 2 * grow_out
 
@@ -388,10 +390,8 @@ def quadrature_tail(spec: AggregateSpec, t) -> Estimate | list[Estimate]:
     # Z <= level puts the radius past a finite endpoint (level 0 for none)
     levels = tns / radial.upper_endpoint ** p
     on_line = (levels < z_sup) & (spec.d > 1)
-    if spec.d == 2:
-        inside = iter(_d2_integrals(spec, levels[on_line], tns[on_line]))
-    else:
-        inside = (_d3_integral(spec, lv, tn) for lv, tn in zip(levels[on_line], tns[on_line]))
+    inside = iter(_d2_integrals(spec, levels[on_line], tns[on_line])) if spec.d == 2 else \
+        (_d3_integral(spec, lv, tn) for lv, tn in zip(levels[on_line], tns[on_line]))
     # rounding, which the nested differences cannot see: the radii carry
     # relative errors of order eps, which move the kernel by
     # eps |d log F_bar / d log x|, taken at the smallest radius, where the

@@ -627,6 +627,49 @@ class TestQuadratureOracle:
             tracemalloc.stop()
         assert peak < 8 * CHUNK * 8  # eight chunk-sized float arrays
 
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.5])
+    def test_support_edges_against_mpmath(self, p):
+        # with a beta radius a level cuts the line where g(b) = level; each edge
+        # must lie within an ulp of the mpmath root in the coordinate exact
+        # there (b, or 1 - b past 1/2), widened by twice the rounding of g -
+        # level's terms, eps / 2 * S / |g'| (S the sum of their sizes), which no
+        # double evaluation of g beats; and on the live side, or past the root
+        # by no more than that rounding
+        mp = pytest.importorskip("mpmath")
+        spec = dt.validate_spec([1, 2], [1, 0.5], p, BetaLaw(2, 3))
+        (lam0, lam1), rule = spec.lam, quad._LineRule(*spec.alpha, *spec.lam, p)
+        lo, hi = rule.g_grid.min(), rule.g_grid.max()
+        levels = lo + (hi - lo) * np.array([1e-12, 1e-6, 1e-3, 0.1, 0.5, 0.9, 1 - 1e-3, 1 - 1e-6])
+        (s, sc, _, _), rows = rule.panels(levels)
+        edges = 0
+        with mp.workdps(40):
+            for level, row in zip(levels.tolist(), rows):
+                for b, bc in zip(s[row, rule.slot], sc[row, rule.slot]):
+                    if b in (0.0, 1.0):  # no edge on this piece
+                        continue
+                    x, la, lb = (b, lam0, lam1) if b < 0.5 else (bc, lam1, lam0)
+                    h = lambda t: la * mp.mpf(t) ** p + lb * (1 - mp.mpf(t)) ** p - level
+                    width = mp.mpf(math.ulp(x))
+                    while (h(max(x - width, 0)) > 0) == (h(min(x + width, 1)) > 0):
+                        width *= 2
+                    left, right = max(x - width, 0), min(x + width, 1)
+                    for _ in range(130):  # bisection to far below an ulp
+                        mid = (left + right) / 2
+                        left, right = (mid, right) if (h(mid) > 0) == (h(left) > 0) else (left, mid)
+                    root = left
+                    terms = abs(lb - level) + abs(lb * ((1 - root) ** p - 1)) + abs(la * root ** p)
+                    slope = p * (la * root ** (p - 1) - lb * (1 - root) ** (p - 1))
+                    rounding = 2.0 ** -53 * terms / abs(slope)
+                    assert abs(x - root) <= math.ulp(x) + 2 * rounding
+                    assert h(x) > 0 or abs(x - root) <= rounding
+                    # and it is the search's last live point: a double next to it
+                    # is dead, g - level taken as the search takes it
+                    near = np.array([x, math.nextafter(x, 0.0), math.nextafter(x, 1.0)])
+                    g_less = (lb - level) + lb * np.expm1(p * np.log1p(-near)) + la * near ** p
+                    assert g_less[0] > 0 and min(g_less[1:]) <= 0
+                    edges += 1
+        assert edges >= len(levels)  # every level cuts the line
+
     def test_half_rules_are_cached_read_only(self):
         d, lw = quad._graded_half(0.5, 0, 6)
         assert quad._graded_half(0.5, 0, 6)[0] is d
@@ -674,13 +717,21 @@ class TestQuadratureError:
         est = dt.quadrature_tail(spec, 0.9999370034198778)
         assert abs(est.log_p_hat - -47.89211545592941) <= est.stderr / est.p_hat < 1e-10
 
-    @pytest.mark.parametrize("alpha, lam, p, most", [
-        ([1, 1, 1], [1, 1, 1], 0.5, 0.4 * 389376),  # Q4; 389 376 took the 12-level rule
-        ([2, 1, 0.5], [1, 0.8, 0.6], 0.4, 389376),  # Q5, whose corner b = 1 goes 12 deep
+    @pytest.mark.parametrize("alpha, lam, p, depths, want", [
+        ([1, 1, 1], [1, 1, 1], 0.5, [1e-8], [115776]),  # Q4; 389 376 took the 12-level rule
+        ([2, 1, 0.5], [1, 0.8, 0.6], 0.4, [1e-8], [124416]),  # Q5, whose corner b = 1 goes 12 deep
+        ([1, 1, 1], [1, 0.7, 0.4], 2.0, [1e-12], [20736]),  # Q6
+        ([1, 1, 1], [1, 0.7, 0.4], 1.0, [1e-8], [20736]),  # Q7
+        ([1, 1], [1, 0.5], 0.5, [1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14],
+         [396, 360, 360, 360, 360, 324]),  # Q3's grid
     ])
-    def test_evaluations(self, alpha, lam, p, most):
+    def test_evaluations(self, alpha, lam, p, depths, want):
+        # the benchmark's quadrature ops at its thresholds (the ratio command's:
+        # the radius quantile at each depth, mapped to a threshold)
         spec = dt.validate_spec(alpha, lam, p, GammaLaw(3, 1))
-        assert dt.quadrature_tail(spec, dt.tail_asymptotic(spec).invert(math.log(1e-8))).n <= most
+        asym = dt.tail_asymptotic(spec)
+        ts = [asym.base_to_threshold(spec.radial.quantile_survival(d)) for d in depths]
+        assert [est.n for est in dt.quadrature_tail(spec, ts)] == want
 
 
 class TestQuadratureGrid:
