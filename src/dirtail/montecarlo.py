@@ -21,6 +21,9 @@ rows.  The conditional reducers form y = Z^{-1/p} once per chunk; each level
 t_norm then asks the radial law for the weights F_bar(t_norm^{1/p} y) / e^m
 (RadialModel.survival_weights: a whole-shape GammaLaw's closed form, else
 log_survival shifted by its maximum) and sums them and their squares.
+The conditional estimate's mean combines the chunks' log-sums; its variance
+combines their linear sums against the largest shift, so that equal weights
+give a variance of exactly 0.
 conditional_mc_tail, crude_mc_tail, empirical_gumbel_mda and
 pairwise_asymindep take a worker count; it changes scheduling, never a result.
 """
@@ -37,7 +40,7 @@ import numpy as np
 from .aggtail import AggregateSpec, lambda_tilde, tail_asymptotic, validate_spec
 from .errors import DomainError, NumericError, ValidationError
 from .radial import RadialModel
-from .specfun import log1mexp, logsumexp
+from .specfun import logsumexp
 
 __all__ = [
     "CHUNK",
@@ -179,7 +182,8 @@ def _chunk_logsums(parts) -> np.ndarray:
 def _log_moments(radial: RadialModel, z: np.ndarray, levels, p: float, ws,
                  squares: bool = False) -> list:
     """log sum over points of the conditional kernel F_bar((level / z)^{1/p}) at
-    each level, or with squares (log sum w, log sum w^2) pairs.
+    each level, or with squares (m, sum w, sum w^2) for the weights w below
+    (sums of 0 where m is -inf).
 
     y = (1/z)^{1/p} is formed once, over z (which is overwritten), with its
     least and greatest entries; z = 0 is an unbounded radius y = inf.  Each
@@ -200,16 +204,16 @@ def _log_moments(radial: RadialModel, z: np.ndarray, levels, p: float, ws,
         # numpy's power overflows to inf, where a float's raises OverflowError
         m, w = radial.survival_weights(y, float(np.float64(level) ** (1.0 / p)), lo, hi, out)
         if not math.isfinite(m):
-            sums.append((m, 2.0 * m) if squares else m)
+            sums.append((m, 0.0, 0.0) if squares else m)
             continue
-        ls1 = m + math.log(w.sum())
+        s1 = float(w.sum())
         if not squares:
-            sums.append(ls1)
+            sums.append(m + math.log(s1))
             continue
         # squared in place and summed pairwise: a BLAS dot adds in an order
         # that depends on its thread count
         w *= w
-        sums.append((ls1, 2.0 * m + math.log(w.sum())))
+        sums.append((m, s1, float(w.sum())))
     return sums
 
 
@@ -266,18 +270,27 @@ def sample_dirichlet(spec: AggregateSpec, n: int, seed: int, return_radius: bool
 # estimators
 # ----------------------------------------------------------------------
 
-def _estimate_from_log_moments(ls1: float, ls2: float, n: int, seed: int) -> Estimate:
-    log_mean, log_m2 = ls1 - math.log(n), ls2 - math.log(n)
-    # log(m2 - mean^2) = log m2 + log1mexp(gap); an all-zero sample takes gap 0,
-    # which gives it variance 0 where 2 log_mean - log_m2 would be -inf + inf
-    gap = min(2.0 * log_mean - log_m2, 0.0) if log_mean > -math.inf else 0.0
-    log_se = 0.5 * (log_m2 + log1mexp(gap) - math.log(n))
-    if log_mean > -math.inf:
-        rel_err, ess = math.exp(log_se - log_mean), math.exp(2.0 * ls1 - ls2)
-    else:
-        rel_err, ess = math.inf, 0.0
+def _estimate_from_moments(ls1: float, chunks, n: int, seed: int) -> Estimate:
+    """The estimate from the log-sum ls1 of the weights over the chunks and
+    each chunk's (m, sum w, sum w^2) of _log_moments.  The chunks' sums combine
+    against the largest shift, so equal weights give (sum w)^2 = n sum w^2
+    exactly: stderr 0 and ess n."""
+    log_mean = ls1 - math.log(n)
+    if not log_mean > -math.inf:  # an all-zero sample
+        return Estimate(p_hat=0.0, log_p_hat=log_mean, stderr=0.0, n=n, seed=seed,
+                        method="conditional", rel_err=math.inf, ess=0.0)
+    top, s1, s2 = max(m for m, _, _ in chunks), 0.0, 0.0
+    for m, c1, c2 in chunks:  # in chunk order
+        scale = math.exp(m - top)
+        s1 += c1 * scale
+        s2 += c2 * scale * scale
+    # the variance m2 - mean^2 is e^(2 top) s2 / n times 1 - s1^2 / (n s2)
+    frac = 1.0 - s1 * s1 / (n * s2)
+    log_se = 0.5 * (2.0 * top + math.log(s2 * frac) - 2.0 * math.log(n)) if frac > 0 \
+        else -math.inf
     return Estimate(p_hat=math.exp(log_mean), log_p_hat=log_mean, stderr=math.exp(log_se),
-                    n=n, seed=seed, method="conditional", rel_err=rel_err, ess=ess)
+                    n=n, seed=seed, method="conditional", rel_err=math.exp(log_se - log_mean),
+                    ess=s1 * s1 / s2)
 
 
 def conditional_mc_tail(spec: AggregateSpec, t, n: int, seed: int,
@@ -294,8 +307,11 @@ def conditional_mc_tail(spec: AggregateSpec, t, n: int, seed: int,
     def moments(rng, u, ws):
         return _log_moments(spec.radial, _z(spec, u), levels, spec.p, ws, squares=True)
 
-    table = _chunk_logsums(_chunked(seed, _chunk_sizes(n), spec.alpha, moments, workers))
-    ests = [_estimate_from_log_moments(ls1, ls2, int(n), seed) for ls1, ls2 in table.tolist()]
+    parts = _chunked(seed, _chunk_sizes(n), spec.alpha, moments, workers)
+    # the log-sums as max_sum_ratio takes them, so both give the same mean
+    ls1 = _chunk_logsums([[m + math.log(s1) if s1 else m for m, s1, _ in part] for part in parts])
+    ests = [_estimate_from_moments(ls, chunks, int(n), seed)
+            for ls, chunks in zip(ls1.tolist(), zip(*parts))]
     return ests if np.ndim(t) else ests[0]
 
 

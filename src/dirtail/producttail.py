@@ -33,8 +33,9 @@ class SaddleGeometry:
 
     theta is the interior maximizer, theta_tilde = h(theta) the attained
     maximum, and curvature = |h''(theta)|, the Laplace curvature (h'' < 0
-    for p in (0, 1)).  theta, theta_complement = 1 - theta and curvature are
-    the exponentials of the stored logs: 0, 1 or inf past the double range.
+    for p in (0, 1)).  theta and curvature are the exponentials of the stored
+    logs (log_theta_complement is log(1 - theta)): 0, 1 or inf past the double
+    range.
     """
 
     c: float
@@ -48,10 +49,6 @@ class SaddleGeometry:
     @property
     def theta(self) -> float:
         return math.exp(self.log_theta)
-
-    @property
-    def theta_complement(self) -> float:
-        return math.exp(self.log_theta_complement)
 
     @property
     def curvature(self) -> float:

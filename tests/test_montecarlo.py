@@ -251,6 +251,12 @@ def _moments(radial, z, levels, p, squares=False):
                            lambda key, rows=1: np.empty(rows * np.size(z)), squares)
 
 
+def _log_pairs(moments):
+    """(log sum w, log sum w^2) from _log_moments' (m, sum w, sum w^2) triples."""
+    return [(m + math.log(s1), 2.0 * m + math.log(s2)) if s1 else (m, 2.0 * m)
+            for m, s1, s2 in moments]
+
+
 class TestLogMoments:
     """The conditional estimator's two log-moments of one chunk's weights."""
 
@@ -259,13 +265,13 @@ class TestLogMoments:
         logs = np.random.default_rng(41).uniform(-spread, 0.0, CHUNK) - 5.0
         logs[::7] = -math.inf
         want = (specfun.logsumexp(logs), specfun.logsumexp(2.0 * logs))
-        (got,) = _moments(GivenLogs(logs), np.ones(CHUNK), [1.0], 1.0, squares=True)
+        (got,) = _log_pairs(_moments(GivenLogs(logs), np.ones(CHUNK), [1.0], 1.0, squares=True))
         assert got == pytest.approx(want, rel=1e-15)
 
     def test_all_zero_weights(self):
         # z = 0 is an unbounded radius: past BetaLaw's endpoint, every weight is 0
         assert _moments(BetaLaw(2, 3), np.zeros(9), [1.0], 0.5, squares=True) == \
-            [(-math.inf, -math.inf)]
+            [(-math.inf, 0.0, 0.0)]
 
     @pytest.mark.parametrize("spread", [1e-3, 1.0, 140.0])
     def test_log_sum_is_logsumexp_bit_for_bit(self, spread):
@@ -315,7 +321,7 @@ class TestKernelEquivalence:
     def test_matches_the_per_level_kernel(self, radial, p, zeros):
         z = self._z(p, zeros)
         levels = self._levels(radial, z, p)
-        got = _moments(radial, z, levels, p, squares=True)
+        got = _log_pairs(_moments(radial, z, levels, p, squares=True))
         for level, pair in zip(levels, got):
             with np.errstate(over="ignore"):  # level / z and 2 logs may pass DBL_MAX
                 logs = quad._log_cond(radial, z.copy(), level, p)
@@ -355,11 +361,19 @@ class TestKernelEquivalence:
         spec, n, ts = dt.validate_spec([1.0], [1.0], 1.0, radial), 1000, [4.0, 9.0, 11.25, 20.0]
         for t, est in zip(ts, dt.conditional_mc_tail(spec, ts, n, seed=3)):
             m = float(radial.log_survival(np.full(n, t))[0])
-            assert est == mc._estimate_from_log_moments(m + math.log(n), 2.0 * m + math.log(n),
-                                                        n, 3)
-            assert est.ess == pytest.approx(n, rel=1e-12)
+            assert est == mc._estimate_from_moments(m + math.log(n), [(m, n, n)], n, 3)
+            assert (est.stderr, est.rel_err, est.ess) == (0.0, 0.0, n)
         m, w = radial.survival_weights(np.ones(9), 11.25, 1.0, 1.0, np.empty((2, 9)))
         assert m == radial.log_survival(np.full(9, 11.25))[0] and np.all(w == 1.0)
+
+    @pytest.mark.parametrize("shape, n", [(3, 1000), (2, CHUNK + 5)])
+    def test_equal_weights_report_zero_error(self, shape, n):
+        # the chunks' linear sums combine against the largest shift, so equal
+        # weights give (sum w)^2 = n sum w^2 exactly, in one chunk and in two
+        spec = dt.validate_spec([1.0], [1.0], 1.0, GammaLaw(shape, 1))
+        est = dt.conditional_mc_tail(spec, 4.0, n, seed=3)
+        assert (est.stderr, est.rel_err, est.ess) == (0.0, 0.0, n)
+        assert dt.conditional_mc_tail(spec, 4.0, n, seed=3, workers=2) == est
 
 
 class TestBufferReuse:
@@ -682,6 +696,42 @@ class TestQuadratureOracle:
         assert np.array_equal(d[:4 * p], quad._graded_half(0.5, 0, 4)[0][:4 * p])
         assert np.array_equal(d[4 * p:7 * p], quad._graded_half(0.5, 4, 6)[0])
         assert np.array_equal(d[6 * p:7 * p], quad._graded_half(0.5, 0, 8)[0][-p:])
+
+
+def _errors_accumulate(sums, kind):
+    """The line errors with their sums over halves taken by np.add.accumulate, whose
+    order does not depend on the number of lines: the reference for quad._errors."""
+    top = sums[:3].max(axis=(0, 1))
+    live = np.isfinite(top)
+    w = np.exp(np.maximum(sums - np.where(live, top, 0.0), -700.0))
+    total = np.add.accumulate(w[:3].reshape(3 * len(kind), top.size))[-1]
+    value = np.where(live, np.log(total) + top, -math.inf)
+    diff = np.abs(w[1] + w[2] - w[3])
+    diff *= live / total
+    by_kind = np.where(kind[:, None] == np.arange(3)[:, None], diff[:, None], 0.0)
+    return value, np.add.accumulate(by_kind)[-1]
+
+
+class TestLineErrors:
+    """quad._errors sums over halves row after row, bit for bit as the accumulate form."""
+
+    @pytest.mark.parametrize("lines", [1, 2, 39, 40, 41, 288])
+    def test_matches_accumulate_and_lines_alone(self, lines):
+        rng = np.random.default_rng(lines)
+        halves = 8
+        kind = rng.integers(-1, 3, (halves, lines))  # -1: an empty panel's half
+        sums = rng.normal(-30.0, 20.0, (4, halves, lines))
+        sums[1:3] = sums[3] + rng.normal(0.0, 1e-3, (2, halves, lines))  # the nested rules agree
+        sums[:, kind < 0] = -math.inf
+        sums[:, :, 3::7] = -math.inf  # lines of -inf
+        value, err = quad._errors(sums, kind)
+        want_value, want_err = _errors_accumulate(sums, kind)
+        assert np.array_equal(value, want_value) and np.array_equal(err, want_err)
+        assert np.all(value[3::7] == -math.inf) and np.all(err[:, 3::7] == 0.0)
+        assert np.isfinite(value[:3]).all()
+        for j in range(lines):  # each line alone gives the bits it has among the others
+            alone_value, alone_err = quad._errors(sums[..., j:j + 1], kind[:, j:j + 1])
+            assert alone_value[0] == value[j] and np.array_equal(alone_err[:, 0], err[:, j])
 
 
 class TestQuadratureError:

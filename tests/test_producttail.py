@@ -81,11 +81,11 @@ class TestSaddleGeometry:
             for lam in [0.2, 1.0, 1.7]:
                 for p in [0.2, 0.5, 0.8]:
                     g = saddle_geometry(c, lam, p)
-                    h1 = (p * g.theta ** (p - 1) * c
-                          - p * lam * g.theta_complement ** (p - 1))
+                    complement = math.exp(g.log_theta_complement)
+                    h1 = (p * g.theta ** (p - 1) * c - p * lam * complement ** (p - 1))
                     scale = p * c * g.theta ** (p - 1)
                     assert abs(h1) <= 1e-12 * max(1.0, abs(scale))
-                    assert g.theta + g.theta_complement == pytest.approx(1.0, abs=1e-15)
+                    assert g.theta + complement == pytest.approx(1.0, abs=1e-15)
 
     def test_vanishing_second_weight(self):
         # as lam -> 0 the maximum moves to the c-side endpoint: theta -> 1
