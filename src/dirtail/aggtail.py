@@ -88,15 +88,6 @@ class AggregateSpec:
     def alpha_bar_m(self) -> float:
         return float(sum(self.alpha[: self.m]))
 
-    def to_json(self) -> dict:
-        return {
-            "alpha": list(self.alpha),
-            "lambda": list(self.lam),
-            "p": self.p,
-            "scale": self.scale,
-            "radial": self.radial.to_json(),
-        }
-
 
 def validate_spec(raw_alpha, raw_lambda, p: float, radial: RadialModel,
                   weight_tol: float = 0.0) -> AggregateSpec:
@@ -252,10 +243,6 @@ class TailAsymptotic:
             else:
                 x = x + dx if lo[0] - tol < x + dx < hi[0] + tol else 0.5 * (lo[0] + hi[0])
                 x = min(max(x, lo[0] + 0.5 * tol), hi[0] - 0.5 * tol)
-
-    def to_json(self) -> dict:
-        return {"K_log": self.log_constant, "rho": self.rho, "base": self.base,
-                "convention": self.convention}
 
 
 def _identity_asymptotic(spec: AggregateSpec, base: str) -> TailAsymptotic:

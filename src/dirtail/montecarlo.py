@@ -89,10 +89,6 @@ class Estimate:
     rel_err: float | None = None
     ess: float | None = None
 
-    def to_json(self) -> dict:
-        return {"method": self.method, "seed": self.seed, "n": self.n,
-                "p_hat": self.p_hat, "log_p_hat": self.log_p_hat, "stderr": self.stderr}
-
 
 def _check_seed(seed) -> int:
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:

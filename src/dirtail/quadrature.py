@@ -15,11 +15,11 @@ as it needs.  Every kind starts _START levels deep and deepens by two while the 
 difference |I_L - I_{L-2}| of its halves exceeds _TOL of the integral, up to _CAP levels; the
 rule L - 2 deep shares every panel but the end one, so the check costs one end panel per
 half, and a deeper half evaluates only its new panels (QUADPACK takes its error estimate
-from nested rules too; Piessens et al. 1983).  A round costs the kernel at its new nodes, an
-_errors call over the lines it ran and, for d = 3, the new outer nodes, one bincount and the
-outer line's _errors call.  The reported error is the summed differences plus rounding,
-which they cannot see.  Depths are chosen per threshold, so a threshold grid gives the scalar
-calls' values.
+from nested rules too; Piessens et al. 1983).  One loop runs a grid's thresholds together, at
+d = 3 _NEST at a time: a round costs the kernel at its new nodes, an _errors call over the
+lines it ran and, for d = 3, the new outer nodes, one bincount and one _errors call over the
+outer lines.  The reported error is the summed differences plus rounding, which they cannot
+see.  Depths are chosen per threshold, so a threshold grid gives the scalar calls' values.
 """
 
 from __future__ import annotations
@@ -44,6 +44,8 @@ _TOL = 1e-11  # nested difference, relative to the integral, that stops a kind d
 _START, _CAP = 4, 24  # graded levels per half-panel before its end panel: first and most
 _EPS, _H = float(np.finfo(float).eps), 1e-6  # double rounding; relative step of a derivative
 _KINDS = np.arange(3)[:, None]
+_NEST = 4  # d = 3 levels run at once, whose inner lines are all held together
+_DEEPER = np.array([[0], [-1], [1], [1], [0]])  # an outer half's slot shifts as it deepens
 
 
 def _log_cond(radial: RadialModel, z, level: float, p: float, out=None):
@@ -239,8 +241,8 @@ class _Lines:
         self.f, self.i = np.empty((7 + 4 * self.halves, 0)), np.empty((5, 0), dtype=np.intp)
 
     def add(self, levels, tn, head, tail, depth):
-        """Lines at levels (of g) for normalized thresholds tn, graded depth (3,) levels
-        deep, kind by kind; tn, head and tail are arrays or one number for all."""
+        """Lines at levels (of g) for normalized thresholds tn, graded depth (3, lines) levels
+        deep, kind by kind; tn, head, tail and depth are arrays or one number for all."""
         panels, row = self.rule.panels(levels)
         if panels is not self.rule.whole:
             row = row + len(self.panels[0])
@@ -254,7 +256,7 @@ class _Lines:
             self.value, self.err, self.sums = f[3], f[4:7], f[7:].reshape(4, self.halves, -1)
         new = slice(start, self.size)
         self.row[new], self.f[0, new], self.f[1, new], self.f[2, new] = row, tn, head, tail
-        self.depth[:, new] = depth[:, None]
+        self.depth[:, new] = depth
         r, k = np.nonzero(self.panels[-1][row] >= 0)  # line by line, so blocks share (row, half)
         self._run(k, r + start, full=True)
 
@@ -309,79 +311,99 @@ class _Lines:
                 self.sums[:, ks[sel], line] = sums
 
 
-def _d2_integrals(spec: AggregateSpec, levels: np.ndarray, tns: np.ndarray):
-    """(log integral, error, evaluations) on the one line of d = 2, a line per
-    level; each line deepens its own kinds, so none depends on the others."""
-    lines = _Lines(_LineRule(*spec.alpha, *spec.lam, spec.p), spec.radial)
-    lines.add(levels, tns, 1.0, 0.0, np.full(3, _START))
-    while True:
-        value, err = lines.errors()
-        grow = (err > _TOL) & (lines.depth[:, :lines.size] < _CAP)
-        if not grow.any():  # the kinds' errors summed in order, sum() starting from +0
-            return zip(value.tolist(), sum(err).tolist(), lines.n[:lines.size].tolist())
-        lines.deepen(grow)
+class _Nest:
+    """The d = 3 integrals, a problem per level: inner lines at the nodes of an outer line against
+    Beta(a0 + a1, a2); depth (6, problems) holds each problem's by kind, outer then inner (its
+    inner lines share these).  Outer node j has log-weight lw[j], inner line j and key[j] =
+    (slot * halves + half) * problems + problem, slot being which of its half's four log-sums
+    (4: none), so one bincount a round gives every problem's outer log-sums afresh."""
 
+    def __init__(self, spec: AggregateSpec, lines: _Lines, levels, tns):
+        p, lam, a = spec.p, spec.lam, spec.alpha
+        self.rule = _LineRule(a[0] + a[1], a[2], _z_sup(np.asarray(lam[:2]), p), lam[2], p)
+        self.panels, self.row = self.rule.panels(levels)
+        self.kind = self.panels[-1][self.row].T  # (halves, problems)
+        self.lines, self.levels, self.tns = lines, levels, tns
+        self.depth = np.full((6, levels.size), _START)
+        self.lw, self.key = np.empty(0), np.empty(0, dtype=np.intp)
+        self._add(np.flatnonzero(self.kind >= 0), full=True)
 
-def _d3_integral(spec: AggregateSpec, level: float, tn: float):
-    """(log integral, error, evaluations) for d = 3: the inner line at each node of the outer
-    one, the inner lines sharing their depths.  Outer node j keeps its log-weight lw[j] and
-    key[j] = slot * halves + half (slot: which of its half's four log-sums, 4 if none); its
-    inner line is line j, so each round takes the outer log-sums afresh, in one bincount."""
-    p, lam, a = spec.p, spec.lam, spec.alpha
-    outer = _LineRule(a[0] + a[1], a[2], _z_sup(np.asarray(lam[:2]), p), lam[2], p)
-    panels, _ = outer.panels(np.array([level]))
-    kind, nk = panels[-1][0], len(outer.k)
-    lines = _Lines(_LineRule(a[0], a[1], lam[0], lam[1], p), spec.radial)
-    depth = np.full((2, 3), _START)  # inner and outer, kind by kind
-    lw, key = np.empty(0), np.empty(0, dtype=np.intp)
+    @property
+    def n(self):  # evaluations per problem
+        return np.bincount(self.prob, self.lines.n[:self.lines.size]).astype(np.intp)
 
-    def add_nodes(ks, full: bool):
-        """The outer nodes of halves ks, whole or their next two levels, and their inner lines."""
-        nonlocal lw, key
-        parts = [(lw, key)]
-        for sel, lohi, starts, _ in _half_groups(depth[1, kind[ks]] + (0 if full else 2), full):
-            b, bc, w = outer.nodes(panels, 0, ks[sel],
-                                   *(t[:, kind[ks[sel]]] for t in outer.table(*lohi)))
-            head, tail = (b ** p).ravel(), (lam[2] * bc ** p).ravel()
-            lines.add((level - tail) / head, tn, head, tail, depth[0])
-            slot = np.repeat([0, 1, 2, 3] if full else [1, 2], np.diff(starts + [len(w)]))
-            parts.append((w, slot[:, None] * nk + ks[sel]))
-        lw, key = (np.concatenate(arrs, axis=None) for arrs in zip(*parts))
+    def _add(self, cols, full: bool):
+        """Nodes and inner lines of columns cols = half * problems + problem, whole or 2 deeper."""
+        size, p = len(self.tns), self.rule.p
+        ks, prob = np.divmod(cols, size)
+        kind = self.kind[ks, prob]
+        for sel, lohi, starts, _ in _half_groups(self.depth[kind, prob], full):
+            b, bc, w = self.rule.nodes(self.panels, self.row[prob[sel]], ks[sel],
+                                       *(t[:, kind[sel]] for t in self.rule.table(*lohi)))
+            runs = [j - i for i, j in zip(starts, starts[1:] + [len(w)])]  # np.diff costs more
+            slot = np.repeat([0, 1, 2, 3] if full else [1, 2], runs)
+            key = slot[:, None] * self.kind.size + cols[sel]
+            line = key.ravel() % size  # each inner line's problem
+            head, tail = b ** p, self.rule.lam1 * bc ** p
+            self.lines.add(((self.levels[prob[sel]] - tail) / head).ravel(), self.tns[line],
+                           head.ravel(), tail.ravel(), self.depth[3:, line])
+            self.lw = np.concatenate([self.lw, w], axis=None)
+            self.key = np.concatenate([self.key, key], axis=None)
+        self.prob = self.key % size
 
-    add_nodes(np.flatnonzero(kind >= 0), full=True)
-    while True:
-        inner, err = lines.errors()
-        v = lw + inner
-        # the outer log-sums of each half, from the nodes' values shifted by their largest
-        top = float(v.max())
-        top = top if math.isfinite(top) else 0.0
+    def errors(self):
+        """Each problem's log integral and errors by kind (6, problems): outer, then inner."""
+        inner, err = self.lines.errors()
+        nk, size = self.kind.shape
+        v = self.lw + inner
+        # each half's outer log-sums, its nodes shifted by their problem's largest (or -max)
+        top = np.full(size, -np.finfo(float).max)
+        np.maximum.at(top, self.prob, v)
         with np.errstate(divide="ignore"):
-            sums = np.log(np.bincount(key, np.exp(v - top), minlength=5 * nk)[:4 * nk]) + top
-        (value,), err_out = _errors(sums.reshape(4, nk, 1), kind[:, None])
-        if value == -math.inf:  # the rule missed the support; quadrature_tail says so
-            return value, 0.0, int(lines.n.sum())
-        # an inner line's errors count by its share of the integral
-        share = np.where(key < 3 * nk, np.exp(v - value), 0.0)
-        err_in, err_out = (share * err).sum(axis=1), err_out[:, 0]
-        grow = (np.array([err_in, err_out]) > _TOL) & (depth < _CAP)
-        if not grow.any():
-            return float(value), float(err_out.sum() + err_in.sum()), int(lines.n.sum())
-        if grow[0].any():
-            lines.deepen(np.outer(grow[0], key < 4 * nk))
-        depth[0] += 2 * grow[0]
-        if grow[1].any():
-            deeper = grow[1, np.maximum(kind, 0)] & (kind >= 0)
+            sums = np.log(np.bincount(self.key, np.exp(v - top[self.prob]), minlength=5 * nk * size)
+                          [:4 * nk * size])
+        value, err_out = _errors(sums.reshape(4, nk, size) + top, self.kind)
+        # an inner line's errors count by its share of the integral (none if it came out 0)
+        share = np.where(self.key < 3 * nk * size,
+                         np.exp(v - np.where(value > -math.inf, value, math.inf)[self.prob]), 0.0)
+        err_in = np.bincount((_KINDS * size + self.prob).ravel(), (share * err).ravel(),
+                             minlength=3 * size)
+        return value, np.concatenate([err_out, err_in.reshape(3, size)])
+
+    def deepen(self, grow):
+        """Grade two levels deeper the kinds marked in grow (6, problems)."""
+        self.depth += 2 * grow
+        if grow[3:].any():
+            self.lines.deepen(grow[3:, self.prob] & (self.key < 4 * self.kind.size))
+        deeper = grow[np.maximum(self.kind, 0), np.arange(len(self.tns))] & (self.kind >= 0)
+        if deeper.any():
             # a deeper half's slots: 0 and 1 merge, its end panel checks the new one, 3 drops
-            remap = np.where(deeper, np.array([0, 0, 3, 4, 4])[:, None], np.arange(5)[:, None])
-            key = (remap * nk + np.arange(nk)).ravel()[key]
-            add_nodes(np.flatnonzero(deeper), full=False)
-            depth[1] += 2 * grow[1]
+            self.key += (np.where(deeper.ravel(), _DEEPER, 0) * self.kind.size).ravel()[self.key]
+            self._add(np.flatnonzero(deeper), full=False)
+
+
+def _integrals(spec: AggregateSpec, levels: np.ndarray, tns: np.ndarray):
+    """(log integral, error, evaluations) per level, lazily: the d = 2 line, or the d = 3 nest
+    _NEST levels at a time; each level deepens its own kinds, so none depends on the others."""
+    rule = _LineRule(*spec.alpha[:2], *spec.lam[:2], spec.p)
+    for i in range(0, levels.size, _NEST if spec.d == 3 else max(levels.size, 1)):
+        batch = _Lines(rule, spec.radial)
+        if spec.d == 2:
+            batch.add(levels, tns, 1.0, 0.0, _START)
+        else:
+            batch = _Nest(spec, batch, levels[i:i + _NEST], tns[i:i + _NEST])
+        value, err = batch.errors()
+        while (grow := (err > _TOL) & (batch.depth[:, :value.size] < _CAP)).any():
+            batch.deepen(grow)
+            value, err = batch.errors()
+        total = np.add.accumulate(err)[-1]  # the kinds' errors summed in order, whatever the lines
+        yield from zip(value.tolist(), total.tolist(), batch.n[:value.size].tolist())
 
 
 def quadrature_tail(spec: AggregateSpec, t) -> Estimate | list[Estimate]:
     """Deterministic oracle for P(S_p > t), d <= 3: the graded Gauss rule of the module
     docstring.  stderr is p_hat times the rule's error in log, and n counts its kernel
-    evaluations, check nodes included.  A sequence t gives a list of the scalar calls."""
+    evaluations, check nodes included.  A sequence t gives the scalar calls' values."""
     tns = _levels(spec, t)
     if spec.d > 3:
         raise DomainError(f"quadrature oracle supports d <= 3, got d={spec.d}")
@@ -390,8 +412,7 @@ def quadrature_tail(spec: AggregateSpec, t) -> Estimate | list[Estimate]:
     # Z <= level puts the radius past a finite endpoint (level 0 for none)
     levels = tns / radial.upper_endpoint ** p
     on_line = (levels < z_sup) & (spec.d > 1)
-    inside = iter(_d2_integrals(spec, levels[on_line], tns[on_line])) if spec.d == 2 else \
-        (_d3_integral(spec, lv, tn) for lv, tn in zip(levels[on_line], tns[on_line]))
+    inside = _integrals(spec, levels[on_line], tns[on_line])
     # rounding, which the nested differences cannot see: the radii carry relative errors of
     # order eps, which move the kernel by eps |d log F_bar / d log x|, taken at the smallest
     # radius, where the kernel is largest (near a finite endpoint the slope is large); and
@@ -402,12 +423,10 @@ def quadrature_tail(spec: AggregateSpec, t) -> Estimate | list[Estimate]:
     for tn, line in zip(tns, on_line):
         # off the lines: the radial tail itself, or 0 with the radius past its endpoint
         log_val, err, n = next(inside) if line else (_log_cond(radial, z_sup, tn, p), 0.0, 1)
-        if line:
-            # level < z_sup, so the true integral is positive: 0 means a missed support
-            if log_val == -math.inf:
-                raise NumericError(f"quadrature integral came out 0 at t={tn * spec.scale:g}: "
-                                   "rule missed the support")
-            err += _EPS * (next(slopes) + 2.0 * abs(log_val))
+        if line and log_val == -math.inf:  # level < z_sup: the true integral is positive
+            raise NumericError(f"quadrature integral came out 0 at t={tn * spec.scale:g}: "
+                               "rule missed the support")
+        err += _EPS * (next(slopes) + 2.0 * abs(log_val)) if line else 0.0
         ests.append(Estimate(p_hat=math.exp(log_val), log_p_hat=log_val,
                              stderr=math.exp(log_val) * err, n=n, seed=0, method="quadrature"))
     return ests if np.ndim(t) else ests[0]

@@ -107,9 +107,6 @@ class RadialModel(ABC):
         """size i.i.d. draws of R from rng, each in [0, x_F]."""
 
     # -- serialization -------------------------------------------------
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
     @staticmethod
     def from_json(obj: dict) -> "RadialModel":
         if not isinstance(obj, dict) or "family" not in obj:
@@ -222,9 +219,6 @@ class GammaLaw(RadialModel):
             r /= self.rate  # in place: no second array per chunk
         return r
 
-    def to_json(self) -> dict:
-        return {"family": "gamma", "params": {"shape": self.shape, "rate": self.rate}}
-
 
 @_register("weibulltail")
 @dataclass(frozen=True)
@@ -266,9 +260,6 @@ class WeibullTail(RadialModel):
     def sample(self, rng, size):
         return (rng.exponential(size=size) / self.scale) ** (1.0 / self.index)
 
-    def to_json(self) -> dict:
-        return {"family": "weibulltail", "params": {"index": self.index, "scale": self.scale}}
-
 
 @_register("beta")
 @dataclass(frozen=True)
@@ -305,9 +296,6 @@ class BetaLaw(RadialModel):
 
     def sample(self, rng, size):
         return rng.beta(self.a, self.b, size)
-
-    def to_json(self) -> dict:
-        return {"family": "beta", "params": {"a": self.a, "b": self.b}}
 
 
 @_register("unitgumbel")
@@ -347,9 +335,6 @@ class UnitGumbel(RadialModel):
 
     def sample(self, rng, size):
         return 1.0 - self.kappa / (self.kappa + rng.exponential(size=size))
-
-    def to_json(self) -> dict:
-        return {"family": "unitgumbel", "params": {"kappa": self.kappa}}
 
 
 # ----------------------------------------------------------------------

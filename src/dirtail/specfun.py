@@ -86,9 +86,6 @@ class LogProb:
         """Linear-scale probability; underflows to 0.0 below ~1e-308."""
         return math.exp(self.log_value) if self.log_value < 0 else min(1.0, math.exp(self.log_value))
 
-    def __float__(self) -> float:
-        return self.log_value
-
 
 def log_gamma(a: float) -> float:
     """ln Gamma(a) for a > 0."""

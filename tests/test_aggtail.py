@@ -575,12 +575,6 @@ class TestTailAsymptoticObject:
             assert dt.tail_asymptotic(raw).evaluate_log(t) == pytest.approx(
                 dt.tail_asymptotic(unit).evaluate_log(t / 4.0), rel=1e-13)
 
-    def test_json_shape(self):
-        asym = dt.tail_asymptotic(dt.validate_spec([1, 1], [1, 1], 2.0, GAMMA21))
-        doc = asym.to_json()
-        assert set(doc) == {"K_log", "rho", "base", "convention"}
-        assert doc["base"] == "gumbel"
-
     def test_logprob_type(self):
         asym = dt.tail_asymptotic(dt.validate_spec([1.0], [1.0], 1.0, GammaLaw(1, 1)))
         lp = asym.evaluate(10.0)

@@ -617,6 +617,8 @@ class TestQuadratureOracle:
         (RecordingGamma(3, 1), [1, 1, 1], [1, 1, 1], 0.5, 20.0),
         (RecordingGamma(3, 1), [1, 1, 1], [1, 0.7, 0.4], 2.0, 40.0),
         (RecordingBeta(2, 3), [1, 2, 1], [1, 0.5, 0.3], 1.0, 0.9),
+        # a d = 3 grid of four thresholds (quad._NEST): their inner lines share one batch
+        (RecordingGamma(3, 1), [1, 1, 1], [1, 1, 1], 0.5, [3.0, 8.0, 20.0, 40.0]),
     ])
     def test_kernel_calls_stay_within_a_chunk(self, radial, alpha, lam, p, t):
         radial.sizes.clear()
@@ -810,6 +812,50 @@ class TestQuadratureGrid:
         assert dt.quadrature_tail(REGIME_A, []) == []
         assert dt.quadrature_tail(REGIME_A, np.float64(10.0)) == want[0]
 
+    def test_d3_grid_holds_one_batch_of_lines(self):
+        # a d = 3 grid runs quad._NEST thresholds at a time: three batches of the same
+        # thresholds peak no higher than one, and give the scalar calls' values
+        spec = dt.validate_spec([1, 1, 1], [1, 1, 1], 0.5, GammaLaw(3, 1))
+        ts = np.geomspace(3.0, 40.0, quad._NEST).tolist()
+        peaks = []
+        for grid in (ts, ts * 3):
+            dt.quadrature_tail(spec, grid)
+            tracemalloc.start()
+            try:
+                ests = dt.quadrature_tail(spec, grid)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert ests == [dt.quadrature_tail(spec, t) for t in ts] * 3
+        assert peaks[1] < 1.2 * peaks[0]
+
+
+class TestQuadratureBits:
+    # the benchmark's quadrature specs Q1-Q8b, each at its ratio command's deepest threshold;
+    # log p_hat and n pinned bit for bit, so a rewrite of the rule's bookkeeping that claims
+    # the same kernel evaluations and sums must give exactly these
+    @pytest.mark.parametrize("alpha, lam, p, radial, t, log_p, n", [
+        ([1, 1], [1, 1], 2.0, GammaLaw(2, 1), "0x1.e399ded4fdd92p+9", "-0x1.e5f0961cf9b80p+4", 144),
+        ([1, 1], [1, 1], 0.5, GammaLaw(2, 1), "0x1.d0771b3fabda6p+2", "-0x1.8204dc35f78efp+4", 288),
+        ([1, 1], [1, 0.5], 0.5, GammaLaw(3, 1), "0x1.be61b03429e83p+2", "-0x1.0dd993ea3507cp+5",
+         324),
+        ([1, 1, 1], [1, 1, 1], 0.5, GammaLaw(3, 1), "0x1.108d80589bed4p+3", "-0x1.4222e787bf93ap+4",
+         115776),
+        ([2, 1, 0.5], [1, 0.8, 0.6], 0.4, GammaLaw(3, 1), "0x1.66d953969396ap+2",
+         "-0x1.45e984e4b4e99p+4", 124416),
+        ([1, 1, 1], [1, 0.7, 0.4], 2.0, GammaLaw(3, 1), "0x1.21e41ba7e7b9fp+10",
+         "-0x1.1023112b9d56dp+5", 20736),
+        ([1, 1, 1], [1, 0.7, 0.4], 1.0, GammaLaw(3, 1), "0x1.82e6a943e710ep+4",
+         "-0x1.6776f93a15918p+4", 20736),
+        ([1, 2], [1, 0.5], 1.0, BetaLaw(2, 3), "0x1.ff4e0c295be3dp-1", "-0x1.04505f657f0fbp+5",
+         144),
+        ([1, 2], [1, 0.5], 1.0, BetaLaw(2, 3), "0x1.fff7be2f7f4a8p-1", "-0x1.7f230d6d9bc12p+5",
+         144),
+    ])
+    def test_benchmark_specs_pinned(self, alpha, lam, p, radial, t, log_p, n):
+        est = dt.quadrature_tail(dt.validate_spec(alpha, lam, p, radial), float.fromhex(t))
+        assert est.log_p_hat.hex() == log_p and est.n == n and type(est.n) is int
+
 
 class TestTwoRadialEquivalence:
     def test_tail_ratio_tracks_radial_ratio(self):
@@ -971,9 +1017,3 @@ class TestEstimateRecord:
                                       1.5, 100, seed=1)
         assert (zero.ess, zero.rel_err) == (0.0, math.inf)
         assert dt.crude_mc_tail(REGIME_A, 20.0, 1000, seed=5).ess is None
-
-    def test_json_fields(self):
-        est = dt.conditional_mc_tail(REGIME_A, 20.0, 1000, seed=97)
-        doc = est.to_json()
-        assert set(doc) == {"method", "seed", "n", "p_hat", "log_p_hat", "stderr"}
-        assert doc["method"] == "conditional" and doc["seed"] == 97 and doc["n"] == 1000
