@@ -24,7 +24,6 @@ from .aggtail import (
     SimplexTailGeometry,
     TailAsymptotic,
     lambda_tilde,
-    marginal_component_tail,
     regime_classify,
     simplex_constant_recursion,
     simplex_tail_geometry,
@@ -70,7 +69,6 @@ __all__ = [
     "empirical_gumbel_mda",
     "gumbel_limit_check",
     "lambda_tilde",
-    "marginal_component_tail",
     "max_sum_ratio",
     "mda_diagnostic",
     "norming_constants",

@@ -16,9 +16,6 @@ the first-order tail of S_p splits into regimes by the power p:
 For a radius with finite endpoint 1 and regularly varying survival there
 (index gamma), the p = 1 analogue near t = 1 is
 P(S_1 > 1-u) ~ K u^{sum of left-out alphas} F_bar(1-u).
-
-Every returned TailAsymptotic carries its threshold convention explicitly;
-mixing the u^p / lt*u^p / raw-t conventions is the main foreseeable bug.
 """
 
 from __future__ import annotations
@@ -38,7 +35,6 @@ __all__ = [
     "SimplexTailGeometry",
     "TailAsymptotic",
     "VarEs",
-    "RegimeInfo",
     "validate_spec",
     "lambda_tilde",
     "simplex_tail_geometry",
@@ -47,7 +43,6 @@ __all__ = [
     "tail_gumbel_peq1",
     "tail_gumbel_plt1",
     "tail_weibull",
-    "marginal_component_tail",
     "tail_asymptotic",
     "var_es_asymptotic",
     "regime_classify",
@@ -89,13 +84,11 @@ class AggregateSpec:
         return float(sum(self.alpha[: self.m]))
 
 
-def validate_spec(raw_alpha, raw_lambda, p: float, radial: RadialModel,
-                  weight_tol: float = 0.0) -> AggregateSpec:
+def validate_spec(raw_alpha, raw_lambda, p: float, radial: RadialModel) -> AggregateSpec:
     """Sort, normalize and sanity-check a problem instance.
 
-    weight_tol is an opt-in absolute tolerance for detecting the unit-weight
-    multiplicity; the default 0.0 uses exact equality because the constants
-    jump discontinuously with the multiplicity.
+    The unit-weight multiplicity m counts the normalized weights equal to 1
+    exactly: the constants jump with m, so a weight of 1 - 1e-12 is left out.
     """
     alpha = [float(a) for a in raw_alpha]
     lam = [float(l) for l in raw_lambda]
@@ -114,16 +107,13 @@ def validate_spec(raw_alpha, raw_lambda, p: float, radial: RadialModel,
         raise ValidationError(f"radial must be a RadialModel, got {type(radial).__name__}")
     if not (math.isfinite(p) and p > 0):
         raise ValidationError(f"p must be positive and finite, got {p}")
-    if weight_tol < 0:
-        raise ValidationError(f"weight_tol must be non-negative, got {weight_tol}")
 
     order = sorted(range(len(lam)), key=lambda i: -lam[i])
     scale = lam[order[0]]
     lam_sorted = tuple(lam[i] / scale for i in order)
     alpha_sorted = tuple(alpha[i] for i in order)
 
-    cut = 1.0 - weight_tol
-    m = sum(1 for l in lam_sorted if l >= cut)
+    m = lam_sorted.count(1.0)
     top = alpha_sorted[:m]
     alpha_hat = max(top)
     m_star = sum(1 for a in top if a == alpha_hat)
@@ -151,7 +141,7 @@ def lambda_tilde(lam, p: float) -> float:
 
 @dataclass(frozen=True)
 class TailAsymptotic:
-    """K * (u w(u))^rho * F_bar(u) against an explicit threshold convention.
+    """K * (u w(u))^rho * F_bar(u) in the base variable u of a raw threshold t.
 
     base "gumbel": evaluate(t) = K * (u w(u))^rho * F_bar(u) with
                    u = ((t/scale)/pivot)^(1/p);
@@ -168,7 +158,6 @@ class TailAsymptotic:
     p: float
     scale: float = 1.0
     pivot: float = 1.0
-    convention: str = "u = t**(1/p)"
     exact: bool = False
 
     def threshold_to_base(self, t: float) -> float:
@@ -192,8 +181,8 @@ class TailAsymptotic:
         if self.base == "gumbel":
             if u >= self.radial.upper_endpoint:
                 return -math.inf
-            w = self.radial.scaling_w(u)
-            return self.log_constant + self.rho * math.log(u * w) + self.radial.log_survival(u)
+            return (self.log_constant + self.rho * self.radial.log_u_w(u)
+                    + self.radial.log_survival(u))
         return self.log_constant + self.rho * math.log(u) + self.radial.log_survival(1.0 - u)
 
     def evaluate_log(self, t: float) -> float:
@@ -246,12 +235,8 @@ class TailAsymptotic:
 
 
 def _identity_asymptotic(spec: AggregateSpec, base: str) -> TailAsymptotic:
-    if base == "gumbel":
-        conv = "u = (t/scale)**(1/p)"
-    else:
-        conv = "u = 1 - t/scale"
     return TailAsymptotic(log_constant=0.0, rho=0.0, base=base, radial=spec.radial,
-                          p=spec.p, scale=spec.scale, pivot=1.0, convention=conv, exact=True)
+                          p=spec.p, scale=spec.scale, pivot=1.0, exact=True)
 
 
 # ----------------------------------------------------------------------
@@ -370,8 +355,7 @@ def tail_gumbel_pgt1(spec: AggregateSpec) -> TailAsymptotic:
     abar = spec.alpha_bar
     log_k = math.log(spec.m_star) + log_gamma(abar) - log_gamma(spec.alpha_hat)
     return TailAsymptotic(log_constant=log_k, rho=spec.alpha_hat - abar, base="gumbel",
-                          radial=spec.radial, p=spec.p, scale=spec.scale, pivot=1.0,
-                          convention="u = (t/scale)**(1/p)")
+                          radial=spec.radial, p=spec.p, scale=spec.scale, pivot=1.0)
 
 
 def tail_gumbel_peq1(spec: AggregateSpec) -> TailAsymptotic:
@@ -386,16 +370,11 @@ def tail_gumbel_peq1(spec: AggregateSpec) -> TailAsymptotic:
     _require_gumbel(spec, "the p = 1 asymptotic")
     if spec.m == spec.d:
         return _identity_asymptotic(spec, "gumbel")
-    left_out = spec.lam[spec.m:]
-    if any(l >= 1.0 for l in left_out):
-        raise ValidationError(
-            "weight multiplicity is ambiguous: a left-out weight equals 1; "
-            "revisit weight_tol")
-    log_k = (sum(-a * math.log1p(-l) for a, l in zip(spec.alpha[spec.m:], left_out))
+    log_k = (sum(-a * math.log1p(-l) for a, l in zip(spec.alpha[spec.m:], spec.lam[spec.m:]))
              + log_gamma(spec.alpha_bar) - log_gamma(spec.alpha_bar_m))
     rho = -(spec.alpha_bar - spec.alpha_bar_m)
     return TailAsymptotic(log_constant=log_k, rho=rho, base="gumbel", radial=spec.radial,
-                          p=1.0, scale=spec.scale, pivot=1.0, convention="u = t/scale")
+                          p=1.0, scale=spec.scale, pivot=1.0)
 
 
 def tail_gumbel_plt1(spec: AggregateSpec) -> TailAsymptotic:
@@ -416,8 +395,7 @@ def tail_gumbel_plt1(spec: AggregateSpec) -> TailAsymptotic:
     log_k = (log_gamma((d + 1) / 2.0) + geometry.log_c_tilde[-1]
              + (d - 1) / 2.0 * math.log(spec.p * lt))
     return TailAsymptotic(log_constant=log_k, rho=-(d - 1) / 2.0, base="gumbel",
-                          radial=spec.radial, p=spec.p, scale=spec.scale, pivot=lt,
-                          convention="u = (t/(scale*lambda_tilde))**(1/p)")
+                          radial=spec.radial, p=spec.p, scale=spec.scale, pivot=lt)
 
 
 def tail_weibull(spec: AggregateSpec) -> TailAsymptotic:
@@ -438,89 +416,53 @@ def tail_weibull(spec: AggregateSpec) -> TailAsymptotic:
     if spec.radial.mda_class != "weibull":
         raise WrongRegimeError("the endpoint asymptotic needs a Weibull-class radial law")
     gamma = spec.radial.weibull_index
-    left_out = spec.lam[spec.m:]
-    if any(l >= 1.0 for l in left_out):
-        raise ValidationError("weight multiplicity is ambiguous: a left-out weight equals 1")
     alpha_out = spec.alpha_bar - spec.alpha_bar_m
-    log_k = (sum(-a * math.log1p(-l) for a, l in zip(spec.alpha[spec.m:], left_out))
+    log_k = (sum(-a * math.log1p(-l) for a, l in zip(spec.alpha[spec.m:], spec.lam[spec.m:]))
              + log_gamma(spec.alpha_bar) + log_gamma(gamma + 1.0)
              - log_gamma(spec.alpha_bar_m) - log_gamma(alpha_out + gamma + 1.0))
     return TailAsymptotic(log_constant=log_k, rho=alpha_out, base="weibull",
-                          radial=spec.radial, p=1.0, scale=spec.scale, pivot=1.0,
-                          convention="u = 1 - t/scale")
-
-
-def marginal_component_tail(spec: AggregateSpec, i: int) -> TailAsymptotic:
-    """Tail of a single weighted component lam_i * X_i^p (validated order):
-
-    P(lam_i X_i^p > lam_i u^p) ~ Gamma(abar)/Gamma(alpha_i) (u w(u))^{alpha_i-abar} F_bar(u).
-    """
-    _require_gumbel(spec, "the marginal component tail")
-    if not 0 <= i < spec.d:
-        raise DomainError(f"component index out of range: {i}")
-    lam_i = spec.lam[i]
-    if lam_i == 0.0:
-        return TailAsymptotic(log_constant=-math.inf, rho=0.0, base="gumbel",
-                              radial=spec.radial, p=spec.p, scale=spec.scale, pivot=1.0,
-                              convention="degenerate zero-weight component")
-    if spec.d == 1:
-        return _identity_asymptotic(spec, "gumbel")
-    log_k = log_gamma(spec.alpha_bar) - log_gamma(spec.alpha[i])
-    return TailAsymptotic(log_constant=log_k, rho=spec.alpha[i] - spec.alpha_bar,
-                          base="gumbel", radial=spec.radial, p=spec.p, scale=spec.scale,
-                          pivot=lam_i, convention="u = (t/(scale*lam_i))**(1/p)")
+                          radial=spec.radial, p=1.0, scale=spec.scale, pivot=1.0)
 
 
 # ----------------------------------------------------------------------
 # regimes, VaR / ES
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RegimeInfo:
-    regime: str            # "a", "b", "c", "weibull" or "degenerate"
-    single_big_jump: bool
+def regime_classify(spec: AggregateSpec) -> str:
+    """The applicable asymptotic regime of a validated spec: "a", "b", "c",
+    "weibull" or "degenerate".
 
-
-def regime_classify(spec: AggregateSpec) -> RegimeInfo:
-    """Select the applicable asymptotic regime for a validated spec.
-
-    The sum's tail is driven by one big component exactly when p > 1; for
-    p <= 1 every component is asymptotically negligible relative to the sum.
+    The sum's tail is driven by one big component exactly when p > 1 (regime
+    "a"); for p <= 1 every component is asymptotically negligible relative to the sum.
     """
     gumbel = spec.radial.mda_class == "gumbel"
     if spec.p > 1.0:
         if not gumbel:
             raise WrongRegimeError("p > 1 is only covered for Gumbel-class radial laws")
-        return RegimeInfo(regime="a", single_big_jump=True)
+        return "a"
     if spec.p == 1.0:
         if spec.m == spec.d:
-            return RegimeInfo(regime="degenerate", single_big_jump=False)
+            return "degenerate"
         if gumbel:
-            return RegimeInfo(regime="b", single_big_jump=False)
-        return RegimeInfo(regime="weibull", single_big_jump=False)
+            return "b"
+        return "weibull"
     # p in (0, 1)
     if any(l == 0.0 for l in spec.lam):
         raise WrongRegimeError(
             "p < 1 with zero weights is not covered; drop the zero-weight components")
     if not gumbel:
         raise WrongRegimeError("p < 1 is only covered for Gumbel-class radial laws")
-    return RegimeInfo(regime="c", single_big_jump=False)
+    return "c"
 
 
 def tail_asymptotic(spec: AggregateSpec) -> TailAsymptotic:
     """Dispatch to the regime formula that applies to this spec."""
-    info = regime_classify(spec)
-    if info.regime == "a":
-        return tail_gumbel_pgt1(spec)
-    if info.regime == "b":
-        return tail_gumbel_peq1(spec)
-    if info.regime == "c":
-        return tail_gumbel_plt1(spec)
-    if info.regime == "weibull":
-        return tail_weibull(spec)
-    # degenerate: S_1 = R exactly; base follows the radial's class
-    return _identity_asymptotic(
-        spec, "gumbel" if spec.radial.mda_class == "gumbel" else "weibull")
+    regime = regime_classify(spec)
+    if regime == "degenerate":  # S_1 = R exactly; base follows the radial's class
+        return _identity_asymptotic(
+            spec, "gumbel" if spec.radial.mda_class == "gumbel" else "weibull")
+    return {"a": tail_gumbel_pgt1, "b": tail_gumbel_peq1, "c": tail_gumbel_plt1,
+            "weibull": tail_weibull}[regime](spec)
 
 
 @dataclass(frozen=True)

@@ -124,9 +124,9 @@ def _depth_of(spec, asym, t: float) -> float:
 
 def _cmd_approx(cfg, spec, seed, workers):
     asym = aggtail.tail_asymptotic(spec)
-    info = aggtail.regime_classify(spec)
+    regime = aggtail.regime_classify(spec)
     header = ["threshold", "depth", "prediction_log", "regime"]
-    rows = [[t, _depth_of(spec, asym, t), asym.evaluate_log(t), info.regime]
+    rows = [[t, _depth_of(spec, asym, t), asym.evaluate_log(t), regime]
             for t in _thresholds_from_config(cfg, spec, asym)]
     return header, rows
 

@@ -243,7 +243,7 @@ def _z_sup(lam: np.ndarray, p: float) -> float:
 # sampling
 # ----------------------------------------------------------------------
 
-def sample_dirichlet(spec: AggregateSpec, n: int, seed: int, return_radius: bool = False):
+def sample_dirichlet(spec: AggregateSpec, n: int, seed: int):
     """i.i.d. draws of the Dirichlet vector (R*U_1, ..., R*U_d).
 
     Each chunk draws its simplex rows, then one exact radius per row from
@@ -252,14 +252,9 @@ def sample_dirichlet(spec: AggregateSpec, n: int, seed: int, return_radius: bool
     seed = _check_seed(seed)
 
     def draw(rng, u, ws):
-        r = spec.radial.sample(rng, u.shape[1])
-        return (u * r).T, r
+        return (u * spec.radial.sample(rng, u.shape[1])).T
 
-    parts = _chunked(seed, _chunk_sizes(n), spec.alpha, draw)
-    x = np.vstack([part[0] for part in parts])
-    if return_radius:
-        return x, np.concatenate([part[1] for part in parts])
-    return x
+    return np.vstack(_chunked(seed, _chunk_sizes(n), spec.alpha, draw))
 
 
 # ----------------------------------------------------------------------

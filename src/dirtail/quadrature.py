@@ -46,6 +46,9 @@ _EPS, _H = float(np.finfo(float).eps), 1e-6  # double rounding; relative step of
 _KINDS = np.arange(3)[:, None]
 _NEST = 4  # d = 3 levels run at once, whose inner lines are all held together
 _DEEPER = np.array([[0], [-1], [1], [1], [0]])  # an outer half's slot shifts as it deepens
+#: alphas the rule holds to ~1e-12 of log p (mpmath, d = 2); past 1e-7 and 1e5 it misses
+#: _TOL, and at 1e-17 (a - 1 = -1) or 1e300 the Jacobi nodes fail
+_SHAPES = (1e-6, 1e4)
 
 
 def _log_cond(radial: RadialModel, z, level: float, p: float, out=None):
@@ -407,6 +410,9 @@ def quadrature_tail(spec: AggregateSpec, t) -> Estimate | list[Estimate]:
     tns = _levels(spec, t)
     if spec.d > 3:
         raise DomainError(f"quadrature oracle supports d <= 3, got d={spec.d}")
+    if spec.d > 1 and not _SHAPES[0] <= min(spec.alpha) <= max(spec.alpha) <= _SHAPES[1]:
+        raise DomainError(f"quadrature oracle needs every alpha in [{_SHAPES[0]:g}, "
+                          f"{_SHAPES[1]:g}], got alpha={list(spec.alpha)}")
     p, radial = spec.p, spec.radial
     z_sup = _z_sup(np.asarray(spec.lam), p)
     # Z <= level puts the radius past a finite endpoint (level 0 for none)

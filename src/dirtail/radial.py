@@ -81,6 +81,13 @@ class RadialModel(ABC):
         raise UnsupportedClassError(
             f"{type(self).__name__} is not in the Gumbel class; no scaling function")
 
+    def log_u_w(self, u: float) -> float:
+        """log(u w(u)); NumericError where u w(u) is not a positive finite number."""
+        uw = u * self.scaling_w(u)
+        if not 0.0 < uw < math.inf:
+            raise NumericError(f"u w(u) = {uw!r} at u = {u!r} is not a positive finite number")
+        return math.log(uw)
+
     def power_scaling_wp(self, p: float, x: float) -> float:
         """Scaling function of R^p: w_p(x) = x^(1/p-1) * w(x^(1/p)) / p."""
         if not p > 0:
@@ -359,10 +366,15 @@ def mda_diagnostic(model: RadialModel, mode: str, params: dict) -> np.ndarray:
     params = dict(params)
     depths = params.pop("depths", _DEFAULT_DEPTHS)
 
+    def pop(key: str) -> float:
+        if key not in params:
+            raise ValidationError(f"{mode} needs the parameter {key!r}")
+        return float(params.pop(key))
+
     if mode == "gumbel_ratio":
         if model.mda_class != "gumbel":
             raise UnsupportedClassError("gumbel_ratio needs a Gumbel-class radial law")
-        x = float(params.pop("x"))
+        x = pop("x")
         if params:
             raise ValidationError(f"unknown diagnostic parameters: {sorted(params)}")
         rows = []
@@ -376,7 +388,7 @@ def mda_diagnostic(model: RadialModel, mode: str, params: dict) -> np.ndarray:
     if mode == "weibull_ratio":
         if model.mda_class != "weibull":
             raise UnsupportedClassError("weibull_ratio needs a Weibull-class radial law")
-        t = float(params.pop("t"))
+        t = pop("t")
         if not t > 0:
             raise DomainError(f"weibull_ratio needs t > 0, got {t}")
         if params:
@@ -392,8 +404,7 @@ def mda_diagnostic(model: RadialModel, mode: str, params: dict) -> np.ndarray:
     if mode == "davis_resnick":
         if model.mda_class != "gumbel":
             raise UnsupportedClassError("davis_resnick needs a Gumbel-class radial law")
-        mu = float(params.pop("mu"))
-        c = float(params.pop("c"))
+        mu, c = pop("mu"), pop("c")
         if not c > 1:
             raise DomainError(f"davis_resnick needs c > 1, got {c}")
         if params:
@@ -402,7 +413,7 @@ def mda_diagnostic(model: RadialModel, mode: str, params: dict) -> np.ndarray:
         for depth in depths:
             u = model.quantile_survival(depth)
             log_ratio = model.log_survival(c * u) - model.log_survival(u)
-            val = mu * math.log(u * model.scaling_w(u)) + log_ratio
+            val = mu * model.log_u_w(u) + log_ratio
             if val > math.log(np.finfo(float).max):
                 raise NumericError(f"davis_resnick ratio exp({val}) at u={u} overflows a double")
             rows.append((u, math.exp(val)))

@@ -11,13 +11,13 @@ three bands of the linear-scale tail q:
 
 * q > 1/2: log1p of minus the lower tail, because log(q) rounds to 0
   once 1 - q drops below the double spacing near 1;
-* q below an underflow floor: the modified-Lentz continued fraction for
-  the upper tail, summed in log scale, because q itself underflows (or
-  keeps only a few digits as a subnormal) while its logarithm is an
-  ordinary number;
+* q below an underflow floor: the upper tail's continued fraction, one
+  modified-Lentz loop for both laws, summed in log scale, because q itself
+  underflows (or keeps only a few digits as a subnormal) while its logarithm
+  is an ordinary number; only the entries that the finite sums below leave
+  to the bands (shapes not whole numbers up to _ERLANG_N_MAX, array shapes)
+  reach it;
 * everywhere else: log(q).
-
-Only entries in the deep band reach the hand-written fractions.
 
 Two routes bypass the bands, finite sums by one Horner loop.  A scalar gamma
 shape that is a whole number n <= _ERLANG_N_MAX (the Erlang law) has the tail
@@ -45,7 +45,7 @@ from .errors import DomainError, NumericError
 
 _TINY = 1e-300
 _EPS = 1e-15
-_MAX_ITER = 500
+_MAX_ITER = 1000
 _DBL_MAX = np.finfo(float).max
 #: below this linear-scale tail the log comes from the continued fraction;
 #: far enough above the smallest normal double that log(q) never sees a subnormal
@@ -106,17 +106,6 @@ def logsumexp(values, axis=None):
     return out.item() if axis is None else out.squeeze(axis)
 
 
-def log1mexp(x: float) -> float:
-    """log(1 - exp(x)) for x <= 0, accurate near both ends."""
-    if x > 0:
-        raise DomainError(f"log1mexp requires x <= 0, got {x}")
-    if x == 0:
-        return -math.inf
-    if x > -math.log(2.0):
-        return math.log(-math.expm1(x))
-    return math.log1p(-math.exp(x))
-
-
 # ----------------------------------------------------------------------
 # banded upper tails
 # ----------------------------------------------------------------------
@@ -151,77 +140,54 @@ def _log_tail(upper, lower, log_fraction, *args):
     return out.reshape(shape)
 
 
+def _lentz(h, c, d, term, what):
+    """Modified Lentz (Thompson & Barnett 1986) on 1-d arrays from the start state
+    (h, c, d), step i's partial numerator and denominator being term(i).  A converged
+    entry's h is frozen, so no value depends on the entries beside it."""
+    converged = np.zeros(h.shape, dtype=bool)
+    for i in range(1, _MAX_ITER + 1):
+        an, bn = term(i)
+        d = an * d + bn
+        d = np.where(np.abs(d) < _TINY, _TINY, d)
+        c = bn + an / c
+        c = np.where(np.abs(c) < _TINY, _TINY, c)
+        d = 1.0 / d
+        delta = d * c
+        np.multiply(h, delta, out=h, where=~converged)
+        converged |= np.abs(delta - 1.0) < _EPS
+        if converged.all():
+            return h
+    raise NumericError(f"{what} continued fraction did not converge")
+
+
 # ----------------------------------------------------------------------
 # incomplete beta
 # ----------------------------------------------------------------------
 
-def _beta_cf(a, b, x):
-    """Continued fraction for the regularized incomplete beta (Lentz).
-
-    Converges fast for x < (a+1)/(a+b+2).  Vectorized over x, a, b of a
-    common shape; an entry's h stops changing once it has converged, so
-    its value does not depend on the entries it is evaluated with.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    x = np.asarray(x, dtype=float)
-
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = np.ones_like(x)
-    d = 1.0 - qab * x / qap
-    d = np.where(np.abs(d) < _TINY, _TINY, d)
-    d = 1.0 / d
-    h = d.copy()
-    converged = np.zeros(x.shape, dtype=bool)
-    for m in range(1, _MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        d = np.where(np.abs(d) < _TINY, _TINY, d)
-        c = 1.0 + aa / c
-        c = np.where(np.abs(c) < _TINY, _TINY, c)
-        d = 1.0 / d
-        live = ~converged
-        np.multiply(h, d, out=h, where=live)
-        np.multiply(h, c, out=h, where=live)
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        d = np.where(np.abs(d) < _TINY, _TINY, d)
-        c = 1.0 + aa / c
-        c = np.where(np.abs(c) < _TINY, _TINY, c)
-        d = 1.0 / d
-        delta = d * c
-        np.multiply(h, delta, out=h, where=live)
-        converged |= np.abs(delta - 1.0) < _EPS
-        if converged.all():
-            return h
-    raise NumericError("incomplete beta continued fraction did not converge")
-
-
 def _beta_cf_upper_log(a, b, x):
-    """log P(B_{a,b} > x) = log I_{1-x}(b, a) by the continued fraction.
-
-    Meant for 1-d arrays with x above the mean, where 1 - x lies in the
-    fraction's fast range.  x = 1 is -inf without the fraction: BetaLaw
-    clips every argument past its endpoint to 1, so in conditional sampling
-    such entries can fill most of a chunk.
-    """
+    """log P(B_{a,b} > x) = log I_y(b, a), y = 1 - x, by the continued fraction
+    y^b (1 - y)^a / (b B(a, b)) / (1 + d_1 / (1 + d_2 / ...)), for 1-d arrays with
+    y < (b + 1) / (a + b + 2), where it converges fast.  x = 1 is -inf without the
+    fraction: BetaLaw clips every argument past its endpoint to 1."""
     out = np.full(x.shape, -np.inf)
     inside = x < 1.0
     a, b, x = a[inside], b[inside], x[inside]
+    y = 1.0 - x
+    qab, qap, qam = b + a, b + 1.0, b - 1.0
+    d = 1.0 - qab * y / qap
+    d = 1.0 / np.where(np.abs(d) < _TINY, _TINY, d)
+
+    def term(i):  # d_{i+1}: i = 2m - 1 gives d_{2m}, i = 2m gives d_{2m+1}
+        m = (i + 1) // 2
+        m2 = 2 * m
+        if i % 2:
+            return m * (a - m) * y / ((qam + m2) * (b + m2)), 1.0
+        return -(b + m) * (qab + m) * y / ((b + m2) * (qap + m2)), 1.0
+
+    h = _lentz(d.copy(), np.ones_like(y), d, term, "incomplete beta")
     log_pref = a * np.log(x) + b * np.log1p(-x) - betaln(a, b)
-    out[inside] = log_pref - np.log(b) + np.log(_beta_cf(b, a, 1.0 - x))
+    out[inside] = log_pref - np.log(b) + np.log(h)
     return out
-
-
-def _check_beta_args(a, b, x):
-    if not (np.all(np.asarray(a, dtype=float) > 0) and np.all(np.asarray(b, dtype=float) > 0)):
-        raise DomainError(f"beta parameters must be positive, got a={a}, b={b}")
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0) or np.any(xa > 1) or np.any(np.isnan(xa)):
-        raise DomainError(f"beta argument must lie in [0, 1], got x={x}")
 
 
 def log_beta_survival(a, b, x):
@@ -231,7 +197,7 @@ def log_beta_survival(a, b, x):
     (_log_beta_sum) at every entry where it gives q < 1/2; the other entries,
     and other shapes, take the bands."""
     if isinstance(x, float) and isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        # the checks of _check_beta_args as plain comparisons, which a NaN fails
+        # the checks of the array path as plain comparisons, which a NaN fails
         if not (a > 0 and b > 0):
             raise DomainError(f"beta parameters must be positive, got a={a}, b={b}")
         if not 0 <= x <= 1:
@@ -242,8 +208,11 @@ def log_beta_survival(a, b, x):
             if out < _LOG_HALF:
                 return out
         return _log_tail(betaincc, betainc, _beta_cf_upper_log, float(a), float(b), x)
-    _check_beta_args(a, b, x)
     aa, bb, xx = (np.asarray(v, dtype=float) for v in (a, b, x))
+    if not (np.all(aa > 0) and np.all(bb > 0)):
+        raise DomainError(f"beta parameters must be positive, got a={a}, b={b}")
+    if not np.all((xx >= 0) & (xx <= 1)):  # a NaN fails both
+        raise DomainError(f"beta argument must lie in [0, 1], got x={x}")
     coef = _beta_series(float(a), float(b)) if aa.ndim == bb.ndim == 0 and xx.ndim else None
     if coef is None:
         out = _log_tail(betaincc, betainc, _beta_cf_upper_log, aa, bb, xx)
@@ -260,34 +229,21 @@ def log_beta_survival(a, b, x):
 # ----------------------------------------------------------------------
 
 def _gamma_cf_upper_log(a, x):
-    """log Q(a, x) by continued fraction (Lentz), for 1-d arrays with x > a + 1.
-
-    x = inf is -inf without the fraction, whose terms would be inf / inf.  As
-    in _beta_cf, a converged entry's h is frozen, so no value depends on its batch.
-    """
+    """log Q(a, x) = -x + a log x - log Gamma(a) - log(b_0 + a_1 / (b_1 + ...)),
+    a_i = -i (i - a), b_i = x + 1 - a + 2i (Legendre), for 1-d arrays with x > a + 1.
+    x = inf is -inf without the fraction, whose terms would be inf / inf."""
     out = np.full(x.shape, -np.inf)
     finite = np.isfinite(x)
     a, x = a[finite], x[finite]
     b = x + 1.0 - a
-    c = np.full(x.shape, 1.0 / _TINY)
-    d = 1.0 / b
-    h = d.copy()
-    converged = np.zeros(x.shape, dtype=bool)
-    for i in range(1, _MAX_ITER + 1):
-        an = -i * (i - a)
+
+    def term(i):  # b_i as a running sum, as b_0 + 2i would round differently
+        nonlocal b
         b = b + 2.0
-        d = an * d + b
-        d = np.where(np.abs(d) < _TINY, _TINY, d)
-        c = b + an / c
-        c = np.where(np.abs(c) < _TINY, _TINY, c)
-        d = 1.0 / d
-        delta = d * c
-        np.multiply(h, delta, out=h, where=~converged)
-        converged |= np.abs(delta - 1.0) < _EPS
-        if converged.all():
-            break
-    else:
-        raise NumericError("incomplete gamma continued fraction did not converge")
+        return -i * (i - a), b
+
+    d = 1.0 / b
+    h = _lentz(d.copy(), np.full(x.shape, 1.0 / _TINY), d, term, "incomplete gamma")
     out[finite] = -x + a * np.log(x) - gammaln(a) + np.log(h)
     return out
 

@@ -45,10 +45,9 @@ class TestValidateSpec:
         assert spec.lam == (1.0, 0.5)
 
     def test_weight_tolerance_flag(self):
+        # the multiplicity counts weights equal to 1 exactly
         spec = dt.validate_spec([1, 1], [1.0, 1.0 - 1e-12], 1.0, GAMMA21)
         assert spec.m == 1
-        spec = dt.validate_spec([1, 1], [1.0, 1.0 - 1e-12], 1.0, GAMMA21, weight_tol=1e-9)
-        assert spec.m == 2
 
     def test_validation_errors(self):
         with pytest.raises(ValidationError):
@@ -363,16 +362,17 @@ class TestWeibullEndpoint:
 
 
 class TestMarginalComponentTail:
+    """A single weighted component is the aggregate of a one-hot weight
+    vector: P(X_i > u) ~ Gamma(abar)/Gamma(alpha_i) (u w(u))^{alpha_i-abar} F_bar(u)."""
+
     def test_d1_identity(self):
-        spec = dt.validate_spec([1.0], [1.0], 1.0, GammaLaw(1, 1))
-        asym = dt.marginal_component_tail(spec, 0)
+        asym = dt.tail_asymptotic(dt.validate_spec([1.0], [1.0], 1.0, GammaLaw(1, 1)))
         assert asym.evaluate_log(7.0) == pytest.approx(-7.0, rel=1e-13)
 
     def test_kotz_pair_form(self):
         # alpha = (1,1), radius Gamma(2,1): the formula reads
         # (u w(u))^{-1} * (1+u) e^{-u} = (1 + 1/u) e^{-u}
-        spec = dt.validate_spec([1, 1], [1, 1], 1.0, GAMMA21)
-        asym = dt.marginal_component_tail(spec, 0)
+        asym = dt.tail_asymptotic(dt.validate_spec([1, 1], [1, 0], 1.0, GAMMA21))
         for u in [5.0, 25.0]:
             want = math.log1p(1.0 / u) - u
             assert asym.evaluate_log(u) == pytest.approx(want, rel=1e-12)
@@ -380,8 +380,7 @@ class TestMarginalComponentTail:
     def test_exact_gamma_marginal(self):
         # alpha = (2,1), radius Gamma(3,1): X_1 ~ Gamma(2,1) exactly; the
         # prediction ratio tends to 1
-        spec = dt.validate_spec([2, 1], [1, 1], 1.0, GammaLaw(3, 1))
-        asym = dt.marginal_component_tail(spec, 0)
+        asym = dt.tail_asymptotic(dt.validate_spec([2, 1], [1, 0], 1.0, GammaLaw(3, 1)))
         gaps = []
         for depth in [1e-6, 1e-8, 1e-10]:
             u = GammaLaw(3, 1).quantile_survival(depth)
@@ -390,11 +389,6 @@ class TestMarginalComponentTail:
             gaps.append(abs(math.exp(pred - exact) - 1.0))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 0.05
-
-    def test_zero_weight_component(self):
-        spec = dt.validate_spec([1, 1], [1, 0], 2.0, GAMMA21)
-        asym = dt.marginal_component_tail(spec, 1)
-        assert asym.evaluate_log(3.0) == -math.inf
 
 
 class TestVarEs:
@@ -430,16 +424,12 @@ class TestVarEs:
 
 class TestRegimeClassify:
     def test_examples(self):
-        info = dt.regime_classify(dt.validate_spec([1, 1], [1, 1], 2.0, GAMMA21))
-        assert info.regime == "a" and info.single_big_jump
-        info = dt.regime_classify(dt.validate_spec([1, 1], [1, 0.5], 1.0, GAMMA21))
-        assert info.regime == "b" and not info.single_big_jump
-        info = dt.regime_classify(dt.validate_spec([1, 1], [1, 0.5], 0.5, GAMMA21))
-        assert info.regime == "c" and not info.single_big_jump
-        info = dt.regime_classify(dt.validate_spec([1, 1], [1, 1], 1.0, GAMMA21))
-        assert info.regime == "degenerate"
-        info = dt.regime_classify(dt.validate_spec([1, 1], [1, 0.5], 1.0, BetaLaw(1, 2)))
-        assert info.regime == "weibull"
+        assert dt.regime_classify(dt.validate_spec([1, 1], [1, 1], 2.0, GAMMA21)) == "a"
+        assert dt.regime_classify(dt.validate_spec([1, 1], [1, 0.5], 1.0, GAMMA21)) == "b"
+        assert dt.regime_classify(dt.validate_spec([1, 1], [1, 0.5], 0.5, GAMMA21)) == "c"
+        assert dt.regime_classify(dt.validate_spec([1, 1], [1, 1], 1.0, GAMMA21)) == "degenerate"
+        assert dt.regime_classify(
+            dt.validate_spec([1, 1], [1, 0.5], 1.0, BetaLaw(1, 2))) == "weibull"
 
     def test_unsupported_combinations(self):
         with pytest.raises(WrongRegimeError):

@@ -370,6 +370,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"'{key}'" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command, extra", [
+        # a line's Beta shape past the quadrature rule's range
+        ("ratio", {"alpha": [1e-17, 1.0], "depths": [1e-6], "oracle": "quadrature"}),
+        ("ratio", {"alpha": [1e-15, 1.0], "depths": [1e-6], "oracle": "quadrature"}),
+        ("ratio", {"alpha": [1e300, 1.0], "depths": [1e-6], "oracle": "quadrature"}),
+        # u w(u) underflows to 0
+        ("var-es", {"radial": {"family": "weibulltail", "params": {"index": 1e-300}},
+                    "levels": [0.99]}),
+        ("diagnose-mda", {"radial": {"family": "weibulltail", "params": {"index": 1e-300}},
+                          "mode": "empirical", "n": 1000}),
+        ("diagnose-mda", {"radial": {"family": "unitgumbel", "params": {"kappa": 1e300}},
+                          "mode": "davis_resnick", "mu": 1.0, "c": 2.0}),
+        # a diagnostic parameter left out
+        ("diagnose-mda", {"mode": "davis_resnick", "mu": 1.0}),
+    ])
+    def test_valid_looking_input_exits_without_traceback(self, tmp_path, capsys, command, extra):
+        cfg = {**KOTZ_CONFIG, "lambda": [1.0, 0.5], "seed": 1, **extra}
+        assert cli.main([command, "--config", write_config(tmp_path, cfg)]) in (2, 3)
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_integral_float_count_runs(self, tmp_path):
         cfg = dict(KOTZ_CONFIG, seed=1, n=2e3, thresholds=[3.0])
         out = tmp_path / "out.csv"

@@ -14,7 +14,7 @@ import math
 import pytest
 from scipy import integrate, optimize, special
 
-from dirtail import GammaLaw, validate_spec, marginal_component_tail
+from dirtail import GammaLaw, tail_asymptotic, validate_spec
 from dirtail.errors import DomainError
 from dirtail.producttail import mixture_tail_constant_c, mixture_tail_constant_d, saddle_geometry
 
@@ -145,19 +145,18 @@ class TestProductTailGumbel:
 
     def test_matches_marginal_component_tail(self):
         # S ~ Beta(a, beta) with L = Gamma(a+beta)/(Gamma(a)Gamma(beta+1))
-        # reproduces the component-tail formula exactly
+        # reproduces the component-tail formula, the aggregate of a one-hot
+        # weight vector, exactly
         radial = GammaLaw(2, 1)
-        spec = validate_spec([1.0, 1.0], [1.0, 0.6], 1.0, radial)
-        i = 0
-        a_i = spec.alpha[i]
+        spec = validate_spec([1.0, 1.0], [1.0, 0.0], 1.0, radial)
+        a_i = spec.alpha[0]
         beta = spec.alpha_bar - a_i
         big_l = math.exp(special.gammaln(a_i + beta) - special.gammaln(a_i)
                          - special.gammaln(beta + 1))
-        marg = marginal_component_tail(spec, i)
+        marg = tail_asymptotic(spec)
         for u in [5.0, 15.0, 30.0]:
-            t = spec.scale * spec.lam[i] * u ** spec.p
             assert product_tail_gumbel(beta, big_l, radial, u) == pytest.approx(
-                marg.evaluate_log(t), rel=1e-12)
+                marg.evaluate_log(u), rel=1e-12)
 
     def test_quadrature_convergence_beta_times_gamma(self):
         # prediction/quadrature -> 1, monotone on the sampled grid; the
