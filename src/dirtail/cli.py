@@ -280,7 +280,7 @@ def _emit(out_path, fmt, command, cfg, seed, header, rows):
             fh.write(text)
 
 
-def run(command: str, cfg: dict, seed=None, workers: int = 1,
+def run(command: str, cfg: dict, seed=None, workers: int | None = None,
         out_path=None, fmt=None, dump_config=None) -> int:
     """Execute one command against a parsed config; returns the exit code."""
     if command not in _COMMANDS:
@@ -323,9 +323,9 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None, help="output path (default: stdout or config 'out')")
     parser.add_argument("--format", default=None, choices=["csv", "json"])
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker threads for the Monte Carlo commands (simulate, ratio, "
-                             "empirical diagnose-mda, maxstable); never changes results")
+    parser.add_argument("--workers", type=int, default=None,
+                        help="worker threads for sampling (default: the CPUs this process "
+                             "may run on); never changes results")
     parser.add_argument("--dump-config", default=None,
                         help="write the fully resolved config to this path before running")
     return parser

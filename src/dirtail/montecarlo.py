@@ -24,13 +24,14 @@ log_survival shifted by its maximum) and sums them and their squares.
 The conditional estimate's mean combines the chunks' log-sums; its variance
 combines their linear sums against the largest shift, so that equal weights
 give a variance of exactly 0.
-conditional_mc_tail, crude_mc_tail, empirical_gumbel_mda and
-pairwise_asymindep take a worker count; it changes scheduling, never a result.
+Every sampler takes a worker count, by default the CPUs this process may run
+on; it changes scheduling, never a result.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -111,17 +112,19 @@ def _chunk_sizes(n: int, chunk: int = CHUNK) -> list[int]:
     return [chunk] * full + ([rest] if rest else [])
 
 
-def _chunked(seed: int, sizes: list[int], alpha, fn, workers: int = 1) -> list:
-    """fn(rng, u, ws) for every chunk k, in chunk order.  u is the chunk's
-    (d, sizes[k]) block of simplex points, one column per point, drawn first
-    from rng = default_rng([seed, k]); for d = 1 the simplex is the single
-    point 1 and nothing is drawn.  ws(key, rows=1) is the thread's buffer
-    named key, made at the largest chunk's length on its first use, cut to
-    rows * sizes[k] doubles; for d >= 2, ws("u", rows <= d) is the first rows
-    of u, which fn may take as scratch once it is done with u (for d = 1 it
-    is a buffer of its own: fn must not write to u then).  u and the buffers
-    are reused for the thread's next chunk and freed when the call returns,
-    so fn must not keep them.
+def _chunked(seed: int, sizes: list[int], alpha, fn, workers: int | None = None) -> list:
+    """fn(rng, u, ws) for every chunk k, in chunk order, on up to workers
+    threads (None: the CPUs this process may run on), never more than there
+    are chunks.  u is the chunk's (d, sizes[k]) block of simplex points, one
+    column per point, drawn first from rng = default_rng([seed, k]); for
+    d = 1 the simplex is the single point 1 and nothing is drawn.
+    ws(key, rows=1) is the thread's buffer named key, made at the largest
+    chunk's length on its first use, cut to rows * sizes[k] doubles; for
+    d >= 2, ws("u", rows <= d) is the first rows of u, which fn may take as
+    scratch once it is done with u (for d = 1 it is a buffer of its own: fn
+    must not write to u then).  u and the buffers are reused for the
+    thread's next chunk and freed when the call returns, so fn must not keep
+    them.
 
     The gamma draws come _DRAW_ROWS rows at a time in the row-major order of
     one (sizes[k], d) draw, so the stream is that of one row per point; equal
@@ -130,9 +133,17 @@ def _chunked(seed: int, sizes: list[int], alpha, fn, workers: int = 1) -> list:
     which for d <= 7 is the order of numpy's row sum; from d = 8 numpy's
     unrolled sum adds in another order.
 
-    Raises NumericError when a row's gamma draws all underflow to 0, which
-    small alpha makes likely: the row has no simplex point to normalize.
+    Raises ValidationError for a worker count that is neither None nor an
+    integer >= 1, and NumericError when a row's gamma draws all underflow to
+    0, which small alpha makes likely: the row has no simplex point to
+    normalize.
     """
+    if workers is None:
+        workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+            else os.cpu_count() or 1
+    elif not isinstance(workers, (int, np.integer)) or isinstance(workers, bool) or workers < 1:
+        raise ValidationError(f"workers must be an integer >= 1, got {workers!r}")
+    workers = min(int(workers), len(sizes))
     alpha = np.asarray(alpha, dtype=float)
     shape = alpha[0] if np.all(alpha == alpha[0]) else alpha
     d, size, local = alpha.size, max(sizes), threading.local()
@@ -162,7 +173,7 @@ def _chunked(seed: int, sizes: list[int], alpha, fn, workers: int = 1) -> list:
             np.divide(y, total, out=u[:, lo:lo + m])
         return fn(rng, u, ws)
 
-    if workers <= 1 or len(sizes) == 1:
+    if workers == 1:
         return [one_chunk(k) for k in range(len(sizes))]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(one_chunk, range(len(sizes))))
@@ -243,7 +254,7 @@ def _z_sup(lam: np.ndarray, p: float) -> float:
 # sampling
 # ----------------------------------------------------------------------
 
-def sample_dirichlet(spec: AggregateSpec, n: int, seed: int):
+def sample_dirichlet(spec: AggregateSpec, n: int, seed: int, workers: int | None = None):
     """i.i.d. draws of the Dirichlet vector (R*U_1, ..., R*U_d).
 
     Each chunk draws its simplex rows, then one exact radius per row from
@@ -254,7 +265,7 @@ def sample_dirichlet(spec: AggregateSpec, n: int, seed: int):
     def draw(rng, u, ws):
         return (u * spec.radial.sample(rng, u.shape[1])).T
 
-    return np.vstack(_chunked(seed, _chunk_sizes(n), spec.alpha, draw))
+    return np.vstack(_chunked(seed, _chunk_sizes(n), spec.alpha, draw, workers))
 
 
 # ----------------------------------------------------------------------
@@ -285,7 +296,7 @@ def _estimate_from_moments(ls1: float, chunks, n: int, seed: int) -> Estimate:
 
 
 def conditional_mc_tail(spec: AggregateSpec, t, n: int, seed: int,
-                        workers: int = 1) -> Estimate | list[Estimate]:
+                        workers: int | None = None) -> Estimate | list[Estimate]:
     """Radially conditioned estimator of P(S_p > t) (t on the raw scale).
 
     Unbiased: averages the exact radial survival F_bar((t_norm/Z)^{1/p})
@@ -307,7 +318,7 @@ def conditional_mc_tail(spec: AggregateSpec, t, n: int, seed: int,
 
 
 def crude_mc_tail(spec: AggregateSpec, t, n: int, seed: int,
-                  workers: int = 1) -> Estimate | list[Estimate]:
+                  workers: int | None = None) -> Estimate | list[Estimate]:
     """Plain frequency estimator of P(S_p > t) with binomial standard error
     (3/n with no hit); t is one threshold or a sequence, as above."""
     seed, levels, n = _check_seed(seed), _levels(spec, t), int(n)
@@ -330,7 +341,8 @@ def crude_mc_tail(spec: AggregateSpec, t, n: int, seed: int,
 # diagnostics built on the conditional estimator
 # ----------------------------------------------------------------------
 
-def max_sum_ratio(spec: AggregateSpec, t_grid, n: int, seed: int) -> np.ndarray:
+def max_sum_ratio(spec: AggregateSpec, t_grid, n: int, seed: int,
+                  workers: int | None = None) -> np.ndarray:
     """P(max_i lambda_i X_i^p > t) / P(S_p > t) on a threshold grid.
 
     Both tails use the conditional estimator with shared simplex draws, so
@@ -356,7 +368,8 @@ def max_sum_ratio(spec: AggregateSpec, t_grid, n: int, seed: int) -> np.ndarray:
         return list(zip(_log_moments(spec.radial, top, levels, spec.p, ws),
                         _log_moments(spec.radial, total, levels, spec.p, ws)))
 
-    logs = _chunk_logsums(_chunked(seed, _chunk_sizes(n), spec.alpha, columns)) - math.log(n)
+    logs = _chunk_logsums(_chunked(seed, _chunk_sizes(n), spec.alpha, columns, workers)) \
+        - math.log(n)
     return np.asarray([(t, num, den, math.exp(num - den)) for t, (num, den) in zip(t_grid, logs)])
 
 
@@ -381,7 +394,7 @@ def norming_constants(spec: AggregateSpec, n: int) -> NormingConstants:
 
 
 def pairwise_asymindep(alpha, weights, p: float, radial: RadialModel, i: int, j: int,
-                       n_grid, n: int, seed: int, workers: int = 1) -> np.ndarray:
+                       n_grid, n: int, seed: int, workers: int | None = None) -> np.ndarray:
     """Empirical conditional exceedance P(Y_i > b, Y_j > b) / P(Y_i > b).
 
     Y_k = sum_r weights[r, k] * X_r^p are linear transforms of the powered
@@ -445,7 +458,7 @@ def pairwise_asymindep(alpha, weights, p: float, radial: RadialModel, i: int, j:
 
 
 def empirical_gumbel_mda(spec: AggregateSpec, x_grid, depth_grid, n: int,
-                         seed: int, workers: int = 1) -> np.ndarray:
+                         seed: int, workers: int | None = None) -> np.ndarray:
     """Estimates F_bar_S(v + x/w_p(v)) / F_bar_S(v) at asymptotic depths v.
 
     Convergence of the ratios to exp(-x) is the empirical face of the
@@ -478,7 +491,7 @@ def empirical_gumbel_mda(spec: AggregateSpec, x_grid, depth_grid, n: int,
 
 
 def gumbel_limit_check(spec: AggregateSpec, n: int, replicates: int, x_grid,
-                       seed: int) -> np.ndarray:
+                       seed: int, workers: int | None = None) -> np.ndarray:
     """Empirical P(max of n i.i.d. S_p <= a_n x + b_n) against exp(-exp(-x)).
 
     Block maxima are simulated directly (replicates blocks of n draws);
@@ -501,7 +514,7 @@ def gumbel_limit_check(spec: AggregateSpec, n: int, replicates: int, x_grid,
         block_max = s.reshape(-1, n).max(axis=1)
         return (block_max[:, None] <= cut[None, :]).sum(axis=0)
 
-    counts = sum(_chunked(seed, sizes, spec.alpha, block_counts))
+    counts = sum(_chunked(seed, sizes, spec.alpha, block_counts, workers))
     emp = counts / float(replicates)
     return np.asarray([(x, e, math.exp(-math.exp(-x))) for x, e in zip(x_arr, emp)])
 

@@ -37,7 +37,12 @@ _FAMILIES: dict[str, type] = {}
 
 
 class RadialModel(ABC):
-    """A law for the radius R; immutable, all operations pure."""
+    """A law for the radius R; immutable, all operations pure.
+
+    The samplers call a law's methods on worker threads, by default one per
+    CPU the process may run on, so a custom law's methods must stay pure: a
+    call may not write state that another call reads.
+    """
 
     #: "gumbel" or "weibull"
     mda_class: str = "gumbel"
@@ -241,6 +246,9 @@ class WeibullTail(RadialModel):
         # below this radius scale * u^index stays under e^709 < DBL_MAX
         object.__setattr__(self, "_u_safe", math.exp(
             min(709.0, (709.0 - math.log(max(self.scale, 1.0))) / self.index)))
+        # every quantile, (-log s / scale)^(1/index) with -log s < 745, stays under e^709
+        object.__setattr__(self, "_q_safe", (math.log(745.0) - math.log(self.scale))
+                           * max(1.0, 1.0 / self.index) < 709.0)
 
     @property
     def upper_endpoint(self) -> float:
@@ -261,7 +269,14 @@ class WeibullTail(RadialModel):
 
     def quantile_survival(self, s):
         sa = _check_level(s)
-        out = (-np.log(sa) / self.scale) ** (1.0 / self.index)
+        if self._q_safe:  # no overflow: skip errstate's 2 us
+            out = (-np.log(sa) / self.scale) ** (1.0 / self.index)
+            return out if np.ndim(s) else float(out)
+        with np.errstate(over="ignore"):  # a tiny index or scale overflows the power
+            out = (-np.log(sa) / self.scale) ** (1.0 / self.index)
+        if not np.all(np.isfinite(out)):
+            raise NumericError(f"WeibullTail quantile at level {s} overflows: "
+                               f"(-log s / {self.scale!r})^(1/{self.index!r}) > DBL_MAX")
         return out if np.ndim(s) else float(out)
 
     def sample(self, rng, size):

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -278,6 +279,24 @@ class TestOutputContracts:
             assert outs[0] == outs[1], command
             assert seen == [1, 4], command
 
+    def test_default_workers_give_the_bytes_of_one(self, tmp_path, monkeypatch):
+        # the default reads four usable CPUs here, whatever the host has
+        monkeypatch.setattr(dt.montecarlo.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
+        path = write_config(tmp_path, dict(KOTZ_CONFIG, thresholds=[5.0], n=170000, seed=2024))
+        outs = []
+        for name, flags in [("default.csv", []), ("w1.csv", ["--workers", "1"])]:
+            out = tmp_path / name
+            assert cli.main(["simulate", "--config", path, "--out", str(out), *flags]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_non_positive_workers_is_2(self, tmp_path, capsys, workers):
+        path = write_config(tmp_path, dict(KOTZ_CONFIG, thresholds=[5.0], n=1000, seed=1))
+        assert cli.main(["simulate", "--config", path, "--workers", workers]) == 2
+        assert "workers must be an integer >= 1" in capsys.readouterr().err
+
 
 class TestImportWeight:
     def test_no_integrate_or_optimize(self):
@@ -375,7 +394,7 @@ class TestExitCodes:
         ("ratio", {"alpha": [1e-17, 1.0], "depths": [1e-6], "oracle": "quadrature"}),
         ("ratio", {"alpha": [1e-15, 1.0], "depths": [1e-6], "oracle": "quadrature"}),
         ("ratio", {"alpha": [1e300, 1.0], "depths": [1e-6], "oracle": "quadrature"}),
-        # u w(u) underflows to 0
+        # u w(u) underflows to 0 (var-es: the radial quantile overflows first)
         ("var-es", {"radial": {"family": "weibulltail", "params": {"index": 1e-300}},
                     "levels": [0.99]}),
         ("diagnose-mda", {"radial": {"family": "weibulltail", "params": {"index": 1e-300}},
@@ -389,6 +408,15 @@ class TestExitCodes:
         cfg = {**KOTZ_CONFIG, "lambda": [1.0, 0.5], "seed": 1, **extra}
         assert cli.main([command, "--config", write_config(tmp_path, cfg)]) in (2, 3)
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_overflowing_quantile_is_3_in_one_line(self, tmp_path, capsys):
+        cfg = {**KOTZ_CONFIG, "radial": {"family": "weibulltail", "params": {"index": 1e-300}},
+               "levels": [0.99]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["var-es", "--config", write_config(tmp_path, cfg)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "quantile at level" in err[0] and "overflows" in err[0]
 
     def test_integral_float_count_runs(self, tmp_path):
         cfg = dict(KOTZ_CONFIG, seed=1, n=2e3, thresholds=[3.0])

@@ -385,26 +385,40 @@ class TestKernelEquivalence:
 class TestBufferReuse:
     """Every sampler through the engine's reused per-thread buffers: a d = 4,
     unequal-alpha spec over three equal chunks and a short one gives the same
-    bits at one and at two workers."""
+    bits at one and at two workers, and by default."""
 
     SPEC = dt.validate_spec([0.7, 1.3, 2.0, 0.9], [1.0, 0.8, 0.5, 0.3], 2.0, GAMMA21)
     N = 3 * CHUNK + 123
+    RUNS = pytest.mark.parametrize("run", [
+        lambda s, n, **kw: dt.conditional_mc_tail(s, [8.0, 20.0], n, seed=5, **kw),
+        lambda s, n, **kw: dt.crude_mc_tail(s, [8.0, 20.0], n, seed=5, **kw),
+        lambda s, n, **kw: mc.max_sum_ratio(s, [8.0, 20.0], n, seed=5, **kw),
+        lambda s, n, **kw: mc.pairwise_asymindep(s.alpha, [[1, 0], [0, 1], [0.5, 0.3], [0.2, 0.7]],
+                                                 s.p, s.radial, 0, 1, [100, 1000], n, seed=5,
+                                                 **kw),
+        lambda s, n, **kw: mc.empirical_gumbel_mda(s, [0.5, 1.0], [1e-3, 1e-5], n, seed=5, **kw),
+        # blocks of 1000 draws: four chunks of 65, 65, 65 and 55 blocks
+        lambda s, n, **kw: mc.gumbel_limit_check(s, 1000, 250, [-1.0, 0.0, 2.0], seed=5, **kw),
+        lambda s, n, **kw: mc.sample_dirichlet(s, n, seed=5, **kw),
+    ], ids=["conditional", "crude", "max_sum_ratio", "pairwise", "gumbel_mda", "gumbel_limit",
+            "sample_dirichlet"])
 
-    @pytest.mark.parametrize("run", [
-        lambda s, n: dt.conditional_mc_tail(s, [8.0, 20.0], n, seed=5),
-        lambda s, n: dt.crude_mc_tail(s, [8.0, 20.0], n, seed=5),
-        lambda s, n: mc.max_sum_ratio(s, [8.0, 20.0], n, seed=5),
-        lambda s, n: mc.pairwise_asymindep(s.alpha, [[1, 0], [0, 1], [0.5, 0.3], [0.2, 0.7]],
-                                           s.p, s.radial, 0, 1, [100, 1000], n, seed=5),
-        lambda s, n: mc.empirical_gumbel_mda(s, [0.5, 1.0], [1e-3, 1e-5], n, seed=5),
-    ], ids=["conditional", "crude", "max_sum_ratio", "pairwise", "gumbel_mda"])
-    def test_workers_agree_bit_for_bit(self, monkeypatch, run):
-        # max_sum_ratio takes no worker count: the engine is given one here
-        chunked, results = mc._chunked, []
-        for workers in (1, 2):
-            monkeypatch.setattr(mc, "_chunked", lambda *args, w=workers: chunked(*args[:4], w))
-            results.append(run(self.SPEC, self.N))
-        assert repr(results[0]) == repr(results[1])
+    @staticmethod
+    def _bits(result) -> str:
+        """Every bit of a result: an array's bytes, or the repr of Estimates,
+        whose floats print round-trip exact."""
+        return result.tobytes().hex() if isinstance(result, np.ndarray) else repr(result)
+
+    @RUNS
+    def test_workers_agree_bit_for_bit(self, run):
+        one, two = (run(self.SPEC, self.N, workers=w) for w in (1, 2))
+        assert self._bits(one) == self._bits(two)
+
+    @RUNS
+    def test_default_equals_one_worker(self, monkeypatch, run):
+        # the default reads four usable CPUs here, whatever the host has
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        assert self._bits(run(self.SPEC, self.N)) == self._bits(run(self.SPEC, self.N, workers=1))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_no_buffer_outlives_the_call(self, workers):
@@ -420,6 +434,63 @@ class TestBufferReuse:
         finally:
             tracemalloc.stop()
         assert kept < CHUNK  # bytes: one chunk row alone is 8 * CHUNK
+
+
+class TestWorkerCount:
+    """The engine checks the worker count and never starts more threads than
+    there are chunks; None reads the CPUs the process may run on."""
+
+    N = 2 * CHUNK + 5  # three chunks
+
+    def _pool_sizes(self, monkeypatch, **kw) -> list:
+        """The max_workers of every pool one call makes, through a stand-in
+        executor that runs the chunks in turn, so no thread starts."""
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", Pool)
+        est = dt.conditional_mc_tail(KOTZ2, 4.0, self.N, seed=3, **kw)
+        assert est == dt.conditional_mc_tail(KOTZ2, 4.0, self.N, seed=3, workers=1)
+        return sizes
+
+    def test_pool_capped_at_chunk_count(self, monkeypatch):
+        assert self._pool_sizes(monkeypatch, workers=8) == [3]
+        assert self._pool_sizes(monkeypatch, workers=2) == [2]
+        assert self._pool_sizes(monkeypatch, workers=1) == []
+
+    def test_default_reads_usable_cpus_on_each_call(self, monkeypatch):
+        for cpus, sizes in [(16, [3]), (2, [2]), (1, [])]:
+            monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid, c=cpus: set(range(c)),
+                                raising=False)
+            assert self._pool_sizes(monkeypatch) == sizes
+
+    def test_default_without_affinity_reads_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(mc.os, "sched_getaffinity", raising=False)
+        for count, sizes in [(5, [3]), (None, [])]:
+            monkeypatch.setattr(mc.os, "cpu_count", lambda c=count: c)
+            assert self._pool_sizes(monkeypatch) == sizes
+
+    @pytest.mark.parametrize("workers", [0, -3, True, False, 1.0, 2.5, "2"])
+    def test_invalid_count_is_validation_error(self, monkeypatch, workers):
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", None)
+        with pytest.raises(ValidationError, match="workers must be an integer >= 1"):
+            dt.crude_mc_tail(KOTZ2, 4.0, self.N, seed=3, workers=workers)
+
+    def test_numpy_integer_count(self):
+        assert dt.crude_mc_tail(KOTZ2, 4.0, self.N, seed=3, workers=np.int64(2)) \
+            == dt.crude_mc_tail(KOTZ2, 4.0, self.N, seed=3, workers=1)
 
 
 class TestConditionalEstimator:

@@ -203,6 +203,16 @@ class TestQuantile:
                 with pytest.raises(DomainError):
                     model.quantile_survival(s)
 
+    @pytest.mark.parametrize("model", [WeibullTail(index=1e-300), WeibullTail(1.0, 1e-310)],
+                             ids=["tiny-index", "tiny-scale"])
+    @pytest.mark.parametrize("level", [1e-6, 0.01, np.array([0.5, 1e-6])])
+    def test_weibull_quantile_overflow_is_numeric_error(self, model, level):
+        # (-log s / scale)^(1/index) passes DBL_MAX: an error, not an inf radius and a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="quantile at level .* overflows"):
+                model.quantile_survival(level)
+
     @pytest.mark.parametrize("model", [GammaLaw(3, 1), WeibullTail(2, 0.5), BetaLaw(2, 3),
                                        UnitGumbel(1.0)], ids=lambda m: m.family_name)
     def test_nan_level_rejected(self, model):
