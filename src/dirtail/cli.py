@@ -290,6 +290,7 @@ def run(command: str, cfg: dict, seed=None, workers: int | None = None,
         seed = cfg.get("seed")
     if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool) or seed < 0):
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    workers = montecarlo._check_workers(workers)  # every command, sampling or not
     fmt = fmt or cfg.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ValidationError(f"format must be 'csv' or 'json', got {fmt!r}")

@@ -24,8 +24,10 @@ log_survival shifted by its maximum) and sums them and their squares.
 The conditional estimate's mean combines the chunks' log-sums; its variance
 combines their linear sums against the largest shift, so that equal weights
 give a variance of exactly 0.
-Every sampler takes a worker count, by default the CPUs this process may run
-on; it changes scheduling, never a result.
+Every sampler runs its chunks on the CPUs this process may run on (see
+_chunked); conditional_mc_tail, crude_mc_tail, empirical_gumbel_mda and
+pairwise_asymindep also take a worker count.  The count changes scheduling,
+never a result.
 """
 
 from __future__ import annotations
@@ -62,6 +64,8 @@ __all__ = [
 CHUNK = 1 << 16
 #: rows of gamma draws per block, which stays in cache while it is normalized
 _DRAW_ROWS = 1 << 13
+#: draws a call's threads hold at once by default: eight full chunks
+_POOL_DRAWS = 8 * CHUNK
 
 
 @dataclass(frozen=True)
@@ -97,6 +101,13 @@ def _check_seed(seed) -> int:
     return int(seed)
 
 
+def _check_workers(workers) -> int | None:
+    if workers is not None and (not isinstance(workers, (int, np.integer))
+                                or isinstance(workers, bool) or workers < 1):
+        raise ValidationError(f"workers must be an integer >= 1, got {workers!r}")
+    return None if workers is None else int(workers)
+
+
 def _levels(spec: AggregateSpec, thresholds) -> np.ndarray:
     """The normalized levels t / scale of one raw threshold or a sequence."""
     ts = np.atleast_1d(np.asarray(thresholds, dtype=float))
@@ -114,17 +125,21 @@ def _chunk_sizes(n: int, chunk: int = CHUNK) -> list[int]:
 
 def _chunked(seed: int, sizes: list[int], alpha, fn, workers: int | None = None) -> list:
     """fn(rng, u, ws) for every chunk k, in chunk order, on up to workers
-    threads (None: the CPUs this process may run on), never more than there
-    are chunks.  u is the chunk's (d, sizes[k]) block of simplex points, one
-    column per point, drawn first from rng = default_rng([seed, k]); for
-    d = 1 the simplex is the single point 1 and nothing is drawn.
-    ws(key, rows=1) is the thread's buffer named key, made at the largest
-    chunk's length on its first use, cut to rows * sizes[k] doubles; for
-    d >= 2, ws("u", rows <= d) is the first rows of u, which fn may take as
-    scratch once it is done with u (for d = 1 it is a buffer of its own: fn
-    must not write to u then).  u and the buffers are reused for the
-    thread's next chunk and freed when the call returns, so fn must not keep
-    them.
+    threads, never more than there are chunks.  Each thread keeps buffers of
+    about 2d + 1 doubles per draw of the largest chunk, so peak memory grows
+    with the thread count.  None reads the CPUs this process may run on (its
+    affinity mask, which ignores a cgroup CPU quota), but takes no more
+    threads than hold _POOL_DRAWS draws between them, and at least one.
+
+    u is the chunk's (d, sizes[k]) block of simplex points, one column per
+    point, drawn first from rng = default_rng([seed, k]); for d = 1 the
+    simplex is the single point 1 and nothing is drawn.  ws(key, rows=1) is
+    the thread's buffer named key, made at the largest chunk's length on its
+    first use, cut to rows * sizes[k] doubles; for d >= 2, ws("u", rows <= d)
+    is the first rows of u, which fn may take as scratch once it is done
+    with u (for d = 1 it is a buffer of its own: fn must not write to u
+    then).  u and the buffers are reused for the thread's next chunk and
+    freed when the call returns, so fn must not keep them.
 
     The gamma draws come _DRAW_ROWS rows at a time in the row-major order of
     one (sizes[k], d) draw, so the stream is that of one row per point; equal
@@ -138,12 +153,12 @@ def _chunked(seed: int, sizes: list[int], alpha, fn, workers: int | None = None)
     0, which small alpha makes likely: the row has no simplex point to
     normalize.
     """
+    workers = _check_workers(workers)
     if workers is None:
-        workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
             else os.cpu_count() or 1
-    elif not isinstance(workers, (int, np.integer)) or isinstance(workers, bool) or workers < 1:
-        raise ValidationError(f"workers must be an integer >= 1, got {workers!r}")
-    workers = min(int(workers), len(sizes))
+        workers = min(cpus, max(1, _POOL_DRAWS // max(sizes)))
+    workers = min(workers, len(sizes))
     alpha = np.asarray(alpha, dtype=float)
     shape = alpha[0] if np.all(alpha == alpha[0]) else alpha
     d, size, local = alpha.size, max(sizes), threading.local()
@@ -254,7 +269,7 @@ def _z_sup(lam: np.ndarray, p: float) -> float:
 # sampling
 # ----------------------------------------------------------------------
 
-def sample_dirichlet(spec: AggregateSpec, n: int, seed: int, workers: int | None = None):
+def sample_dirichlet(spec: AggregateSpec, n: int, seed: int):
     """i.i.d. draws of the Dirichlet vector (R*U_1, ..., R*U_d).
 
     Each chunk draws its simplex rows, then one exact radius per row from
@@ -265,7 +280,7 @@ def sample_dirichlet(spec: AggregateSpec, n: int, seed: int, workers: int | None
     def draw(rng, u, ws):
         return (u * spec.radial.sample(rng, u.shape[1])).T
 
-    return np.vstack(_chunked(seed, _chunk_sizes(n), spec.alpha, draw, workers))
+    return np.vstack(_chunked(seed, _chunk_sizes(n), spec.alpha, draw))
 
 
 # ----------------------------------------------------------------------
@@ -341,8 +356,7 @@ def crude_mc_tail(spec: AggregateSpec, t, n: int, seed: int,
 # diagnostics built on the conditional estimator
 # ----------------------------------------------------------------------
 
-def max_sum_ratio(spec: AggregateSpec, t_grid, n: int, seed: int,
-                  workers: int | None = None) -> np.ndarray:
+def max_sum_ratio(spec: AggregateSpec, t_grid, n: int, seed: int) -> np.ndarray:
     """P(max_i lambda_i X_i^p > t) / P(S_p > t) on a threshold grid.
 
     Both tails use the conditional estimator with shared simplex draws, so
@@ -368,8 +382,7 @@ def max_sum_ratio(spec: AggregateSpec, t_grid, n: int, seed: int,
         return list(zip(_log_moments(spec.radial, top, levels, spec.p, ws),
                         _log_moments(spec.radial, total, levels, spec.p, ws)))
 
-    logs = _chunk_logsums(_chunked(seed, _chunk_sizes(n), spec.alpha, columns, workers)) \
-        - math.log(n)
+    logs = _chunk_logsums(_chunked(seed, _chunk_sizes(n), spec.alpha, columns)) - math.log(n)
     return np.asarray([(t, num, den, math.exp(num - den)) for t, (num, den) in zip(t_grid, logs)])
 
 
@@ -491,7 +504,7 @@ def empirical_gumbel_mda(spec: AggregateSpec, x_grid, depth_grid, n: int,
 
 
 def gumbel_limit_check(spec: AggregateSpec, n: int, replicates: int, x_grid,
-                       seed: int, workers: int | None = None) -> np.ndarray:
+                       seed: int) -> np.ndarray:
     """Empirical P(max of n i.i.d. S_p <= a_n x + b_n) against exp(-exp(-x)).
 
     Block maxima are simulated directly (replicates blocks of n draws);
@@ -514,7 +527,7 @@ def gumbel_limit_check(spec: AggregateSpec, n: int, replicates: int, x_grid,
         block_max = s.reshape(-1, n).max(axis=1)
         return (block_max[:, None] <= cut[None, :]).sum(axis=0)
 
-    counts = sum(_chunked(seed, sizes, spec.alpha, block_counts, workers))
+    counts = sum(_chunked(seed, sizes, spec.alpha, block_counts))
     emp = counts / float(replicates)
     return np.asarray([(x, e, math.exp(-math.exp(-x))) for x, e in zip(x_arr, emp)])
 

@@ -39,9 +39,9 @@ _FAMILIES: dict[str, type] = {}
 class RadialModel(ABC):
     """A law for the radius R; immutable, all operations pure.
 
-    The samplers call a law's methods on worker threads, by default one per
-    CPU the process may run on, so a custom law's methods must stay pure: a
-    call may not write state that another call reads.
+    The samplers call a law's methods on worker threads, by default up to
+    one per CPU the process may run on, so a custom law's methods must stay
+    pure: a call may not write state that another call reads.
     """
 
     #: "gumbel" or "weibull"
@@ -246,9 +246,10 @@ class WeibullTail(RadialModel):
         # below this radius scale * u^index stays under e^709 < DBL_MAX
         object.__setattr__(self, "_u_safe", math.exp(
             min(709.0, (709.0 - math.log(max(self.scale, 1.0))) / self.index)))
-        # every quantile, (-log s / scale)^(1/index) with -log s < 745, stays under e^709
-        object.__setattr__(self, "_q_safe", (math.log(745.0) - math.log(self.scale))
-                           * max(1.0, 1.0 / self.index) < 709.0)
+        # up to this -log s the quantile (-log s / scale)^(1/index) stays under
+        # e^709; -log s < 745 for every level, so a larger bound never binds
+        object.__setattr__(self, "_nlog_max",
+                           self.scale * math.exp(min(709.0, 709.0 * self.index)))
 
     @property
     def upper_endpoint(self) -> float:
@@ -268,15 +269,11 @@ class WeibullTail(RadialModel):
         return self.scale * self.index * u ** (self.index - 1.0)
 
     def quantile_survival(self, s):
-        sa = _check_level(s)
-        if self._q_safe:  # no overflow: skip errstate's 2 us
-            out = (-np.log(sa) / self.scale) ** (1.0 / self.index)
-            return out if np.ndim(s) else float(out)
-        with np.errstate(over="ignore"):  # a tiny index or scale overflows the power
-            out = (-np.log(sa) / self.scale) ** (1.0 / self.index)
-        if not np.all(np.isfinite(out)):
+        nlog = -np.log(_check_level(s))
+        if self._nlog_max < 745.0 and np.any(nlog > self._nlog_max):  # a tiny index or scale
             raise NumericError(f"WeibullTail quantile at level {s} overflows: "
-                               f"(-log s / {self.scale!r})^(1/{self.index!r}) > DBL_MAX")
+                               f"(-log s / {self.scale!r})^(1/{self.index!r}) > e^709")
+        out = (nlog / self.scale) ** (1.0 / self.index)
         return out if np.ndim(s) else float(out)
 
     def sample(self, rng, size):

@@ -249,12 +249,12 @@ class TestOutputContracts:
 
     def test_workers_do_not_change_bytes(self, tmp_path, monkeypatch):
         # every command that samples passes the worker count to the chunk
-        # engine, and the bytes do not move
+        # engine (None when --workers is left out), and the bytes do not move
         seen = []
         chunked = dt.montecarlo._chunked
 
         def recording(*args, **kwargs):
-            seen.append(args[4] if len(args) > 4 else kwargs.get("workers", 1))
+            seen.append(args[4] if len(args) > 4 else kwargs.get("workers"))
             return chunked(*args, **kwargs)
 
         monkeypatch.setattr(dt.montecarlo, "_chunked", recording)
@@ -270,31 +270,27 @@ class TestOutputContracts:
         ]:
             seen.clear()
             outs = []
-            for workers, name in [(1, "w1.csv"), (4, "w4.csv")]:
+            for flags, name in [(["--workers", "1"], "w1.csv"), (["--workers", "4"], "w4.csv"),
+                                ([], "default.csv")]:
                 out = tmp_path / name
                 rc = cli.main([command, "--config", write_config(tmp_path, cfg),
-                               "--out", str(out), "--workers", str(workers)])
+                               "--out", str(out), *flags])
                 assert rc == 0, command
                 outs.append(out.read_bytes())
-            assert outs[0] == outs[1], command
-            assert seen == [1, 4], command
+            assert outs[0] == outs[1] == outs[2], command
+            assert seen == [1, 4, None], command
 
-    def test_default_workers_give_the_bytes_of_one(self, tmp_path, monkeypatch):
-        # the default reads four usable CPUs here, whatever the host has
-        monkeypatch.setattr(dt.montecarlo.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
-                            raising=False)
-        path = write_config(tmp_path, dict(KOTZ_CONFIG, thresholds=[5.0], n=170000, seed=2024))
-        outs = []
-        for name, flags in [("default.csv", []), ("w1.csv", ["--workers", "1"])]:
-            out = tmp_path / name
-            assert cli.main(["simulate", "--config", path, "--out", str(out), *flags]) == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
-
+    @pytest.mark.parametrize("command, extra", [
+        ("simulate", {"thresholds": [5.0], "n": 1000, "seed": 1}),
+        ("approx", {"thresholds": [5.0]}),
+        ("var-es", {"levels": [0.99]}),
+        ("constants", {}),
+    ], ids=["simulate", "approx", "var-es", "constants"])
     @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_non_positive_workers_is_2(self, tmp_path, capsys, workers):
-        path = write_config(tmp_path, dict(KOTZ_CONFIG, thresholds=[5.0], n=1000, seed=1))
-        assert cli.main(["simulate", "--config", path, "--workers", workers]) == 2
+    def test_non_positive_workers_is_2(self, tmp_path, capsys, command, extra, workers):
+        # checked for every command, whether it samples or not
+        assert cli.main([command, "--config", write_config(tmp_path, {**KOTZ_CONFIG, **extra}),
+                         "--workers", workers]) == 2
         assert "workers must be an integer >= 1" in capsys.readouterr().err
 
 

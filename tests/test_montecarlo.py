@@ -385,23 +385,11 @@ class TestKernelEquivalence:
 class TestBufferReuse:
     """Every sampler through the engine's reused per-thread buffers: a d = 4,
     unequal-alpha spec over three equal chunks and a short one gives the same
-    bits at one and at two workers, and by default."""
+    bits on one, two and four threads."""
 
     SPEC = dt.validate_spec([0.7, 1.3, 2.0, 0.9], [1.0, 0.8, 0.5, 0.3], 2.0, GAMMA21)
     N = 3 * CHUNK + 123
-    RUNS = pytest.mark.parametrize("run", [
-        lambda s, n, **kw: dt.conditional_mc_tail(s, [8.0, 20.0], n, seed=5, **kw),
-        lambda s, n, **kw: dt.crude_mc_tail(s, [8.0, 20.0], n, seed=5, **kw),
-        lambda s, n, **kw: mc.max_sum_ratio(s, [8.0, 20.0], n, seed=5, **kw),
-        lambda s, n, **kw: mc.pairwise_asymindep(s.alpha, [[1, 0], [0, 1], [0.5, 0.3], [0.2, 0.7]],
-                                                 s.p, s.radial, 0, 1, [100, 1000], n, seed=5,
-                                                 **kw),
-        lambda s, n, **kw: mc.empirical_gumbel_mda(s, [0.5, 1.0], [1e-3, 1e-5], n, seed=5, **kw),
-        # blocks of 1000 draws: four chunks of 65, 65, 65 and 55 blocks
-        lambda s, n, **kw: mc.gumbel_limit_check(s, 1000, 250, [-1.0, 0.0, 2.0], seed=5, **kw),
-        lambda s, n, **kw: mc.sample_dirichlet(s, n, seed=5, **kw),
-    ], ids=["conditional", "crude", "max_sum_ratio", "pairwise", "gumbel_mda", "gumbel_limit",
-            "sample_dirichlet"])
+
 
     @staticmethod
     def _bits(result) -> str:
@@ -409,16 +397,27 @@ class TestBufferReuse:
         whose floats print round-trip exact."""
         return result.tobytes().hex() if isinstance(result, np.ndarray) else repr(result)
 
-    @RUNS
-    def test_workers_agree_bit_for_bit(self, run):
-        one, two = (run(self.SPEC, self.N, workers=w) for w in (1, 2))
-        assert self._bits(one) == self._bits(two)
-
-    @RUNS
-    def test_default_equals_one_worker(self, monkeypatch, run):
-        # the default reads four usable CPUs here, whatever the host has
-        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-        assert self._bits(run(self.SPEC, self.N)) == self._bits(run(self.SPEC, self.N, workers=1))
+    @pytest.mark.parametrize("run", [
+        lambda s, n: dt.conditional_mc_tail(s, [8.0, 20.0], n, seed=5),
+        lambda s, n: dt.crude_mc_tail(s, [8.0, 20.0], n, seed=5),
+        lambda s, n: mc.max_sum_ratio(s, [8.0, 20.0], n, seed=5),
+        lambda s, n: mc.pairwise_asymindep(s.alpha, [[1, 0], [0, 1], [0.5, 0.3], [0.2, 0.7]],
+                                           s.p, s.radial, 0, 1, [100, 1000], n, seed=5),
+        lambda s, n: mc.empirical_gumbel_mda(s, [0.5, 1.0], [1e-3, 1e-5], n, seed=5),
+        # blocks of 1000 draws: four chunks of 65, 65, 65 and 55 blocks
+        lambda s, n: mc.gumbel_limit_check(s, 1000, 250, [-1.0, 0.0, 2.0], seed=5),
+        lambda s, n: mc.sample_dirichlet(s, n, seed=5),
+    ], ids=["conditional", "crude", "max_sum_ratio", "pairwise", "gumbel_mda", "gumbel_limit",
+            "sample_dirichlet"])
+    def test_workers_agree_bit_for_bit(self, monkeypatch, run):
+        # the default runs on the CPUs the process may run on: one, two and
+        # four here, whatever the host has
+        bits = []
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid, c=cpus: set(range(c)),
+                                raising=False)
+            bits.append(self._bits(run(self.SPEC, self.N)))
+        assert bits[0] == bits[1] == bits[2]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_no_buffer_outlives_the_call(self, workers):
@@ -438,7 +437,8 @@ class TestBufferReuse:
 
 class TestWorkerCount:
     """The engine checks the worker count and never starts more threads than
-    there are chunks; None reads the CPUs the process may run on."""
+    there are chunks; None reads the CPUs the process may run on and keeps
+    within a budget of draws."""
 
     N = 2 * CHUNK + 5  # three chunks
 
@@ -475,6 +475,16 @@ class TestWorkerCount:
             monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid, c=cpus: set(range(c)),
                                 raising=False)
             assert self._pool_sizes(monkeypatch) == sizes
+
+    def test_default_holds_at_most_pool_draws(self, monkeypatch):
+        # the chunks hold CHUNK, CHUNK and 5 draws: the default takes as many
+        # threads as _POOL_DRAWS covers at the largest, and at least one
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: set(range(16)),
+                            raising=False)
+        for draws, sizes in [(2 * CHUNK + 1, [2]), (CHUNK, []), (CHUNK - 1, [])]:
+            monkeypatch.setattr(mc, "_POOL_DRAWS", draws)
+            assert self._pool_sizes(monkeypatch) == sizes
+        assert self._pool_sizes(monkeypatch, workers=8) == [3]  # a given count is kept
 
     def test_default_without_affinity_reads_cpu_count(self, monkeypatch):
         monkeypatch.delattr(mc.os, "sched_getaffinity", raising=False)
