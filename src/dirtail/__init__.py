@@ -28,10 +28,6 @@ from .aggtail import (
     simplex_constant_recursion,
     simplex_tail_geometry,
     tail_asymptotic,
-    tail_gumbel_peq1,
-    tail_gumbel_pgt1,
-    tail_gumbel_plt1,
-    tail_weibull,
     validate_spec,
     var_es_asymptotic,
 )
@@ -79,10 +75,6 @@ __all__ = [
     "simplex_constant_recursion",
     "simplex_tail_geometry",
     "tail_asymptotic",
-    "tail_gumbel_peq1",
-    "tail_gumbel_pgt1",
-    "tail_gumbel_plt1",
-    "tail_weibull",
     "validate_spec",
     "var_es_asymptotic",
 ]

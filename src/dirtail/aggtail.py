@@ -39,10 +39,6 @@ __all__ = [
     "lambda_tilde",
     "simplex_tail_geometry",
     "simplex_constant_recursion",
-    "tail_gumbel_pgt1",
-    "tail_gumbel_peq1",
-    "tail_gumbel_plt1",
-    "tail_weibull",
     "tail_asymptotic",
     "var_es_asymptotic",
     "regime_classify",
@@ -147,8 +143,8 @@ class TailAsymptotic:
                    u = ((t/scale)/pivot)^(1/p);
     base "weibull": evaluate(t) = K * u^rho * F_bar(1-u) with u = 1 - t/scale.
 
-    `exact` marks degenerate identities (d = 1, or p = 1 with all weights
-    equal) where the "asymptotic" is the exact distribution function.
+    tail_asymptotic builds it for every regime; with K = 1 and rho = 0 it is
+    the exact law of S_p = scale * R^p (d = 1, or p = 1 with all weights equal).
     """
 
     log_constant: float
@@ -158,7 +154,6 @@ class TailAsymptotic:
     p: float
     scale: float = 1.0
     pivot: float = 1.0
-    exact: bool = False
 
     def threshold_to_base(self, t: float) -> float:
         """Map a raw threshold on S_p to the base variable u."""
@@ -232,11 +227,6 @@ class TailAsymptotic:
             else:
                 x = x + dx if lo[0] - tol < x + dx < hi[0] + tol else 0.5 * (lo[0] + hi[0])
                 x = min(max(x, lo[0] + 0.5 * tol), hi[0] - 0.5 * tol)
-
-
-def _identity_asymptotic(spec: AggregateSpec, base: str) -> TailAsymptotic:
-    return TailAsymptotic(log_constant=0.0, rho=0.0, base=base, radial=spec.radial,
-                          p=spec.p, scale=spec.scale, pivot=1.0, exact=True)
 
 
 # ----------------------------------------------------------------------
@@ -332,99 +322,6 @@ def simplex_constant_recursion(spec: AggregateSpec) -> SimplexTailGeometry:
 
 
 # ----------------------------------------------------------------------
-# the regime asymptotics
-# ----------------------------------------------------------------------
-
-def _require_gumbel(spec: AggregateSpec, what: str) -> None:
-    if spec.radial.mda_class != "gumbel":
-        raise WrongRegimeError(f"{what} needs a Gumbel-class radial law")
-
-
-def tail_gumbel_pgt1(spec: AggregateSpec) -> TailAsymptotic:
-    """Powers above one: P(S_p > scale * u^p) ~ m* Gamma(abar)/Gamma(ahat)
-    * (u w(u))^{ahat - abar} * F_bar(u).
-
-    Only the unit-weight block matters, and within it only the components
-    with the largest alpha; smaller weights vanish from the constant.
-    """
-    if spec.d > 1 and not spec.p > 1:
-        raise WrongRegimeError(f"this regime needs p > 1, got p={spec.p}")
-    _require_gumbel(spec, "the p > 1 asymptotic")
-    if spec.d == 1:
-        return _identity_asymptotic(spec, "gumbel")
-    abar = spec.alpha_bar
-    log_k = math.log(spec.m_star) + log_gamma(abar) - log_gamma(spec.alpha_hat)
-    return TailAsymptotic(log_constant=log_k, rho=spec.alpha_hat - abar, base="gumbel",
-                          radial=spec.radial, p=spec.p, scale=spec.scale, pivot=1.0)
-
-
-def tail_gumbel_peq1(spec: AggregateSpec) -> TailAsymptotic:
-    """Unit power: P(S_1 > scale * u) ~ K (u w(u))^{-sum of left-out alphas} F_bar(u),
-    K = prod_{i>m} (1-lam_i)^{-alpha_i} * Gamma(abar)/Gamma(abar_m).
-
-    With all weights equal the sum collapses to the radius itself and the
-    returned asymptotic is the exact distribution.
-    """
-    if spec.p != 1.0:
-        raise WrongRegimeError(f"this regime needs p = 1, got p={spec.p}")
-    _require_gumbel(spec, "the p = 1 asymptotic")
-    if spec.m == spec.d:
-        return _identity_asymptotic(spec, "gumbel")
-    log_k = (sum(-a * math.log1p(-l) for a, l in zip(spec.alpha[spec.m:], spec.lam[spec.m:]))
-             + log_gamma(spec.alpha_bar) - log_gamma(spec.alpha_bar_m))
-    rho = -(spec.alpha_bar - spec.alpha_bar_m)
-    return TailAsymptotic(log_constant=log_k, rho=rho, base="gumbel", radial=spec.radial,
-                          p=1.0, scale=spec.scale, pivot=1.0)
-
-
-def tail_gumbel_plt1(spec: AggregateSpec) -> TailAsymptotic:
-    """Powers below one: P(S_p > scale * lt * u^p) ~ K (u w(u))^{-(d-1)/2} F_bar(u),
-    K = Gamma((d+1)/2) * C_d * (p * lt)^{(d-1)/2},
-
-    where lt and C_d come from the simplex Laplace recursion.  Needs every
-    weight strictly positive.
-    """
-    if spec.d > 1 and not 0 < spec.p < 1:
-        raise WrongRegimeError(f"this regime needs p in (0, 1), got p={spec.p}")
-    _require_gumbel(spec, "the p < 1 asymptotic")
-    if spec.d == 1:
-        return _identity_asymptotic(spec, "gumbel")
-    geometry = simplex_constant_recursion(spec)
-    d = spec.d
-    lt = geometry.lambda_tilde_final
-    log_k = (log_gamma((d + 1) / 2.0) + geometry.log_c_tilde[-1]
-             + (d - 1) / 2.0 * math.log(spec.p * lt))
-    return TailAsymptotic(log_constant=log_k, rho=-(d - 1) / 2.0, base="gumbel",
-                          radial=spec.radial, p=spec.p, scale=spec.scale, pivot=lt)
-
-
-def tail_weibull(spec: AggregateSpec) -> TailAsymptotic:
-    """Finite endpoint, unit power: for survival regularly varying at 1 with
-    index gamma,
-
-    P(S_1 > scale*(1-u)) ~ K u^{sum of left-out alphas} F_bar(1-u),
-    K = prod_{i>m}(1-lam_i)^{-alpha_i} * Gamma(abar)*Gamma(gamma+1)
-        / (Gamma(abar_m) * Gamma(sum_{i>m} alpha_i + gamma + 1)).
-
-    The exponent on u is positive: the aggregate's tail at 1 is thinner than
-    the radius's tail by exactly that polynomial factor.
-    """
-    if spec.p != 1.0:
-        raise WrongRegimeError(f"the endpoint asymptotic needs p = 1, got p={spec.p}")
-    if spec.m == spec.d:
-        return _identity_asymptotic(spec, "weibull")
-    if spec.radial.mda_class != "weibull":
-        raise WrongRegimeError("the endpoint asymptotic needs a Weibull-class radial law")
-    gamma = spec.radial.weibull_index
-    alpha_out = spec.alpha_bar - spec.alpha_bar_m
-    log_k = (sum(-a * math.log1p(-l) for a, l in zip(spec.alpha[spec.m:], spec.lam[spec.m:]))
-             + log_gamma(spec.alpha_bar) + log_gamma(gamma + 1.0)
-             - log_gamma(spec.alpha_bar_m) - log_gamma(alpha_out + gamma + 1.0))
-    return TailAsymptotic(log_constant=log_k, rho=alpha_out, base="weibull",
-                          radial=spec.radial, p=1.0, scale=spec.scale, pivot=1.0)
-
-
-# ----------------------------------------------------------------------
 # regimes, VaR / ES
 # ----------------------------------------------------------------------
 
@@ -456,13 +353,59 @@ def regime_classify(spec: AggregateSpec) -> str:
 
 
 def tail_asymptotic(spec: AggregateSpec) -> TailAsymptotic:
-    """Dispatch to the regime formula that applies to this spec."""
+    """The first-order tail of S_p in the regime that regime_classify gives.
+
+    With abar the sum of all alphas, abar_m the sum over the m unit-weight
+    components and a_out = abar - abar_m the sum of the left-out ones:
+
+      "a" (p > 1): P(S_p > scale * u^p) ~ K (u w(u))^{ahat - abar} F_bar(u),
+          K = m* Gamma(abar)/Gamma(ahat); only the unit-weight components
+          with the largest alpha matter, smaller weights drop out of K.
+      "b" (p = 1): P(S_1 > scale * u) ~ K (u w(u))^{-a_out} F_bar(u),
+          K = prod_{i>m} (1-lam_i)^{-alpha_i} * Gamma(abar)/Gamma(abar_m).
+      "c" (p < 1): P(S_p > scale * lt * u^p) ~ K (u w(u))^{-(d-1)/2} F_bar(u),
+          K = Gamma((d+1)/2) * C_d * (p * lt)^{(d-1)/2}, with lt and C_d from
+          the simplex Laplace recursion; every weight is strictly positive.
+      "weibull" (p = 1, radius with endpoint 1 and survival regularly
+          varying there with index gamma):
+          P(S_1 > scale * (1-u)) ~ K u^{a_out} F_bar(1-u),
+          K = prod_{i>m} (1-lam_i)^{-alpha_i} * Gamma(abar) * Gamma(gamma+1)
+              / (Gamma(abar_m) * Gamma(a_out + gamma + 1));
+          the exponent is positive: the aggregate's tail at 1 is thinner
+          than the radius's by exactly that polynomial factor.
+      "degenerate" (p = 1, all weights equal), and d = 1 in any regime:
+          S_p is scale * R^p, so K = 1 and rho = 0 give the exact law.
+
+    The base is "gumbel" for a Gumbel-class radius and "weibull" otherwise.
+    """
     regime = regime_classify(spec)
-    if regime == "degenerate":  # S_1 = R exactly; base follows the radial's class
-        return _identity_asymptotic(
-            spec, "gumbel" if spec.radial.mda_class == "gumbel" else "weibull")
-    return {"a": tail_gumbel_pgt1, "b": tail_gumbel_peq1, "c": tail_gumbel_plt1,
-            "weibull": tail_weibull}[regime](spec)
+    if spec.d == 1:
+        regime = "degenerate"
+    log_k, rho, pivot = 0.0, 0.0, 1.0  # "degenerate": the exact law
+    abar, abar_m = spec.alpha_bar, spec.alpha_bar_m
+    if regime == "a":
+        log_k = math.log(spec.m_star) + log_gamma(abar) - log_gamma(spec.alpha_hat)
+        rho = spec.alpha_hat - abar
+    elif regime == "c":
+        geometry = simplex_constant_recursion(spec)
+        d, pivot = spec.d, geometry.lambda_tilde_final
+        log_k = (log_gamma((d + 1) / 2.0) + geometry.log_c_tilde[-1]
+                 + (d - 1) / 2.0 * math.log(spec.p * pivot))
+        rho = -(d - 1) / 2.0
+    elif regime != "degenerate":  # "b" and "weibull": left-out components thin the tail
+        a_out = abar - abar_m
+        log_k = (sum(-a * math.log1p(-l) for a, l in zip(spec.alpha[spec.m:], spec.lam[spec.m:]))
+                 + log_gamma(abar))
+        if regime == "b":
+            log_k, rho = log_k - log_gamma(abar_m), -a_out
+        else:
+            gamma = spec.radial.weibull_index
+            log_k = (log_k + log_gamma(gamma + 1.0)
+                     - log_gamma(abar_m) - log_gamma(a_out + gamma + 1.0))
+            rho = a_out
+    base = "gumbel" if spec.radial.mda_class == "gumbel" else "weibull"
+    return TailAsymptotic(log_constant=log_k, rho=rho, base=base, radial=spec.radial,
+                          p=spec.p, scale=spec.scale, pivot=pivot)
 
 
 @dataclass(frozen=True)
@@ -485,7 +428,8 @@ def var_es_asymptotic(spec: AggregateSpec, b: float) -> VarEs:
         raise DomainError(f"level b must lie in (0, 1), got {b}")
     if not math.isinf(spec.radial.upper_endpoint):
         raise WrongRegimeError("VaR/ES asymptotics need an infinite upper endpoint")
-    _require_gumbel(spec, "the VaR/ES asymptotic")
+    if spec.radial.mda_class != "gumbel":
+        raise WrongRegimeError("the VaR/ES asymptotic needs a Gumbel-class radial law")
     asym = tail_asymptotic(spec)
     var = asym.invert(math.log1p(-b))
     es_minus_var = spec.scale / spec.radial.power_scaling_wp(spec.p, var / spec.scale)

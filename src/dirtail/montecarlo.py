@@ -6,10 +6,14 @@ Z = sum_i lambda_i U_i^p sampled and the radius integrated out exactly,
     P(S_p > t) = E[ F_bar((t_norm / Z)^{1/p}) ],
 
 every sample contributes its exact log-scale survival value, so tail
-probabilities down to ~1e-60 are estimable with ordinary sample sizes; all
-of the rarity lives in F_bar, none in the indicator.  A crude frequency
-estimator and, for d <= 3, a deterministic quadrature oracle cross-check it;
-the oracle (dirtail.quadrature) sums the same kernel along lines.
+probabilities down to ~1e-60 are reachable with ordinary sample sizes; all
+of the rarity lives in F_bar, none in the indicator.  Where a few weights
+dominate, the reported stderr can understate the error: for alpha (1, 2),
+lambda (1, 0.5), p = 2, a Gamma(3) radius and depth 1e-30, +-2 stderr
+covered the quadrature value in 79 % of 300 seeds at n = 2000 (94 % at
+n = 20 000).  A crude frequency estimator and, for d <= 3, a deterministic
+quadrature oracle cross-check it; the oracle (dirtail.quadrature) sums the
+same kernel along lines.
 
 Every sampler runs on one chunked engine: chunk k of a fixed partition
 draws from a substream seeded by (seed, k) and is reduced on its own, and
@@ -361,15 +365,16 @@ def max_sum_ratio(spec: AggregateSpec, t_grid, n: int, seed: int) -> np.ndarray:
 
     Both tails use the conditional estimator with shared simplex draws, so
     the ratio is a smooth function of the noise and always <= 1.  Columns:
-    (t, log numerator, log denominator, ratio).  A threshold past the support of
-    S_p, where both tails are exact zeros, is a DomainError.
+    (t, log numerator, log denominator, ratio), one row per threshold (a
+    scalar is a one-row grid).  A threshold past the support of S_p, where
+    both tails are exact zeros, is a DomainError.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     seed, levels = _check_seed(seed), _levels(spec, t_grid)
     top = _z_sup(np.asarray(spec.lam), spec.p) * spec.radial.upper_endpoint ** spec.p
     past = levels >= top
     if past.any():
-        raise DomainError(f"thresholds {np.atleast_1d(t_grid)[past].tolist()} lie past the "
+        raise DomainError(f"thresholds {t_grid[past].tolist()} lie past the "
                           f"support of S_p (t / scale >= {top!r}): both tails are 0 there")
 
     def columns(rng, u, ws):
@@ -414,9 +419,9 @@ def pairwise_asymindep(alpha, weights, p: float, radial: RadialModel, i: int, j:
     Dirichlet components.  Levels b are the asymptotic 1 - 1/n quantiles of
     Y_i for n in n_grid; the ratio trending to 0 is the empirical face of
     the joint max-stable limit with independent Gumbel margins.  Columns:
-    (n_level, b, ratio).
+    (n_level, b, ratio), one row per level (a scalar is a one-row grid).
     """
-    seed = _check_seed(seed)
+    seed, n_grid = _check_seed(seed), np.atleast_1d(n_grid)
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2:
         raise ValidationError("weights must be a matrix (rows: components, cols: variables)")
@@ -476,9 +481,10 @@ def empirical_gumbel_mda(spec: AggregateSpec, x_grid, depth_grid, n: int,
 
     Convergence of the ratios to exp(-x) is the empirical face of the
     aggregate inheriting the Gumbel max-domain with scaling w_p.  Columns:
-    (depth, v, x, ratio, exp(-x)).
+    (depth, v, x, ratio, exp(-x)); either grid may be a scalar.
     """
     seed = _check_seed(seed)
+    x_grid, depth_grid = np.atleast_1d(x_grid), np.atleast_1d(depth_grid)
     if spec.radial.mda_class != "gumbel":
         raise DomainError("the Gumbel diagnostic needs a Gumbel-class radial law")
     asym = tail_asymptotic(spec)
@@ -509,11 +515,11 @@ def gumbel_limit_check(spec: AggregateSpec, n: int, replicates: int, x_grid,
 
     Block maxima are simulated directly (replicates blocks of n draws);
     the norming constants come from the tail asymptotic.  Columns:
-    (x, empirical, limit).
+    (x, empirical, limit), one row per x (a scalar is a one-row grid).
     """
     seed = _check_seed(seed)
     consts = norming_constants(spec, n)
-    x_arr = np.asarray([float(x) for x in x_grid])
+    x_arr = np.atleast_1d(np.asarray(x_grid, dtype=float))
     cut = consts.b_n + consts.a_n * x_arr
 
     # each chunk holds whole blocks of n draws

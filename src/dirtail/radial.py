@@ -277,7 +277,12 @@ class WeibullTail(RadialModel):
         return out if np.ndim(s) else float(out)
 
     def sample(self, rng, size):
-        return (rng.exponential(size=size) / self.scale) ** (1.0 / self.index)
+        e = rng.exponential(size=size)
+        # the quantile's bound: a draw past _nlog_max is a radius past e^709
+        if self._nlog_max < 745.0 and e.size and e.max() > self._nlog_max:
+            raise NumericError(f"WeibullTail draw overflows: (E / {self.scale!r})"
+                               f"^(1/{self.index!r}) > e^709 for an exponential draw E")
+        return (e / self.scale) ** (1.0 / self.index)
 
 
 @_register("beta")

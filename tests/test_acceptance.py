@@ -30,6 +30,12 @@ from dirtail import BetaLaw, GammaLaw, cli
 SEED = 20240808
 
 
+def asymptotic_in(regime, spec):
+    """tail_asymptotic(spec), after checking that regime_classify gives `regime`."""
+    assert dt.regime_classify(spec) == regime
+    return dt.tail_asymptotic(spec)
+
+
 def report(name: str, ok: bool, detail: str) -> None:
     print(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"{name}: {detail}"
@@ -61,7 +67,7 @@ def test_ac1_degenerate_exactness():
 def _kotz_ratios(a1, a2):
     radial = GammaLaw(a1 + a2, 1)
     spec = dt.validate_spec([a1, a2], [1, 0], 1.0, radial)
-    asym = dt.tail_gumbel_peq1(spec)
+    asym = asymptotic_in("b", spec)
     out = []
     for depth in [1e-6, 1e-8, 1e-10]:
         t = radial.quantile_survival(depth)
@@ -101,7 +107,7 @@ def test_ac2_kotz_tolerance_at_1e8():
 
 def test_ac3_regime_a_quadrature():
     spec = dt.validate_spec([1, 1], [1, 1], 2.0, GammaLaw(2, 1))
-    asym = dt.tail_gumbel_pgt1(spec)
+    asym = asymptotic_in("a", spec)
     u = GammaLaw(2, 1).quantile_survival(1e-8)
     t = u * u
     est = dt.quadrature_tail(spec, t)
@@ -117,7 +123,7 @@ def test_ac3_regime_a_quadrature():
 def test_ac4_regime_c_constants():
     # d = 2 equal weights: the constant is sqrt(pi) exactly
     spec2 = dt.validate_spec([1, 1], [1, 1], 0.5, GammaLaw(2, 1))
-    asym2 = dt.tail_gumbel_plt1(spec2)
+    asym2 = asymptotic_in("c", spec2)
     k2 = math.exp(asym2.log_constant)
     ok_k = abs(k2 - math.sqrt(math.pi)) <= 1e-10
 
@@ -128,7 +134,7 @@ def test_ac4_regime_c_constants():
 
     # d = 3 equal weights with the matching Kotz radius Gamma(3,1)
     spec3 = dt.validate_spec([1, 1, 1], [1, 1, 1], 0.5, GammaLaw(3, 1))
-    asym3 = dt.tail_gumbel_plt1(spec3)
+    asym3 = asymptotic_in("c", spec3)
     u3 = GammaLaw(3, 1).quantile_survival(1e-8)
     t3 = asym3.pivot * math.sqrt(u3)
     ratio3 = math.exp(asym3.evaluate_log(t3) - dt.quadrature_tail(spec3, t3).log_p_hat)
@@ -145,7 +151,7 @@ def test_ac4_regime_c_constants():
 
 def test_ac5_weibull_sign_correction():
     spec = dt.validate_spec([1, 1], [1, 0], 1.0, BetaLaw(1, 1))
-    asym = dt.tail_weibull(spec)
+    asym = asymptotic_in("weibull", spec)
     u = 1e-3
     pred = math.exp(asym.evaluate_log(1.0 - u))
     exact = u + (1 - u) * math.log1p(-u)

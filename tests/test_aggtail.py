@@ -24,6 +24,12 @@ from dirtail.errors import DomainError, NumericError, ValidationError, WrongRegi
 GAMMA21 = GammaLaw(2, 1)
 
 
+def asymptotic_in(regime, spec):
+    """tail_asymptotic(spec), after checking that regime_classify gives `regime`."""
+    assert dt.regime_classify(spec) == regime
+    return dt.tail_asymptotic(spec)
+
+
 class TestValidateSpec:
     def test_normalization_and_multiplicity(self):
         spec = dt.validate_spec([1, 2], [3.0, 1.5], 2.0, GAMMA21)
@@ -94,35 +100,35 @@ class TestLambdaTilde:
 class TestRegimeAbove1:
     def test_constants(self):
         spec = dt.validate_spec([1, 1], [1, 1], 2.0, GAMMA21)
-        asym = dt.tail_gumbel_pgt1(spec)
+        asym = asymptotic_in("a", spec)
         assert math.exp(asym.log_constant) == pytest.approx(2.0, rel=1e-13)
         assert asym.rho == -1.0
         spec = dt.validate_spec([2, 1], [1, 0.3], 3.0, GammaLaw(3, 1))
-        asym = dt.tail_gumbel_pgt1(spec)
+        asym = asymptotic_in("a", spec)
         assert math.exp(asym.log_constant) == pytest.approx(2.0, rel=1e-13)
         assert asym.rho == -1.0
 
     def test_d1_identity(self):
         for p in [1.5, 2.0, 7.0]:
             spec = dt.validate_spec([2.7], [1.0], p, GAMMA21)
-            asym = dt.tail_gumbel_pgt1(spec)
-            assert asym.exact
+            asym = asymptotic_in("a", spec)
+            assert (asym.log_constant, asym.rho) == (0.0, 0.0)
             for t in [2.0, 30.0]:
                 assert asym.evaluate_log(t) == pytest.approx(
                     GAMMA21.log_survival(t ** (1 / p)), rel=1e-13)
 
     def test_p_independence(self):
-        base = dt.tail_gumbel_pgt1(dt.validate_spec([2, 1], [1, 0.3], 1.5, GAMMA21))
+        base = asymptotic_in("a", dt.validate_spec([2, 1], [1, 0.3], 1.5, GAMMA21))
         for p in [2.0, 5.0, 11.0]:
-            other = dt.tail_gumbel_pgt1(dt.validate_spec([2, 1], [1, 0.3], p, GAMMA21))
+            other = asymptotic_in("a", dt.validate_spec([2, 1], [1, 0.3], p, GAMMA21))
             assert other.log_constant == base.log_constant
             assert other.rho == base.rho
 
     def test_small_weights_do_not_matter(self):
-        base = dt.tail_gumbel_pgt1(dt.validate_spec([1, 2, 3], [1, 0.9, 0.1], 2.0, GAMMA21))
+        base = asymptotic_in("a", dt.validate_spec([1, 2, 3], [1, 0.9, 0.1], 2.0, GAMMA21))
         for eps in [0.5, 0.01]:
-            other = dt.tail_gumbel_pgt1(
-                dt.validate_spec([1, 2, 3], [1, eps, eps / 2], 2.0, GAMMA21))
+            other = asymptotic_in(
+                "a", dt.validate_spec([1, 2, 3], [1, eps, eps / 2], 2.0, GAMMA21))
             assert other.log_constant == pytest.approx(base.log_constant, rel=1e-13)
             assert other.rho == base.rho
 
@@ -131,7 +137,7 @@ class TestRegimeAbove1:
         # convergence is slower (u w(u) grows like 1/(1-u)^2)
         from dirtail import UnitGumbel
         spec = dt.validate_spec([1, 1], [1, 1], 2.0, UnitGumbel(1.0))
-        asym = dt.tail_gumbel_pgt1(spec)
+        asym = asymptotic_in("a", spec)
         gaps = []
         for depth in [1e-4, 1e-6, 1e-8]:
             u = UnitGumbel(1.0).quantile_survival(depth)
@@ -142,28 +148,26 @@ class TestRegimeAbove1:
 
     def test_wrong_regime(self):
         with pytest.raises(WrongRegimeError):
-            dt.tail_gumbel_pgt1(dt.validate_spec([1, 1], [1, 1], 1.0, GAMMA21))
-        with pytest.raises(WrongRegimeError):
-            dt.tail_gumbel_pgt1(dt.validate_spec([1, 1], [1, 1], 2.0, BetaLaw(1, 1)))
+            dt.tail_asymptotic(dt.validate_spec([1, 1], [1, 1], 2.0, BetaLaw(1, 1)))
 
 
 class TestRegimeUnitPower:
     def test_kotz_constant(self):
         spec = dt.validate_spec([1, 1], [1, 0], 1.0, GAMMA21)
-        asym = dt.tail_gumbel_peq1(spec)
+        asym = asymptotic_in("b", spec)
         assert math.exp(asym.log_constant) == pytest.approx(1.0, rel=1e-13)
         assert asym.rho == -1.0
 
     def test_partial_weight_constant(self):
         spec = dt.validate_spec([1, 1], [1, 0.5], 1.0, GAMMA21)
-        asym = dt.tail_gumbel_peq1(spec)
+        asym = asymptotic_in("b", spec)
         assert math.exp(asym.log_constant) == pytest.approx(2.0, rel=1e-13)
         assert asym.rho == -1.0
 
     def test_all_unit_weights_exact(self):
         spec = dt.validate_spec([1, 1, 1], [1, 1, 1], 1.0, GammaLaw(3, 1))
-        asym = dt.tail_gumbel_peq1(spec)
-        assert asym.exact
+        asym = asymptotic_in("degenerate", spec)
+        assert (asym.log_constant, asym.rho) == (0.0, 0.0)
         for t in [5.0, 26.0]:
             assert asym.evaluate_log(t) == pytest.approx(
                 GammaLaw(3, 1).log_survival(t), rel=1e-13)
@@ -174,7 +178,7 @@ class TestRegimeUnitPower:
         for (a1, a2) in [(1.0, 1.0), (2.0, 1.0), (0.5, 1.5)]:
             radial = GammaLaw(a1 + a2, 1)
             spec = dt.validate_spec([a1, a2], [1, 0], 1.0, radial)
-            asym = dt.tail_gumbel_peq1(spec)
+            asym = asymptotic_in("b", spec)
             gaps = []
             for depth in [1e-6, 1e-8, 1e-10]:
                 t = radial.quantile_survival(depth)
@@ -183,10 +187,6 @@ class TestRegimeUnitPower:
                 gaps.append(abs(math.exp(pred - exact) - 1.0))
             assert gaps[0] > gaps[1] > gaps[2]
             assert gaps[2] < 0.08
-
-    def test_wrong_regime(self):
-        with pytest.raises(WrongRegimeError):
-            dt.tail_gumbel_peq1(dt.validate_spec([1, 1], [1, 0.5], 2.0, GAMMA21))
 
 
 class TestSimplexRecursion:
@@ -254,7 +254,7 @@ class TestSimplexRecursion:
 class TestRegimeBelow1:
     def test_equal_case_constant_is_sqrt_pi(self):
         spec = dt.validate_spec([1, 1], [1, 1], 0.5, GAMMA21)
-        asym = dt.tail_gumbel_plt1(spec)
+        asym = asymptotic_in("c", spec)
         assert math.exp(asym.log_constant) == pytest.approx(math.sqrt(math.pi), abs=1e-10)
         assert asym.rho == -0.5
         assert asym.pivot == pytest.approx(math.sqrt(2), rel=1e-14)
@@ -262,20 +262,20 @@ class TestRegimeBelow1:
     def test_frozen_constant_unequal_weights(self):
         # pinned by the d = 2 tail quadrature oracle and frozen
         spec = dt.validate_spec([1, 1], [1, 0.5], 0.5, GAMMA21)
-        asym = dt.tail_gumbel_plt1(spec)
+        asym = asymptotic_in("c", spec)
         assert math.exp(asym.log_constant) == pytest.approx(1.417963080724413, rel=1e-12)
 
     def test_d1_identity(self):
         spec = dt.validate_spec([1.3], [2.0], 0.5, GAMMA21)
-        asym = dt.tail_gumbel_plt1(spec)
-        assert asym.exact
+        asym = asymptotic_in("c", spec)
+        assert (asym.log_constant, asym.rho) == (0.0, 0.0)
         # raw threshold maps through the retained scale
         assert asym.evaluate_log(2.0 * 9.0) == pytest.approx(
             GAMMA21.log_survival(81.0), rel=1e-13)
 
     def test_prediction_vs_quadrature(self):
         spec = dt.validate_spec([1, 1], [1, 0.5], 0.5, GAMMA21)
-        asym = dt.tail_gumbel_plt1(spec)
+        asym = asymptotic_in("c", spec)
         u = GAMMA21.quantile_survival(1e-10)
         t = asym.pivot * math.sqrt(u)
         est = dt.quadrature_tail(spec, t)
@@ -290,7 +290,7 @@ class TestRegimeBelow1:
         # the saddle crowds an endpoint and the curvature grows like
         # exp(|log(c/lam)|/(1-p)); in log scale both stay finite
         alpha, lam = zip(*terms)
-        asym = dt.tail_gumbel_plt1(dt.validate_spec(alpha, lam, p, GAMMA21))
+        asym = asymptotic_in("c", dt.validate_spec(alpha, lam, p, GAMMA21))
         assert math.isfinite(asym.log_constant)
         assert math.isfinite(asym.pivot) and asym.pivot >= 1.0
 
@@ -301,7 +301,7 @@ class TestRegimeBelow1:
     def test_near_unit_power_against_mpmath(self, alpha, lam, p):
         mp = pytest.importorskip("mpmath")
         spec = dt.validate_spec(alpha, lam, p, GAMMA21)
-        asym = dt.tail_gumbel_plt1(spec)
+        asym = asymptotic_in("c", spec)
         with mp.workdps(40):
             log_k, lt = _mp_regime_c(mp, spec.alpha, spec.lam, spec.p)
         assert asym.log_constant == pytest.approx(float(log_k), rel=1e-11)
@@ -309,21 +309,19 @@ class TestRegimeBelow1:
 
     def test_wrong_regime(self):
         with pytest.raises(WrongRegimeError):
-            dt.tail_gumbel_plt1(dt.validate_spec([1, 1], [1, 1], 2.0, GAMMA21))
-        with pytest.raises(DomainError):
-            dt.tail_gumbel_plt1(dt.validate_spec([1, 1], [1, 0], 0.5, GAMMA21))
+            dt.tail_asymptotic(dt.validate_spec([1, 1], [1, 0], 0.5, GAMMA21))
 
 
 class TestWeibullEndpoint:
     def test_double_uniform_constant(self):
         spec = dt.validate_spec([1, 1], [1, 0], 1.0, BetaLaw(1, 1))
-        asym = dt.tail_weibull(spec)
+        asym = asymptotic_in("weibull", spec)
         assert math.exp(asym.log_constant) == pytest.approx(0.5, rel=1e-13)
         assert asym.rho == 1.0
 
     def test_double_uniform_against_exact_integral(self):
         spec = dt.validate_spec([1, 1], [1, 0], 1.0, BetaLaw(1, 1))
-        asym = dt.tail_weibull(spec)
+        asym = asymptotic_in("weibull", spec)
         for u in [1e-2, 1e-3]:
             pred = math.exp(asym.evaluate_log(1.0 - u))
             exact = u + (1 - u) * math.log1p(-u)
@@ -333,7 +331,7 @@ class TestWeibullEndpoint:
         # the aggregate's tail at the endpoint must be *thinner* than the
         # radius's tail: the prediction vanishes faster than F_bar(1-u)
         spec = dt.validate_spec([1, 2], [1, 0.4], 1.0, BetaLaw(2, 3))
-        asym = dt.tail_weibull(spec)
+        asym = asymptotic_in("weibull", spec)
         assert asym.rho > 0
         for u in [1e-2, 1e-4]:
             assert asym.evaluate_log(1.0 - u) < BetaLaw(2, 3).log_survival(1.0 - u)
@@ -341,7 +339,7 @@ class TestWeibullEndpoint:
     def test_vanishing_radial_index_matches_simplex_constant(self):
         # gamma -> 0: the constant collapses to the pure simplex factor
         spec_template = ([1.0, 1.5], [1, 0.3], 1.0)
-        asym = dt.tail_weibull(dt.validate_spec(*spec_template, BetaLaw(2, 1e-9)))
+        asym = asymptotic_in("weibull", dt.validate_spec(*spec_template, BetaLaw(2, 1e-9)))
         abar, abar_m, a_out = 2.5, 1.0, 1.5
         want = (-a_out * math.log1p(-0.3)
                 + special.gammaln(abar) - special.gammaln(abar_m)
@@ -350,15 +348,13 @@ class TestWeibullEndpoint:
 
     def test_degenerate_all_units(self):
         spec = dt.validate_spec([1, 1], [1, 1], 1.0, BetaLaw(2, 3))
-        asym = dt.tail_weibull(spec)
-        assert asym.exact
+        asym = asymptotic_in("degenerate", spec)
+        assert (asym.log_constant, asym.rho) == (0.0, 0.0)
         assert asym.evaluate_log(0.9) == pytest.approx(BetaLaw(2, 3).log_survival(0.9), rel=1e-13)
 
     def test_wrong_regime(self):
         with pytest.raises(WrongRegimeError):
-            dt.tail_weibull(dt.validate_spec([1, 1], [1, 0], 1.0, GAMMA21))
-        with pytest.raises(WrongRegimeError):
-            dt.tail_weibull(dt.validate_spec([1, 1], [1, 0], 2.0, BetaLaw(1, 1)))
+            dt.tail_asymptotic(dt.validate_spec([1, 1], [1, 0], 2.0, BetaLaw(1, 1)))
 
 
 class TestMarginalComponentTail:

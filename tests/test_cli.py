@@ -378,6 +378,11 @@ class TestExitCodes:
         ("simulate", {"n": 1.9}, "n"),
         ("maxstable", {"pair": [0.7, 1]}, "pair"),
         ("maxstable", {"n_grid": [100.9]}, "n_grid"),
+        # a key left out, or one that clashes with another
+        ("approx", {"thresholds": [1.0], "depths": [1e-6]}, "thresholds"),
+        ("diagnose-mda", {}, "mode"),
+        ("maxstable", {}, "weights"),
+        ("maxstable", {"weights": [[1, 0], [0, 1]], "pair": [0, 1, 1]}, "pair"),
     ])
     def test_wrong_type_is_2_and_names_key(self, tmp_path, capsys, command, extra, key):
         cfg = dict(KOTZ_CONFIG, seed=1, **extra)
@@ -399,11 +404,30 @@ class TestExitCodes:
                           "mode": "davis_resnick", "mu": 1.0, "c": 2.0}),
         # a diagnostic parameter left out
         ("diagnose-mda", {"mode": "davis_resnick", "mu": 1.0}),
+        # crude draws of radii past e^709
+        ("simulate", {"radial": {"family": "weibulltail", "params": {"index": 0.001}},
+                      "method": "crude", "thresholds": [10.0], "n": 1000}),
     ])
     def test_valid_looking_input_exits_without_traceback(self, tmp_path, capsys, command, extra):
         cfg = {**KOTZ_CONFIG, "lambda": [1.0, 0.5], "seed": 1, **extra}
         assert cli.main([command, "--config", write_config(tmp_path, cfg)]) in (2, 3)
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, extra, match", [
+        ("approx", {"depths": [1.5]}, "depths must lie in (0, 1)"),
+        ("approx", {"depths": [0.0]}, "depths must lie in (0, 1)"),
+        ("simulate", {"thresholds": [3.0], "method": "bogus"}, "method must be one of"),
+        ("diagnose-mda", {"mode": "empirical", "seed": None}, "needs an explicit seed"),
+        ("maxstable", {"weights": [[1, 0], [0, 1]], "seed": None}, "needs an explicit seed"),
+        ("approx", {"thresholds": [3.0], "format": "xml"}, "format must be 'csv' or 'json'"),
+        ("approx", {"thresholds": [3.0], "seed": -1}, "seed must be a non-negative integer"),
+    ])
+    def test_invalid_value_is_2_in_one_line(self, tmp_path, capsys, command, extra, match):
+        # the valid-looking cases above may exit 2 or 3; these are the caller's fault
+        cfg = {**KOTZ_CONFIG, "seed": 1, **extra}
+        assert cli.main([command, "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and match in err[0]
 
     def test_overflowing_quantile_is_3_in_one_line(self, tmp_path, capsys):
         cfg = {**KOTZ_CONFIG, "radial": {"family": "weibulltail", "params": {"index": 1e-300}},
@@ -423,13 +447,15 @@ class TestExitCodes:
         assert rows[0][header.index("n")] == "2000"
 
     def test_numeric_failure_is_3(self, tmp_path, monkeypatch, capsys):
-        def boom(cfg, spec, seed, workers):
-            raise NumericError("iteration failed to converge")
-        monkeypatch.setitem(cli._COMMANDS, "approx", boom)
-        cfg = dict(KOTZ_CONFIG, thresholds=[1.0])
-        rc = cli.main(["approx", "--config", write_config(tmp_path, cfg)])
-        assert rc == 3
-        assert "numeric failure" in capsys.readouterr().err
+        # a bare ArithmeticError from numpy or scipy counts as one too
+        for error in (NumericError, ArithmeticError):
+            def boom(cfg, spec, seed, workers):
+                raise error("iteration failed to converge")
+            monkeypatch.setitem(cli._COMMANDS, "approx", boom)
+            cfg = dict(KOTZ_CONFIG, thresholds=[1.0])
+            rc = cli.main(["approx", "--config", write_config(tmp_path, cfg)])
+            assert rc == 3
+            assert "numeric failure" in capsys.readouterr().err
 
     def test_overflow_near_unit_power_is_0(self, tmp_path):
         # at p = 0.999999 the saddle sits exp(-3.6e5) from an endpoint and the

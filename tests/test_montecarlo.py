@@ -10,7 +10,7 @@ import pytest
 
 import dirtail as dt
 from dirtail import BetaLaw, GammaLaw, UnitGumbel, WeibullTail
-from dirtail.errors import DomainError, ValidationError
+from dirtail.errors import DomainError, NumericError, ValidationError
 from dirtail import montecarlo as mc
 from dirtail import quadrature as quad
 from dirtail import specfun
@@ -581,6 +581,20 @@ class TestCrudeEstimator:
         gap = abs(crude.p_hat - cond.p_hat)
         assert gap < 3 * math.hypot(crude.stderr, cond.stderr)
 
+    def test_zero_samples_is_validation_error(self):
+        with pytest.raises(ValidationError, match="sample count must be >= 1"):
+            dt.crude_mc_tail(REGIME_A, 25.0, 0, seed=37)
+
+    def test_overflowing_radius_is_numeric_error(self):
+        # WeibullTail(0.001) draws radii past e^709: an error, not inf exceedances
+        spec = dt.validate_spec([1, 1], [1, 0.5], 1.0, WeibullTail(index=0.001))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sampler in (lambda: dt.crude_mc_tail(spec, 10.0, 1000, seed=5),
+                            lambda: dt.sample_dirichlet(spec, 1000, seed=5)):
+                with pytest.raises(NumericError, match="draw overflows"):
+                    sampler()
+
     def test_worker_invariance(self):
         n = CHUNK + 999
         a = dt.crude_mc_tail(REGIME_A, 25.0, n, seed=37, workers=1)
@@ -985,6 +999,11 @@ class TestMaxSumRatio:
             with pytest.raises(DomainError, match=re.escape("thresholds [1.5] lie past the support")):
                 dt.max_sum_ratio(spec, [0.5, 1.5], 1000, 1)
 
+    def test_scalar_threshold_is_one_row(self):
+        table = dt.max_sum_ratio(REGIME_A, 30.0, 2000, seed=5)
+        assert table.shape == (1, 4)
+        assert table.tobytes() == dt.max_sum_ratio(REGIME_A, [30.0], 2000, seed=5).tobytes()
+
     def test_no_single_big_jump_at_unit_power(self):
         spec = dt.validate_spec([1, 1, 1], [1, 1, 1], 1.0, GammaLaw(3, 1))
         radial = GammaLaw(3, 1)
@@ -1032,6 +1051,12 @@ class TestPairwiseAsymptoticIndependence:
         ratios = table[:, 2]
         assert ratios[0] > ratios[1] > ratios[2]
 
+    def test_scalar_n_grid_is_one_row(self):
+        args = ([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], 2.0, GAMMA21, 0, 1)
+        table = dt.pairwise_asymindep(*args, 100, 2000, seed=67)
+        assert table.shape == (1, 3)
+        assert table.tobytes() == dt.pairwise_asymindep(*args, [100], 2000, seed=67).tobytes()
+
     def test_matrix_validation(self):
         with pytest.raises(ValidationError):   # same column twice
             dt.pairwise_asymindep([1, 1], [[1.0, 0.0], [0.0, 1.0]], 2.0,
@@ -1042,6 +1067,14 @@ class TestPairwiseAsymptoticIndependence:
         with pytest.raises(ValidationError):   # column norms off for p < 1
             dt.pairwise_asymindep([1, 1], [[1.0, 0.9], [0.0, 0.8]], 0.5,
                                   GAMMA21, 0, 1, [100], 1000, seed=1)
+        for alpha, weights, p, match in [
+                ([1, 1], [1.0, 0.0], 2.0, "must be a matrix"),
+                ([1, 1], [[1.0, -0.5], [0.0, 1.0]], 2.0, "non-negative and finite"),
+                ([1, 1, 1], [[1.0, 0.0], [0.0, 1.0]], 2.0, "rows must match"),
+                ([1, 1], [[1.0, 0.5], [0.0, 0.5]], 1.0, "column 1 has no unit weight"),
+                ([1, 1], [[0.8, 0.8], [0.6, 0.6]], 0.5, "columns 0 and 1 are identical")]:
+            with pytest.raises(ValidationError, match=match):
+                dt.pairwise_asymindep(alpha, weights, p, GAMMA21, 0, 1, [100], 1000, seed=1)
 
 
 class TestEmpiricalGumbelDiagnostics:
@@ -1060,6 +1093,17 @@ class TestEmpiricalGumbelDiagnostics:
         table = dt.empirical_gumbel_mda(REGIME_A, [1.0], [1e-8], 2 * 10 ** 5, seed=83)
         assert abs(table[0, 3] - math.exp(-1)) <= 0.05
 
+    def test_scalar_grids_are_one_row(self):
+        table = dt.empirical_gumbel_mda(REGIME_A, 1.0, 1e-6, 2000, seed=79)
+        assert table.shape == (1, 5)
+        want = dt.empirical_gumbel_mda(REGIME_A, [1.0], [1e-6], 2000, seed=79)
+        assert table.tobytes() == want.tobytes()
+
+    def test_beta_radius_is_domain_error(self):
+        spec = dt.validate_spec([1, 1], [1, 0.5], 1.0, BetaLaw(2, 3))
+        with pytest.raises(DomainError, match="Gumbel-class"):
+            dt.empirical_gumbel_mda(spec, [1.0], [1e-4], 1000, seed=1)
+
 
 class TestGumbelLimitCheck:
     def test_exponential_blocks(self):
@@ -1067,6 +1111,12 @@ class TestGumbelLimitCheck:
         table = dt.gumbel_limit_check(spec, 1000, 3000, [-1.0, 0.0, 2.0], seed=89)
         for x, emp, limit in table:
             assert abs(emp - limit) <= 0.05
+
+    def test_scalar_x_is_one_row(self):
+        spec = dt.validate_spec([1.0], [1.0], 1.0, GammaLaw(1, 1))
+        table = dt.gumbel_limit_check(spec, 100, 50, 0.0, seed=89)
+        assert table.shape == (1, 3)
+        assert table.tobytes() == dt.gumbel_limit_check(spec, 100, 50, [0.0], seed=89).tobytes()
 
 
 class TestPredictionOracleConvergence:

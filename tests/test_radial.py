@@ -164,6 +164,17 @@ class TestScalingFunction:
         # w(3) = 3 for WeibullTail(2, 0.5), so w_2(9) = 9^{-1/2} * 3 / 2
         assert WeibullTail(2, 0.5).power_scaling_wp(2.0, 9.0) == pytest.approx(0.5, rel=1e-14)
 
+    @pytest.mark.parametrize("model, p, x, match", [
+        (GammaLaw(1, 1), 0.0, 1.0, "power must be positive"),
+        (GammaLaw(1, 1), -1.0, 1.0, "power must be positive"),
+        (GammaLaw(1, 1), 2.0, 0.0, "argument must be positive"),
+        (GammaLaw(1, 1), 2.0, -3.0, "argument must be positive"),
+        (UnitGumbel(1.0), 2.0, 1.0, "at or beyond the endpoint"),   # x^(1/p) = x_F
+    ])
+    def test_power_scaling_domain(self, model, p, x, match):
+        with pytest.raises(DomainError, match=match):
+            model.power_scaling_wp(p, x)
+
 
 class TestQuantile:
     def test_examples(self):
@@ -245,6 +256,23 @@ class TestSample:
             got = law.sample(np.random.default_rng(7), 1000)
             want = np.random.default_rng(7).standard_gamma(law.shape, 1000) / law.rate
             assert got.tobytes() == want.tobytes()
+
+    def test_weibull_draws_keep_their_bits(self):
+        # the overflow bound binds for index 0.009 (e^(709 * 0.009) < 745) but
+        # no draw reaches it: the checked draws equal the unchecked formula
+        for law in (WeibullTail(2, 0.5), WeibullTail(0.009, 1.0)):
+            got = law.sample(np.random.default_rng(11), 1000)
+            e = np.random.default_rng(11).exponential(size=1000)
+            assert got.tobytes() == ((e / law.scale) ** (1.0 / law.index)).tobytes()
+
+    def test_weibull_overflowing_draw_is_numeric_error(self):
+        # with index 1e-3 an exponential draw above e^0.709 ~ 2.03 is a radius
+        # past e^709: an error before the power, not an inf radius and a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="draw overflows"):
+                WeibullTail(index=0.001).sample(np.random.default_rng(3), 1000)
+            assert WeibullTail(index=0.001).sample(np.random.default_rng(3), 0).size == 0
 
     def test_custom_law_must_implement_sample(self):
         class SurvivalOnly(RadialModel):
@@ -354,9 +382,22 @@ class TestMdaDiagnostics:
             mda_diagnostic(GammaLaw(2, 1), "davis_resnick",
                            {"mu": 400.0, "c": 2.0, "depths": [1e-2, 1e-10]})
 
+    def test_weibull_ratio_skips_depths_past_the_origin(self):
+        # t * u >= 1 would ask for F_bar at or below 0: those depths are left out
+        table = mda_diagnostic(BetaLaw(1, 2), "weibull_ratio",
+                               {"t": 4.0, "depths": [0.5, 0.25, 0.1, 1e-3]})
+        np.testing.assert_array_equal(table[:, 0], [0.1, 1e-3])
+
     def test_mode_errors(self):
         with pytest.raises(DomainError):
             mda_diagnostic(GammaLaw(1, 1), "davis_resnick", {"mu": 0.0, "c": 1.0})
+        with pytest.raises(UnsupportedClassError):
+            mda_diagnostic(BetaLaw(1, 2), "davis_resnick", {"mu": 0.0, "c": 2.0})
+        for t in [0.0, -1.0]:
+            with pytest.raises(DomainError, match="weibull_ratio needs t > 0"):
+                mda_diagnostic(BetaLaw(1, 2), "weibull_ratio", {"t": t})
+        with pytest.raises(ValidationError, match="unknown diagnostic parameters"):
+            mda_diagnostic(BetaLaw(1, 2), "weibull_ratio", {"t": 2.0, "x": 1.0})
         with pytest.raises(UnsupportedClassError):
             mda_diagnostic(BetaLaw(1, 2), "gumbel_ratio", {"x": 1.0})
         with pytest.raises(UnsupportedClassError):
