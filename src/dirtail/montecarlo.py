@@ -19,19 +19,20 @@ Every sampler runs on one chunked engine: chunk k of a fixed partition
 draws from a substream seeded by (seed, k) and is reduced on its own, and
 the chunk results combine in index order; each chunk reduces every
 threshold of the call, so one pass serves a whole grid.  A chunk's simplex
-points arrive as a (d, n) block, one contiguous row per coordinate, in a
-buffer each thread reuses, and every reducer runs as a loop over those d
-rows.  The conditional reducers form y = Z^{-1/p} once per chunk; each level
-t_norm then asks the radial law for the weights F_bar(t_norm^{1/p} y) / e^m
-(RadialModel.survival_weights: a whole-shape GammaLaw's closed form, else
-log_survival shifted by its maximum) and sums them and their squares.
+points arrive as a (d, n) block, one contiguous row per coordinate, drawn
+row by row in coordinate order into a buffer each thread reuses, and every
+reducer runs as a loop over those d rows.  The conditional reducers form
+y = Z^{-1/p} once per chunk; each level t_norm then asks the radial law for
+the weights F_bar(t_norm^{1/p} y) / e^m (RadialModel.survival_weights: a
+whole-shape GammaLaw's closed form, else log_survival shifted by its
+maximum) and sums them and their squares.
 The conditional estimate's mean combines the chunks' log-sums; its variance
 combines their linear sums against the largest shift, so that equal weights
 give a variance of exactly 0.
-Every sampler runs its chunks on the CPUs this process may run on (see
-_chunked); conditional_mc_tail, crude_mc_tail, empirical_gumbel_mda and
-pairwise_asymindep also take a worker count.  The count changes scheduling,
-never a result.
+Every sampler runs its chunks on the CPUs this process may run on, within a
+cgroup CPU quota (see _chunked); conditional_mc_tail, crude_mc_tail,
+empirical_gumbel_mda and pairwise_asymindep also take a worker count.  The
+count changes scheduling, never a result.
 """
 
 from __future__ import annotations
@@ -66,8 +67,6 @@ __all__ = [
 
 #: fixed chunk size of the deterministic sample partition
 CHUNK = 1 << 16
-#: rows of gamma draws per block, which stays in cache while it is normalized
-_DRAW_ROWS = 1 << 13
 #: draws a call's threads hold at once by default: eight full chunks
 _POOL_DRAWS = 8 * CHUNK
 
@@ -112,6 +111,16 @@ def _check_workers(workers) -> int | None:
     return None if workers is None else int(workers)
 
 
+def _cpu_quota() -> int | None:
+    """ceil(quota / period) of a cgroup v2 CPU quota, else None (none or unread)."""
+    try:
+        with open("/sys/fs/cgroup/cpu.max") as f:
+            quota, period = (int(field) for field in f.read().split())
+    except (OSError, ValueError):
+        return None
+    return -(-quota // period) if quota > 0 and period > 0 else None
+
+
 def _levels(spec: AggregateSpec, thresholds) -> np.ndarray:
     """The normalized levels t / scale of one raw threshold or a sequence."""
     ts = np.atleast_1d(np.asarray(thresholds, dtype=float))
@@ -130,10 +139,11 @@ def _chunk_sizes(n: int, chunk: int = CHUNK) -> list[int]:
 def _chunked(seed: int, sizes: list[int], alpha, fn, workers: int | None = None) -> list:
     """fn(rng, u, ws) for every chunk k, in chunk order, on up to workers
     threads, never more than there are chunks.  Each thread keeps buffers of
-    about 2d + 1 doubles per draw of the largest chunk, so peak memory grows
+    about d + 1 doubles per draw of the largest chunk, so peak memory grows
     with the thread count.  None reads the CPUs this process may run on (its
-    affinity mask, which ignores a cgroup CPU quota), but takes no more
-    threads than hold _POOL_DRAWS draws between them, and at least one.
+    affinity mask, cut to ceil(quota / period) under a cgroup v2 CPU quota),
+    but takes no more threads than hold _POOL_DRAWS draws between them, and
+    at least one.
 
     u is the chunk's (d, sizes[k]) block of simplex points, one column per
     point, drawn first from rng = default_rng([seed, k]); for d = 1 the
@@ -145,12 +155,9 @@ def _chunked(seed: int, sizes: list[int], alpha, fn, workers: int | None = None)
     then).  u and the buffers are reused for the thread's next chunk and
     freed when the call returns, so fn must not keep them.
 
-    The gamma draws come _DRAW_ROWS rows at a time in the row-major order of
-    one (sizes[k], d) draw, so the stream is that of one row per point; equal
-    alphas go in as one scalar shape, which draws the same stream without
-    numpy's broadcast loop.  The totals are summed coordinate by coordinate,
-    which for d <= 7 is the order of numpy's row sum; from d = 8 numpy's
-    unrolled sum adds in another order.
+    The substream gives coordinate 0's sizes[k] gamma draws, then coordinate
+    1's, and so on, each straight into its row of u; the rows are summed in
+    coordinate order into one total row, and u is divided by it in place.
 
     Raises ValidationError for a worker count that is neither None nor an
     integer >= 1, and NumericError when a row's gamma draws all underflow to
@@ -161,10 +168,9 @@ def _chunked(seed: int, sizes: list[int], alpha, fn, workers: int | None = None)
     if workers is None:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
             else os.cpu_count() or 1
-        workers = min(cpus, max(1, _POOL_DRAWS // max(sizes)))
+        workers = min(cpus, _cpu_quota() or cpus, max(1, _POOL_DRAWS // max(sizes)))
     workers = min(workers, len(sizes))
     alpha = np.asarray(alpha, dtype=float)
-    shape = alpha[0] if np.all(alpha == alpha[0]) else alpha
     d, size, local = alpha.size, max(sizes), threading.local()
     ones = np.ones((1, size)) if d == 1 else None
 
@@ -179,17 +185,16 @@ def _chunked(seed: int, sizes: list[int], alpha, fn, workers: int | None = None)
         if d == 1:
             return fn(rng, ones[:, :n], ws)
         u = ws("u", d).reshape(d, n)
-        for lo in range(0, n, _DRAW_ROWS):
-            m = min(_DRAW_ROWS, n - lo)  # only a block's pages of y and total are touched
-            y = rng.standard_gamma(shape, out=ws("y", d)[:m * d].reshape(m, d)).T
-            total = np.add(y[0], y[1], out=ws("total")[:m])
-            for coord in y[2:]:
-                total += coord
-            if not np.all(total > 0):
-                raise NumericError(
-                    f"simplex row sum underflowed to 0 at alpha={alpha.tolist()}: every "
-                    f"standard_gamma draw of a row was 0 (alpha too small to sample)")
-            np.divide(y, total, out=u[:, lo:lo + m])
+        for a_j, u_j in zip(alpha.tolist(), u):
+            rng.standard_gamma(a_j, out=u_j)
+        total = np.add(u[0], u[1], out=ws("total"))
+        for u_j in u[2:]:
+            total += u_j
+        if not np.all(total > 0):
+            raise NumericError(
+                f"simplex row sum underflowed to 0 at alpha={alpha.tolist()}: every "
+                f"standard_gamma draw of a row was 0 (alpha too small to sample)")
+        u /= total
         return fn(rng, u, ws)
 
     if workers == 1:

@@ -438,6 +438,16 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "quantile at level" in err[0] and "overflows" in err[0]
 
+    def test_small_alpha_row_sum_underflow_is_3_in_one_line(self, tmp_path, capsys):
+        # alpha = 0.001 draws gamma rows that sum to 0: a loud failure, not a
+        # silently biased estimate, until small alphas are sampled another way
+        cfg = {"alpha": [0.001, 0.001], "lambda": [1.0, 0.5], "p": 2.0,
+               "radial": {"family": "gamma", "params": {"shape": 3.0, "rate": 1.0}},
+               "thresholds": [30.0], "n": 10 ** 5, "method": "conditional", "seed": 1}
+        assert cli.main(["simulate", "--config", write_config(tmp_path, cfg)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "simplex row sum underflowed" in err[0]
+
     def test_integral_float_count_runs(self, tmp_path):
         cfg = dict(KOTZ_CONFIG, seed=1, n=2e3, thresholds=[3.0])
         out = tmp_path / "out.csv"

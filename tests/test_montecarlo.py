@@ -1,5 +1,6 @@
 """Tests for the simulation and quadrature verification engines."""
 
+import io
 import math
 import re
 import tracemalloc
@@ -19,6 +20,7 @@ from dirtail.montecarlo import CHUNK, NormingConstants
 GAMMA21 = GammaLaw(2, 1)
 KOTZ2 = dt.validate_spec([1, 1], [1, 1], 1.0, GAMMA21)          # iid Exp(1) pair
 REGIME_A = dt.validate_spec([1, 1], [1, 1], 2.0, GAMMA21)
+READ_CPU_QUOTA = mc._cpu_quota  # the real reader, which some classes stand in for
 
 
 class HalfGamma(GammaLaw):
@@ -212,24 +214,39 @@ class TestSampleDirichlet:
 
 
 class TestChunkBlock:
-    """The engine's (d, n) block and Z against the row-major form they replace."""
+    """The engine's (d, n) block and Z against the same draws made row by row."""
 
     @pytest.mark.parametrize("alpha", [[1.5], [1.0, 2.0], [0.5, 1.0, 3.0],
                                        [1.0, 0.3, 2.0, 0.7, 1.2], [1.0, 1.0, 1.0], [2.0, 2.0]])
     def test_block_and_z_equal_row_form_bit_for_bit(self, alpha):
-        # equal alphas draw with one scalar shape: the same stream as the broadcast draw
-        d, sizes = len(alpha), [CHUNK, 2 * mc._DRAW_ROWS + 777]
+        # each coordinate's draws come in order, one row each, and the rows
+        # sum in coordinate order; the second chunk is a partial one
+        d, sizes = len(alpha), [CHUNK, 17161]
         spec = dt.validate_spec(alpha, np.linspace(1.0, 0.2, d), 1.7, GAMMA21)
         got = mc._chunked(13, sizes, spec.alpha, lambda rng, u, ws: (u.copy(), mc._z(spec, u)))
         for k, (u, z) in enumerate(got):
             if d == 1:
-                rows = np.ones((sizes[k], 1))
+                rows = np.ones((1, sizes[k]))
             else:
-                y = np.random.default_rng([13, k]).standard_gamma(spec.alpha, (sizes[k], d))
-                rows = y / y.sum(axis=1, keepdims=True)
+                rng = np.random.default_rng([13, k])
+                g = [rng.standard_gamma(a_j, sizes[k]) for a_j in spec.alpha]
+                total = g[0] + g[1]
+                for g_j in g[2:]:
+                    total = total + g_j
+                rows = np.array([g_j / total for g_j in g])
             assert u.shape == (d, sizes[k]) and u.flags.c_contiguous
-            assert np.array_equal(u, rows.T)
-            assert np.array_equal(z, (np.asarray(spec.lam) * rows ** spec.p).sum(axis=1))
+            assert np.array_equal(u, rows)
+            want = spec.lam[0] * rows[0] ** spec.p
+            for lam_j, row in zip(spec.lam[1:], rows[1:]):
+                want = want + lam_j * row ** spec.p
+            assert np.array_equal(z, want)
+
+    def test_small_alpha_row_sum_underflow_is_numeric_error(self):
+        # at alpha = 0.001 most gamma draws underflow to 0, and some row has
+        # no simplex point to normalize
+        spec = dt.validate_spec([0.001, 0.001], [1.0, 0.5], 2.0, GammaLaw(3, 1))
+        with pytest.raises(NumericError, match="simplex row sum underflowed"):
+            dt.conditional_mc_tail(spec, 30.0, 10 ** 5, seed=1)
 
 
 class GivenLogs(dt.RadialModel):
@@ -382,6 +399,14 @@ class TestKernelEquivalence:
         assert dt.conditional_mc_tail(spec, 4.0, n, seed=3, workers=2) == est
 
 
+@pytest.fixture
+def no_cpu_quota(monkeypatch):
+    """No cgroup CPU quota, whatever the host's: it must not cut the thread
+    counts under test."""
+    monkeypatch.setattr(mc, "_cpu_quota", lambda: None)
+
+
+@pytest.mark.usefixtures("no_cpu_quota")
 class TestBufferReuse:
     """Every sampler through the engine's reused per-thread buffers: a d = 4,
     unequal-alpha spec over three equal chunks and a short one gives the same
@@ -435,6 +460,7 @@ class TestBufferReuse:
         assert kept < CHUNK  # bytes: one chunk row alone is 8 * CHUNK
 
 
+@pytest.mark.usefixtures("no_cpu_quota")
 class TestWorkerCount:
     """The engine checks the worker count and never starts more threads than
     there are chunks; None reads the CPUs the process may run on and keeps
@@ -491,6 +517,33 @@ class TestWorkerCount:
         for count, sizes in [(5, [3]), (None, [])]:
             monkeypatch.setattr(mc.os, "cpu_count", lambda c=count: c)
             assert self._pool_sizes(monkeypatch) == sizes
+
+    def test_default_takes_cpu_quota(self, monkeypatch):
+        # a quota cuts the CPUs the affinity mask gives; it never adds any
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: set(range(16)),
+                            raising=False)
+        for quota, sizes in [(2, [2]), (1, []), (5, [3]), (None, [3])]:
+            monkeypatch.setattr(mc, "_cpu_quota", lambda q=quota: q)
+            assert self._pool_sizes(monkeypatch) == sizes
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(mc, "_cpu_quota", lambda: 8)
+        assert self._pool_sizes(monkeypatch) == [2]
+        assert self._pool_sizes(monkeypatch, workers=3) == [3]  # a given count is kept
+
+    @pytest.mark.parametrize("text, quota", [
+        ("150000 100000\n", 2), ("100000 100000\n", 1), ("50000 100000\n", 1),
+        ("400000 100000\n", 4), ("max 100000\n", None), ("", None), ("garbage\n", None),
+        ("1 2 3\n", None), ("0 100000\n", None), ("100000 0\n", None), (None, None)])
+    def test_cpu_quota_reads_cgroup_v2_limit(self, monkeypatch, text, quota):
+        # the reader's file is stood in for; None is a missing file
+        def fake_open(path):
+            assert path == "/sys/fs/cgroup/cpu.max"
+            if text is None:
+                raise FileNotFoundError(path)
+            return io.StringIO(text)
+
+        monkeypatch.setattr(mc, "open", fake_open, raising=False)
+        assert READ_CPU_QUOTA() == quota
 
     @pytest.mark.parametrize("workers", [0, -3, True, False, 1.0, 2.5, "2"])
     def test_invalid_count_is_validation_error(self, monkeypatch, workers):
