@@ -172,13 +172,25 @@ class TailAsymptotic:
             return self.scale * self.pivot * u ** self.p
         return self.scale * (1.0 - u)
 
+    def _flip(self, x: float) -> float:
+        """The base variable of a radius x, and the radius of a base variable
+        x: x itself on the Gumbel base, 1 - x on the endpoint base."""
+        return x if self.base == "gumbel" else 1.0 - x
+
+    def threshold_at_depth(self, depth: float) -> float:
+        """Raw threshold whose base variable is the radius at survival level depth."""
+        return self.base_to_threshold(self._flip(self.radial.quantile_survival(depth)))
+
+    def depth_at(self, t: float) -> float:
+        """Survival level of the radius behind raw threshold t: the inverse map."""
+        return math.exp(self.radial.log_survival(self._flip(self.threshold_to_base(t))))
+
     def _log_at_base(self, u: float) -> float:
-        if self.base == "gumbel":
-            if u >= self.radial.upper_endpoint:
-                return -math.inf
-            return (self.log_constant + self.rho * self.radial.log_u_w(u)
-                    + self.radial.log_survival(u))
-        return self.log_constant + self.rho * math.log(u) + self.radial.log_survival(1.0 - u)
+        gumbel = self.base == "gumbel"
+        if gumbel and u >= self.radial.upper_endpoint:
+            return -math.inf
+        log_uw = self.radial.log_u_w(u) if gumbel else math.log(u)
+        return self.log_constant + self.rho * log_uw + self.radial.log_survival(self._flip(u))
 
     def evaluate_log(self, t: float) -> float:
         """log of the asymptotic tail value at raw threshold t."""
@@ -203,7 +215,7 @@ class TailAsymptotic:
         top = self.radial.upper_endpoint if sign > 0 else math.nextafter(1.0, 0.0)
         s = math.exp(log_target)
         q = self.radial.quantile_survival(s) if 0.0 < s < 1.0 else math.nan
-        u = q if sign > 0 else 1.0 - q
+        u = self._flip(q)
         x = math.log(u if 0.0 < u < top else min(1.0, top / 2))
         x_min, x_max, step = math.log(1e-300), math.log(min(top, 1e290)), 0.125
         lo, hi, prev = None, None, (math.nan, math.nan)  # excess(lo) > 0 >= excess(hi)
@@ -227,6 +239,15 @@ class TailAsymptotic:
             else:
                 x = x + dx if lo[0] - tol < x + dx < hi[0] + tol else 0.5 * (lo[0] + hi[0])
                 x = min(max(x, lo[0] + 0.5 * tol), hi[0] - 0.5 * tol)
+
+    def norming(self, log_level: float) -> tuple[float, float]:
+        """(b, a): b = invert(log_level) and its Gumbel scale a = 1/w_p(b), with
+        w_p the scaling function of R^p (RadialModel.power_scaling_wp), both on
+        the raw scale.  DomainError for a radius outside the Gumbel class."""
+        if self.base != "gumbel":
+            raise DomainError("norming constants need a Gumbel-class radial law")
+        b = self.invert(log_level)
+        return b, self.scale / self.radial.power_scaling_wp(self.p, b / self.scale)
 
 
 # ----------------------------------------------------------------------
@@ -428,9 +449,5 @@ def var_es_asymptotic(spec: AggregateSpec, b: float) -> VarEs:
         raise DomainError(f"level b must lie in (0, 1), got {b}")
     if not math.isinf(spec.radial.upper_endpoint):
         raise WrongRegimeError("VaR/ES asymptotics need an infinite upper endpoint")
-    if spec.radial.mda_class != "gumbel":
-        raise WrongRegimeError("the VaR/ES asymptotic needs a Gumbel-class radial law")
-    asym = tail_asymptotic(spec)
-    var = asym.invert(math.log1p(-b))
-    es_minus_var = spec.scale / spec.radial.power_scaling_wp(spec.p, var / spec.scale)
+    var, es_minus_var = tail_asymptotic(spec).norming(math.log1p(-b))
     return VarEs(var=var, es_minus_var=es_minus_var, accuracy_warning=(1.0 - b) > 0.1)

@@ -93,29 +93,16 @@ def _spec_hash(cfg: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _thresholds_from_config(cfg: dict, spec, asym) -> list[float]:
+def _thresholds_from_config(cfg: dict, asym) -> list[float]:
     if "thresholds" in cfg and "depths" in cfg:
         raise ValidationError("give either 'thresholds' or 'depths', not both")
     if "thresholds" in cfg:
         return [float(t) for t in cfg["thresholds"]]
-    out = []
-    for depth in cfg.get("depths", [1e-6, 1e-8, 1e-10]):
+    depths = cfg.get("depths", [1e-6, 1e-8, 1e-10])
+    for depth in depths:
         if not 0 < depth < 1:
             raise ValidationError(f"depths must lie in (0, 1), got {depth}")
-        u = spec.radial.quantile_survival(depth)
-        # the endpoint regime's base variable is the distance from the
-        # endpoint, not the radial position
-        if asym.base == "weibull":
-            u = 1.0 - u
-        out.append(asym.base_to_threshold(u))
-    return out
-
-
-def _depth_of(spec, asym, t: float) -> float:
-    u = asym.threshold_to_base(t)
-    if asym.base == "weibull":
-        u = 1.0 - u
-    return math.exp(spec.radial.log_survival(u))
+    return [asym.threshold_at_depth(depth) for depth in depths]
 
 
 # ----------------------------------------------------------------------
@@ -126,8 +113,8 @@ def _cmd_approx(cfg, spec, seed, workers):
     asym = aggtail.tail_asymptotic(spec)
     regime = aggtail.regime_classify(spec)
     header = ["threshold", "depth", "prediction_log", "regime"]
-    rows = [[t, _depth_of(spec, asym, t), asym.evaluate_log(t), regime]
-            for t in _thresholds_from_config(cfg, spec, asym)]
+    rows = [[t, asym.depth_at(t), asym.evaluate_log(t), regime]
+            for t in _thresholds_from_config(cfg, asym)]
     return header, rows
 
 
@@ -146,7 +133,7 @@ def _estimates(cfg, key, methods, spec, thresholds, seed, workers) -> list:
 
 
 def _cmd_simulate(cfg, spec, seed, workers):
-    thresholds = _thresholds_from_config(cfg, spec, aggtail.tail_asymptotic(spec))
+    thresholds = _thresholds_from_config(cfg, aggtail.tail_asymptotic(spec))
     ests = _estimates(cfg, "method", ("conditional", "crude"), spec, thresholds, seed, workers)
     header = ["threshold", "method", "n", "seed", "p_hat", "log_p_hat", "stderr"]
     return header, [[t, e.method, e.n, e.seed, e.p_hat, e.log_p_hat, e.stderr]
@@ -155,12 +142,12 @@ def _cmd_simulate(cfg, spec, seed, workers):
 
 def _cmd_ratio(cfg, spec, seed, workers):
     asym = aggtail.tail_asymptotic(spec)
-    thresholds = _thresholds_from_config(cfg, spec, asym)
+    thresholds = _thresholds_from_config(cfg, asym)
     ests = _estimates(cfg, "oracle", ("conditional", "crude", "quadrature"), spec, thresholds,
                       seed, workers)
     header = ["threshold", "depth", "prediction_log", "oracle_log", "ratio"]
     preds = [asym.evaluate_log(t) for t in thresholds]
-    return header, [[t, _depth_of(spec, asym, t), pred, e.log_p_hat, math.exp(pred - e.log_p_hat)]
+    return header, [[t, asym.depth_at(t), pred, e.log_p_hat, math.exp(pred - e.log_p_hat)]
                     for t, pred, e in zip(thresholds, preds, ests)]
 
 
@@ -208,14 +195,11 @@ def _cmd_maxstable(cfg, spec, seed, workers):
     # weight rows follow the config's alpha order, not the spec's sorted one
     table = montecarlo.pairwise_asymindep(cfg["alpha"], weights, spec.p, spec.radial,
                                           i, j, n_grid, n, seed, workers=workers)
-    col_spec = aggtail.validate_spec(cfg["alpha"], np.asarray(weights, dtype=float)[:, i],
-                                     spec.p, spec.radial)
+    column = aggtail.tail_asymptotic(aggtail.validate_spec(
+        cfg["alpha"], np.asarray(weights, dtype=float)[:, i], spec.p, spec.radial))
     header = ["n_level", "b_n", "a_n", "pair_ratio"]
-    rows = []
-    for (n_level, b_n, ratio) in table:
-        consts = montecarlo.norming_constants(col_spec, int(n_level))
-        rows.append([int(n_level), consts.b_n, consts.a_n, ratio])
-    return header, rows
+    return header, [[int(n_level), *column.norming(-math.log(int(n_level))), ratio]
+                    for n_level, _, ratio in table]
 
 
 def _cmd_constants(cfg, spec, seed, workers):
@@ -288,8 +272,8 @@ def run(command: str, cfg: dict, seed=None, workers: int | None = None,
     _check_keys(command, cfg)
     if seed is None:
         seed = cfg.get("seed")
-    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool) or seed < 0):
-        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    if seed is not None:
+        seed = montecarlo._check_seed(seed)
     workers = montecarlo._check_workers(workers)  # every command, sampling or not
     fmt = fmt or cfg.get("format", "csv")
     if fmt not in ("csv", "json"):

@@ -404,15 +404,10 @@ class NormingConstants:
 
 def norming_constants(spec: AggregateSpec, n: int) -> NormingConstants:
     """Location b_n and scale a_n normalizing the maximum of n i.i.d. copies
-    of S_p toward the Gumbel limit: b_n solves the tail asymptotic at 1/n,
-    a_n = 1/w_p(b_n)."""
+    of S_p toward the Gumbel limit: TailAsymptotic.norming at level 1/n."""
     if not n >= 2:
         raise DomainError(f"n must be >= 2, got {n}")
-    if spec.radial.mda_class != "gumbel":
-        raise DomainError("norming constants need a Gumbel-class radial law")
-    asym = tail_asymptotic(spec)
-    b_n = asym.invert(-math.log(n))
-    a_n = spec.scale / spec.radial.power_scaling_wp(spec.p, b_n / spec.scale)
+    b_n, a_n = tail_asymptotic(spec).norming(-math.log(n))
     return NormingConstants(a_n=a_n, b_n=b_n)
 
 
@@ -422,9 +417,11 @@ def pairwise_asymindep(alpha, weights, p: float, radial: RadialModel, i: int, j:
 
     Y_k = sum_r weights[r, k] * X_r^p are linear transforms of the powered
     Dirichlet components.  Levels b are the asymptotic 1 - 1/n quantiles of
-    Y_i for n in n_grid; the ratio trending to 0 is the empirical face of
-    the joint max-stable limit with independent Gumbel margins.  Columns:
-    (n_level, b, ratio), one row per level (a scalar is a one-row grid).
+    Y_i for n in n_grid (TailAsymptotic.norming's b, so a radius outside the
+    Gumbel class is a DomainError before any draw); the ratio trending to 0
+    is the empirical face of the joint max-stable limit with independent
+    Gumbel margins.  Columns: (n_level, b, ratio), one row per level (a
+    scalar is a one-row grid).
     """
     seed, n_grid = _check_seed(seed), np.atleast_1d(n_grid)
     w = np.asarray(weights, dtype=float)
@@ -461,7 +458,7 @@ def pairwise_asymindep(alpha, weights, p: float, radial: RadialModel, i: int, j:
     # the zero-weight components stay in the column's spec: their alphas
     # still shape the simplex law of the remaining coordinates
     asym_i = tail_asymptotic(validate_spec(alpha, w[:, i], p, radial))
-    bs = [asym_i.invert(-math.log(nl)) for nl in n_grid]
+    bs = [asym_i.norming(-math.log(nl))[0] for nl in n_grid]
 
     def columns(rng, u, ws):
         z_i, z_j, up = (ws(key) for key in ("z_i", "z_j", "up"))
@@ -490,15 +487,12 @@ def empirical_gumbel_mda(spec: AggregateSpec, x_grid, depth_grid, n: int,
     """
     seed = _check_seed(seed)
     x_grid, depth_grid = np.atleast_1d(x_grid), np.atleast_1d(depth_grid)
-    if spec.radial.mda_class != "gumbel":
-        raise DomainError("the Gumbel diagnostic needs a Gumbel-class radial law")
     asym = tail_asymptotic(spec)
 
     jobs, levels = [], []
     for depth in depth_grid:
-        v = asym.invert(math.log(depth))
-        w_raw = spec.radial.power_scaling_wp(spec.p, v / spec.scale) / spec.scale
-        levels += [t / spec.scale for t in [v] + [v + float(x) / w_raw for x in x_grid]]
+        v, a = asym.norming(math.log(depth))
+        levels += [t / spec.scale for t in [v] + [v + float(x) * a for x in x_grid]]
         jobs.append((depth, v))
 
     def columns(rng, u, ws):

@@ -366,6 +366,10 @@ class UnitGumbel(RadialModel):
 # ----------------------------------------------------------------------
 
 _DEFAULT_DEPTHS = tuple(10.0 ** -k for k in range(2, 11))
+#: diagnostic mode -> (the max-domain class it needs, its parameters besides depths)
+_MDA_MODES = {"gumbel_ratio": ("gumbel", ("x",)), "weibull_ratio": ("weibull", ("t",)),
+              "davis_resnick": ("gumbel", ("mu", "c"))}
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 def mda_diagnostic(model: RadialModel, mode: str, params: dict) -> np.ndarray:
@@ -378,62 +382,42 @@ def mda_diagnostic(model: RadialModel, mode: str, params: dict) -> np.ndarray:
       weibull_ratio: F_bar(1 - t*u) / F_bar(1 - u)          -> t^gamma
       davis_resnick: (u w(u))^mu * F_bar(c*u) / F_bar(u)    -> 0, any mu, c > 1
 
-    For the Weibull-ratio mode, u is the distance from the endpoint.
+    For the Weibull-ratio mode, u is the distance from the endpoint, and a
+    depth with t*u >= 1 is left out.  NumericError for a ratio past the
+    largest double.
     """
+    if mode not in _MDA_MODES:
+        raise ValidationError(f"unknown diagnostic mode {mode!r}")
+    mda_class, names = _MDA_MODES[mode]
+    if model.mda_class != mda_class:
+        raise UnsupportedClassError(f"{mode} needs a {mda_class.capitalize()}-class radial law")
     params = dict(params)
     depths = params.pop("depths", _DEFAULT_DEPTHS)
-
-    def pop(key: str) -> float:
+    for key in names:
         if key not in params:
             raise ValidationError(f"{mode} needs the parameter {key!r}")
-        return float(params.pop(key))
+    arg = {key: float(params.pop(key)) for key in names}
+    if mode == "weibull_ratio" and not arg["t"] > 0:
+        raise DomainError(f"weibull_ratio needs t > 0, got {arg['t']}")
+    if mode == "davis_resnick" and not arg["c"] > 1:
+        raise DomainError(f"davis_resnick needs c > 1, got {arg['c']}")
+    if params:
+        raise ValidationError(f"unknown diagnostic parameters: {sorted(params)}")
 
-    if mode == "gumbel_ratio":
-        if model.mda_class != "gumbel":
-            raise UnsupportedClassError("gumbel_ratio needs a Gumbel-class radial law")
-        x = pop("x")
-        if params:
-            raise ValidationError(f"unknown diagnostic parameters: {sorted(params)}")
-        rows = []
-        for depth in depths:
-            u = model.quantile_survival(depth)
-            shifted = u + x / model.scaling_w(u)
-            ratio = math.exp(model.log_survival(shifted) - model.log_survival(u))
-            rows.append((u, ratio))
-        return np.asarray(rows)
-
-    if mode == "weibull_ratio":
-        if model.mda_class != "weibull":
-            raise UnsupportedClassError("weibull_ratio needs a Weibull-class radial law")
-        t = pop("t")
-        if not t > 0:
-            raise DomainError(f"weibull_ratio needs t > 0, got {t}")
-        if params:
-            raise ValidationError(f"unknown diagnostic parameters: {sorted(params)}")
-        rows = []
-        for u in depths:
-            if t * u >= 1.0:
+    rows = []
+    for depth in depths:
+        u = depth if mode == "weibull_ratio" else model.quantile_survival(depth)
+        if mode == "weibull_ratio":
+            if arg["t"] * u >= 1.0:
                 continue
-            ratio = math.exp(model.log_survival(1.0 - t * u) - model.log_survival(1.0 - u))
-            rows.append((u, ratio))
-        return np.asarray(rows)
-
-    if mode == "davis_resnick":
-        if model.mda_class != "gumbel":
-            raise UnsupportedClassError("davis_resnick needs a Gumbel-class radial law")
-        mu, c = pop("mu"), pop("c")
-        if not c > 1:
-            raise DomainError(f"davis_resnick needs c > 1, got {c}")
-        if params:
-            raise ValidationError(f"unknown diagnostic parameters: {sorted(params)}")
-        rows = []
-        for depth in depths:
-            u = model.quantile_survival(depth)
-            log_ratio = model.log_survival(c * u) - model.log_survival(u)
-            val = mu * model.log_u_w(u) + log_ratio
-            if val > math.log(np.finfo(float).max):
-                raise NumericError(f"davis_resnick ratio exp({val}) at u={u} overflows a double")
-            rows.append((u, math.exp(val)))
-        return np.asarray(rows)
-
-    raise ValidationError(f"unknown diagnostic mode {mode!r}")
+            log_ratio = model.log_survival(1.0 - arg["t"] * u) - model.log_survival(1.0 - u)
+        elif mode == "gumbel_ratio":
+            log_ratio = (model.log_survival(u + arg["x"] / model.scaling_w(u))
+                         - model.log_survival(u))
+        else:
+            log_ratio = arg["mu"] * model.log_u_w(u) + (model.log_survival(arg["c"] * u)
+                                                        - model.log_survival(u))
+        if log_ratio > _LOG_MAX:
+            raise NumericError(f"{mode} ratio exp({log_ratio}) at u={u} overflows a double")
+        rows.append((u, math.exp(log_ratio)))
+    return np.asarray(rows)

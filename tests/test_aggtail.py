@@ -454,6 +454,18 @@ class TestTailAsymptoticObject:
                 t = asym.invert(target)
                 assert asym.evaluate_log(t) == pytest.approx(target, rel=1e-9)
 
+    @pytest.mark.parametrize("spec", [
+        dt.validate_spec([1, 1], [1, 1], 2.0, GAMMA21),                       # "a"
+        dt.validate_spec([2, 1], [1, 0.5], 1.0, WeibullTail(1.5, 1)),         # "b"
+        dt.validate_spec([1, 2, 0.5], [2, 1.4, 0.8], 0.5, GammaLaw(3.5, 2)),  # "c", scale 2
+        dt.validate_spec([1, 1], [1, 0.7], 0.3, UnitGumbel(1.0)),              # "c", endpoint 1
+    ])
+    def test_depth_round_trip_on_the_gumbel_base(self, spec):
+        asym = dt.tail_asymptotic(spec)
+        for depth in [0.5, 1e-2, 1e-6, 1e-12, 1e-30, 1e-100]:
+            t = asym.threshold_at_depth(depth)
+            assert asym.depth_at(t) == pytest.approx(depth, rel=1e-10)
+
     @settings(max_examples=200, deadline=None)
     @given(case=st.tuples(
         st.sampled_from(["a", "b", "c", "endpoint"]),

@@ -70,6 +70,23 @@ class TestApprox:
         assert float(rows[0][2]) == pytest.approx(math.log(0.5e-6), rel=1e-9)
         assert rows[0][3] == "weibull"
 
+    @pytest.mark.parametrize("p, radial", [
+        (0.5, {"family": "gamma", "params": {"shape": 2.0, "rate": 1.0}}),  # Gumbel base
+        (1.0, {"family": "beta", "params": {"a": 2.0, "b": 3.0}}),          # endpoint base
+    ])
+    def test_rows_are_the_asymptotic_depth_maps(self, tmp_path, p, radial):
+        depths = [1e-3, 1e-6, 1e-9]
+        cfg = {"alpha": [1.0, 2.0], "lambda": [1.0, 0.5], "p": p, "radial": radial,
+               "depths": depths}
+        out = tmp_path / "out.csv"
+        rc = cli.main(["approx", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+        assert rc == 0
+        _, _, rows = read_csv(out)
+        asym = dt.tail_asymptotic(cli._build_spec(cfg))
+        for depth, row in zip(depths, rows):
+            assert float(row[0]) == asym.threshold_at_depth(depth)
+            assert float(row[1]) == asym.depth_at(float(row[0]))
+
 
 class TestConstants:
     def test_equal_pair(self, tmp_path):
@@ -201,6 +218,17 @@ class TestMaxstable:
         _, _, rows = read_csv(out)
         column = dt.validate_spec([0.5, 3], [1, 0], 2, dt.GammaLaw(2, 1))
         assert float(rows[0][1]) == dt.norming_constants(column, 1000).b_n
+
+    def test_no_gumbel_norming_is_2_before_sampling(self, tmp_path, monkeypatch, capsys):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("sampled before raising")
+
+        monkeypatch.setattr(dt.montecarlo, "_chunked", no_draws)
+        cfg = {"alpha": [1.0, 1.0], "lambda": [1.0, 1.0], "p": 1.0,
+               "radial": {"family": "beta", "params": {"a": 2.0, "b": 3.0}},
+               "weights": [[1.0, 0.0], [0.0, 1.0]], "n": 10 ** 6, "seed": 9}
+        assert cli.main(["maxstable", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "Gumbel-class" in capsys.readouterr().err
 
 
 class TestOutputContracts:

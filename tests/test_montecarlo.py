@@ -932,11 +932,9 @@ class TestQuadratureError:
          [396, 360, 360, 360, 360, 324]),  # Q3's grid
     ])
     def test_evaluations(self, alpha, lam, p, depths, want):
-        # the benchmark's quadrature ops at its thresholds (the ratio command's:
-        # the radius quantile at each depth, mapped to a threshold)
+        # the benchmark's quadrature ops at its thresholds (the ratio command's)
         spec = dt.validate_spec(alpha, lam, p, GammaLaw(3, 1))
-        asym = dt.tail_asymptotic(spec)
-        ts = [asym.base_to_threshold(spec.radial.quantile_survival(d)) for d in depths]
+        ts = [dt.tail_asymptotic(spec).threshold_at_depth(d) for d in depths]
         assert [est.n for est in dt.quadrature_tail(spec, ts)] == want
 
 
@@ -1052,6 +1050,30 @@ class TestMaxSumRatio:
             with pytest.raises(DomainError, match=re.escape("thresholds [1.5] lie past the support")):
                 dt.max_sum_ratio(spec, [0.5, 1.5], 1000, 1)
 
+    def test_m8_exact_references(self):
+        """The benchmark's M8 (M1's spec at thresholds 4.8, 6.3 and 7.5)
+        against exact references.  Its components are iid Exp(1), a Gamma(3)
+        radius over alpha (1, 1, 1), so the numerator is
+        log(1 - prod_i (1 - e^{-(t/lam_i)^2})), taken through expm1 and log1p
+        because 1 - prod rounds to 0 here; the denominator's reference is
+        quadrature.  Over seeds 1-20 at n = 1e5 the numerator's error had sd
+        0.022, 0.045 and 0.068 (max 0.17), so the tolerances 0.09, 0.18 and
+        0.28 are 4 sd; the denominator's largest |z| in its reported stderr (the
+        conditional estimate's, which it equals bit for bit) was 3.3, so it
+        gets 4 stderr."""
+        lam, ts = [1.0, 0.7, 0.4], [4.8, 6.3, 7.5]
+        spec = dt.validate_spec([1, 1, 1], lam, 0.5, GammaLaw(3, 1))
+        exact = [math.log(-math.expm1(sum(math.log1p(-math.exp(-(t / l) ** 2)) for l in lam)))
+                 for t in ts]
+        assert exact == pytest.approx([-23.04, -39.69, -56.25], abs=1e-9)
+        quads = dt.quadrature_tail(spec, ts)
+        for seed in (1, 2, 3):
+            table = dt.max_sum_ratio(spec, ts, 10 ** 5, seed=seed)
+            ests = dt.conditional_mc_tail(spec, ts, 10 ** 5, seed=seed)
+            for row, want, tol, ref, est in zip(table, exact, (0.09, 0.18, 0.28), quads, ests):
+                assert abs(row[1] - want) <= tol, (seed, row)
+                assert abs(row[2] - ref.log_p_hat) <= 4 * est.rel_err, (seed, row)
+
     def test_scalar_threshold_is_one_row(self):
         table = dt.max_sum_ratio(REGIME_A, 30.0, 2000, seed=5)
         assert table.shape == (1, 4)
@@ -1103,6 +1125,28 @@ class TestPairwiseAsymptoticIndependence:
                                       2 * 10 ** 5, seed=71)
         ratios = table[:, 2]
         assert ratios[0] > ratios[1] > ratios[2]
+
+    def test_m4_exact_reference(self):
+        """The benchmark's M4: identity weights at p = 2 over alpha (1, 1) and
+        a Gamma(2) radius, whose components are iid Exp(1), so the pair ratio
+        P(X_2^2 > b | X_1^2 > b) is exactly exp(-sqrt(b)).  Over seeds 1-20 at
+        n = 1e5 the log-ratio error had sd 0.010, 0.012 and 0.013 at the three
+        levels (max 0.026): the tolerance 0.06 is over 4 sd at each."""
+        for seed in (1, 2, 3):
+            table = dt.pairwise_asymindep([1, 1], [[1, 0], [0, 1]], 2.0, GAMMA21, 0, 1,
+                                          [100, 1000, 10000], 10 ** 5, seed=seed)
+            for _, b, ratio in table:
+                assert abs(math.log(ratio) + math.sqrt(b)) <= 0.06, (seed, b, ratio)
+
+    def test_no_gumbel_norming_raises_before_sampling(self, monkeypatch):
+        # a Beta radius has no Gumbel norming: the levels raise, so no draw is made
+        def no_draws(*args, **kwargs):
+            raise AssertionError("sampled before raising")
+
+        monkeypatch.setattr(mc, "_chunked", no_draws)
+        with pytest.raises(DomainError, match="Gumbel-class"):
+            dt.pairwise_asymindep([1, 1], [[1, 0], [0, 1]], 1.0, BetaLaw(2, 3), 0, 1,
+                                  [100], 10 ** 6, seed=1)
 
     def test_scalar_n_grid_is_one_row(self):
         args = ([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], 2.0, GAMMA21, 0, 1)
@@ -1185,8 +1229,7 @@ class TestPredictionOracleConvergence:
         asym = dt.tail_asymptotic(spec)
         gaps = []
         for depth in [1e-6, 1e-8, 1e-10]:
-            u = spec.radial.quantile_survival(depth)
-            t = asym.base_to_threshold(u)
+            t = asym.threshold_at_depth(depth)
             est = dt.quadrature_tail(spec, t)
             gaps.append(abs(math.exp(asym.evaluate_log(t) - est.log_p_hat) - 1.0))
         assert gaps[0] > gaps[1] > gaps[2]
