@@ -195,11 +195,8 @@ def _cmd_maxstable(cfg, spec, seed, workers):
     # weight rows follow the config's alpha order, not the spec's sorted one
     table = montecarlo.pairwise_asymindep(cfg["alpha"], weights, spec.p, spec.radial,
                                           i, j, n_grid, n, seed, workers=workers)
-    column = aggtail.tail_asymptotic(aggtail.validate_spec(
-        cfg["alpha"], np.asarray(weights, dtype=float)[:, i], spec.p, spec.radial))
     header = ["n_level", "b_n", "a_n", "pair_ratio"]
-    return header, [[int(n_level), *column.norming(-math.log(int(n_level))), ratio]
-                    for n_level, _, ratio in table]
+    return header, [[int(n_level), b, a, ratio] for n_level, b, a, ratio in table.tolist()]
 
 
 def _cmd_constants(cfg, spec, seed, workers):

@@ -21,11 +21,15 @@ the chunk results combine in index order; each chunk reduces every
 threshold of the call, so one pass serves a whole grid.  A chunk's simplex
 points arrive as a (d, n) block, one contiguous row per coordinate, drawn
 row by row in coordinate order into a buffer each thread reuses, and every
-reducer runs as a loop over those d rows.  The conditional reducers form
-y = Z^{-1/p} once per chunk; each level t_norm then asks the radial law for
-the weights F_bar(t_norm^{1/p} y) / e^m (RadialModel.survival_weights: a
-whole-shape GammaLaw's closed form, else log_survival shifted by its
-maximum) and sums them and their squares.
+reducer runs as a loop over those d rows.  Each row of gamma draws takes the
+cheapest exact method for its shape (radial.standard_gamma): an exponential
+row for alpha 1, a sum of exponential rows for alpha 2 and 3, the boost
+G_{alpha+1} U^{1/alpha} for 0.05 <= alpha < 1, and numpy's standard_gamma
+for any other alpha.  The conditional reducers form y = Z^{-1/p} once per
+chunk; each level t_norm then asks the radial law for the weights
+F_bar(t_norm^{1/p} y) / e^m (RadialModel.survival_weights: a whole-shape
+GammaLaw's closed form, else log_survival shifted by its maximum) and sums
+them and their squares.
 The conditional estimate's mean combines the chunks' log-sums; its variance
 combines their linear sums against the largest shift, so that equal weights
 give a variance of exactly 0.
@@ -47,7 +51,7 @@ import numpy as np
 
 from .aggtail import AggregateSpec, lambda_tilde, tail_asymptotic, validate_spec
 from .errors import DomainError, NumericError, ValidationError
-from .radial import RadialModel
+from .radial import RadialModel, standard_gamma
 from .specfun import logsumexp
 
 __all__ = [
@@ -155,9 +159,11 @@ def _chunked(seed: int, sizes: list[int], alpha, fn, workers: int | None = None)
     then).  u and the buffers are reused for the thread's next chunk and
     freed when the call returns, so fn must not keep them.
 
-    The substream gives coordinate 0's sizes[k] gamma draws, then coordinate
-    1's, and so on, each straight into its row of u; the rows are summed in
-    coordinate order into one total row, and u is divided by it in place.
+    The substream gives coordinate 0's sizes[k] Gamma(alpha_0) draws, then
+    coordinate 1's, and so on, each row drawn straight into its row of u by
+    radial.standard_gamma, with the thread's total row as its scratch; the
+    rows are then summed in coordinate order into that total row, and u is
+    divided by it in place.
 
     Raises ValidationError for a worker count that is neither None nor an
     integer >= 1, and NumericError when a row's gamma draws all underflow to
@@ -184,10 +190,10 @@ def _chunked(seed: int, sizes: list[int], alpha, fn, workers: int | None = None)
 
         if d == 1:
             return fn(rng, ones[:, :n], ws)
-        u = ws("u", d).reshape(d, n)
+        u, total = ws("u", d).reshape(d, n), ws("total")
         for a_j, u_j in zip(alpha.tolist(), u):
-            rng.standard_gamma(a_j, out=u_j)
-        total = np.add(u[0], u[1], out=ws("total"))
+            standard_gamma(rng, a_j, u_j, total)
+        np.add(u[0], u[1], out=total)
         for u_j in u[2:]:
             total += u_j
         if not np.all(total > 0):
@@ -420,8 +426,8 @@ def pairwise_asymindep(alpha, weights, p: float, radial: RadialModel, i: int, j:
     Y_i for n in n_grid (TailAsymptotic.norming's b, so a radius outside the
     Gumbel class is a DomainError before any draw); the ratio trending to 0
     is the empirical face of the joint max-stable limit with independent
-    Gumbel margins.  Columns: (n_level, b, ratio), one row per level (a
-    scalar is a one-row grid).
+    Gumbel margins.  Columns: (n_level, b, a, ratio), with a the norming
+    scale at b, one row per level (a scalar is a one-row grid).
     """
     seed, n_grid = _check_seed(seed), np.atleast_1d(n_grid)
     w = np.asarray(weights, dtype=float)
@@ -458,7 +464,8 @@ def pairwise_asymindep(alpha, weights, p: float, radial: RadialModel, i: int, j:
     # the zero-weight components stay in the column's spec: their alphas
     # still shape the simplex law of the remaining coordinates
     asym_i = tail_asymptotic(validate_spec(alpha, w[:, i], p, radial))
-    bs = [asym_i.norming(-math.log(nl))[0] for nl in n_grid]
+    norms = [asym_i.norming(-math.log(nl)) for nl in n_grid]
+    bs = [b for b, _ in norms]
 
     def columns(rng, u, ws):
         z_i, z_j, up = (ws(key) for key in ("z_i", "z_j", "up"))
@@ -473,8 +480,8 @@ def pairwise_asymindep(alpha, weights, p: float, radial: RadialModel, i: int, j:
                         _log_moments(radial, z_min, bs, p, ws)))
 
     logs = _chunk_logsums(_chunked(seed, _chunk_sizes(n), alpha, columns, workers)) - math.log(n)
-    return np.asarray([(int(nl), b, math.exp(joint - single))
-                       for nl, b, (single, joint) in zip(n_grid, bs, logs)])
+    return np.asarray([(int(nl), b, a, math.exp(joint - single))
+                       for nl, (b, a), (single, joint) in zip(n_grid, norms, logs)])
 
 
 def empirical_gumbel_mda(spec: AggregateSpec, x_grid, depth_grid, n: int,

@@ -11,12 +11,14 @@ scaling function w appearing in F_bar(u + x/w(u)) ~ exp(-x) F_bar(u):
 
 Closed forms keep every acceptance ratio exact at survival levels far out
 of reach of empirical estimation.  Radii are drawn exactly, never by
-inverting a uniform: standard_gamma for GammaLaw, Generator.beta for
-BetaLaw, and one exponential draw through the closed-form quantile for
-WeibullTail and UnitGumbel.  A custom law subclasses RadialModel and
-implements upper_endpoint, log_survival, quantile_survival (thresholds at a
-given depth) and sample (radii for crude_mc_tail, sample_dirichlet and
-gumbel_limit_check).  The conditional estimators ask a law for scaled
+inverting a uniform: standard_gamma (below) for GammaLaw, Generator.beta
+for BetaLaw, and one standard exponential draw through the closed-form
+quantile for WeibullTail and UnitGumbel.  standard_gamma also draws the
+simplex coordinates' gamma rows in montecarlo; it takes for each shape the
+cheapest exact method numpy's primitives give.  A custom law subclasses
+RadialModel and implements upper_endpoint, log_survival, quantile_survival
+(thresholds at a given depth) and sample (radii for crude_mc_tail,
+sample_dirichlet and gumbel_limit_check).  The conditional estimators ask a law for scaled
 survival weights (survival_weights), whose default comes from log_survival;
 GammaLaw overrides it with the closed form of a whole shape.
 """
@@ -34,6 +36,43 @@ from .errors import DomainError, NumericError, UnsupportedClassError, Validation
 from . import specfun
 
 _FAMILIES: dict[str, type] = {}
+#: the least shape drawn by the boost: below it U^(1/a) is mostly subnormal,
+#: and slower than numpy's own draw
+_BOOST_MIN = 0.05
+
+
+def standard_gamma(rng: np.random.Generator, a: float, out: np.ndarray,
+                   scratch: np.ndarray | None = None) -> np.ndarray:
+    """Fill out with Gamma(a, 1) draws from rng, by the cheapest exact method
+    for the shape a, and return it:
+
+      a = 1            rng.standard_exponential, the bits and stream position
+                       of numpy's own shape-1 draw
+      a = 2 or 3       the sum of a rows of rng.standard_exponential, in order
+      0.05 <= a < 1    G U^(1/a) (Marsaglia & Tsang 2000): a row of
+                       Gamma(a + 1) draws G, then a row of rng.random draws U
+      any other a      rng.standard_gamma
+
+    At a = 4 the exponential sum costs about as much as numpy's own draw.
+    scratch, a row of out's size, holds the second and third branches'
+    second rows (a new row when None); its content is lost.
+    """
+    if a == 1.0:
+        return rng.standard_exponential(out=out)
+    if a == 2.0 or a == 3.0:
+        scratch = np.empty_like(out) if scratch is None else scratch
+        rng.standard_exponential(out=out)
+        for _ in range(int(a) - 1):
+            out += rng.standard_exponential(out=scratch)
+        return out
+    if _BOOST_MIN <= a < 1.0:
+        scratch = np.empty_like(out) if scratch is None else scratch
+        rng.standard_gamma(a + 1.0, out=out)
+        u = rng.random(out=scratch)
+        u **= 1.0 / a
+        out *= u
+        return out
+    return rng.standard_gamma(a, out=out)
 
 
 class RadialModel(ABC):
@@ -226,7 +265,7 @@ class GammaLaw(RadialModel):
         return out if np.ndim(s) else float(out)
 
     def sample(self, rng, size):
-        r = rng.standard_gamma(self.shape, size)
+        r = standard_gamma(rng, self.shape, np.empty(size))
         if self.rate != 1.0:
             r /= self.rate  # in place: no second array per chunk
         return r
@@ -277,7 +316,7 @@ class WeibullTail(RadialModel):
         return out if np.ndim(s) else float(out)
 
     def sample(self, rng, size):
-        e = rng.exponential(size=size)
+        e = rng.standard_exponential(size)
         # the quantile's bound: a draw past _nlog_max is a radius past e^709
         if self._nlog_max < 745.0 and e.size and e.max() > self._nlog_max:
             raise NumericError(f"WeibullTail draw overflows: (E / {self.scale!r})"
@@ -358,7 +397,7 @@ class UnitGumbel(RadialModel):
         return out if np.ndim(s) else float(out)
 
     def sample(self, rng, size):
-        return 1.0 - self.kappa / (self.kappa + rng.exponential(size=size))
+        return 1.0 - self.kappa / (self.kappa + rng.standard_exponential(size))
 
 
 # ----------------------------------------------------------------------

@@ -241,7 +241,7 @@ def test_ac9_prop_diagnostics():
     # pairwise exceedance at the n = 1e4 asymptotic level, identity weights
     table = dt.pairwise_asymindep([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], 2.0,
                                   GammaLaw(2, 1), 0, 1, [10 ** 4], 10 ** 6, seed=SEED)
-    pair_ratio = table[0, 2]
+    pair_ratio = table[0, 3]
     ok_pair = pair_ratio <= 0.05
 
     # Gumbel-limit CDF check on the exponential norming example

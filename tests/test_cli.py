@@ -216,8 +216,9 @@ class TestMaxstable:
                        "--out", str(out)])
         assert rc == 0
         _, _, rows = read_csv(out)
-        column = dt.validate_spec([0.5, 3], [1, 0], 2, dt.GammaLaw(2, 1))
-        assert float(rows[0][1]) == dt.norming_constants(column, 1000).b_n
+        column = dt.norming_constants(dt.validate_spec([0.5, 3], [1, 0], 2, dt.GammaLaw(2, 1)),
+                                      1000)
+        assert float(rows[0][1]) == column.b_n and float(rows[0][2]) == column.a_n
 
     def test_no_gumbel_norming_is_2_before_sampling(self, tmp_path, monkeypatch, capsys):
         def no_draws(*args, **kwargs):

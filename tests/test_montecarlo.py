@@ -1,5 +1,6 @@
 """Tests for the simulation and quadrature verification engines."""
 
+import hashlib
 import io
 import math
 import re
@@ -16,6 +17,7 @@ from dirtail import montecarlo as mc
 from dirtail import quadrature as quad
 from dirtail import specfun
 from dirtail.montecarlo import CHUNK, NormingConstants
+from test_radial import standard_gamma_row
 
 GAMMA21 = GammaLaw(2, 1)
 KOTZ2 = dt.validate_spec([1, 1], [1, 1], 1.0, GAMMA21)          # iid Exp(1) pair
@@ -216,11 +218,17 @@ class TestSampleDirichlet:
 class TestChunkBlock:
     """The engine's (d, n) block and Z against the same draws made row by row."""
 
+    @staticmethod
+    def _blocks(seed, sizes, alpha):
+        return mc._chunked(seed, sizes, alpha, lambda rng, u, ws: u.copy())
+
     @pytest.mark.parametrize("alpha", [[1.5], [1.0, 2.0], [0.5, 1.0, 3.0],
-                                       [1.0, 0.3, 2.0, 0.7, 1.2], [1.0, 1.0, 1.0], [2.0, 2.0]])
+                                       [1.0, 0.3, 2.0, 0.7, 1.2], [1.0, 1.0, 1.0], [2.0, 2.0],
+                                       [0.04, 0.999, 3.5]])
     def test_block_and_z_equal_row_form_bit_for_bit(self, alpha):
-        # each coordinate's draws come in order, one row each, and the rows
-        # sum in coordinate order; the second chunk is a partial one
+        # each coordinate's draws come in order, one row each, by the method
+        # for its shape, and the rows sum in coordinate order; the second
+        # chunk is a partial one
         d, sizes = len(alpha), [CHUNK, 17161]
         spec = dt.validate_spec(alpha, np.linspace(1.0, 0.2, d), 1.7, GAMMA21)
         got = mc._chunked(13, sizes, spec.alpha, lambda rng, u, ws: (u.copy(), mc._z(spec, u)))
@@ -229,7 +237,7 @@ class TestChunkBlock:
                 rows = np.ones((1, sizes[k]))
             else:
                 rng = np.random.default_rng([13, k])
-                g = [rng.standard_gamma(a_j, sizes[k]) for a_j in spec.alpha]
+                g = [standard_gamma_row(rng, a_j, sizes[k]) for a_j in spec.alpha]
                 total = g[0] + g[1]
                 for g_j in g[2:]:
                     total = total + g_j
@@ -240,6 +248,41 @@ class TestChunkBlock:
             for lam_j, row in zip(spec.lam[1:], rows[1:]):
                 want = want + lam_j * row ** spec.p
             assert np.array_equal(z, want)
+
+    def test_unit_alpha_block_is_numpys_shape_one_gamma(self):
+        # alpha 1 draws numpy's own Gamma(1) bits: this block is the one the
+        # engine drew before each shape took its own method
+        sizes = [CHUNK, 999]
+        for k, u in enumerate(self._blocks(4, sizes, [1.0, 1.0, 1.0])):
+            rng = np.random.default_rng([4, k])
+            g = [rng.standard_gamma(1.0, sizes[k]) for _ in range(3)]
+            assert u.tobytes() == np.array([g_j / (g[0] + g[1] + g[2]) for g_j in g]).tobytes()
+
+    def test_stream_fingerprint(self):
+        # the sha256 of the first two chunks' blocks at seed 1, for alpha sets
+        # that take every branch of radial.standard_gamma between them: a
+        # change to the random stream fails here and has to be declared.  The
+        # boost runs at 0.5, whose U^2 is a plain square on every CPU
+        fingerprints = {
+            (0.04, 1.0): "9e0333fdd79e9c83e38a0990cb226c1b13b28e2360b41609ba90a993f82f9bdd",
+            (0.5, 2.0, 3.0): "9b68f73e5fe84e5667270a8d1f3d5c93db2d1c13423cffa9e41cd1c6b9b414b6",
+            (1.5, 1.0, 3.5): "9fe0673f253aa84d32db7881ab98a679636392329eaebbfd2088969968df8f54",
+        }
+        for alpha, digest in fingerprints.items():
+            blocks = self._blocks(1, [CHUNK, CHUNK], alpha)
+            got = hashlib.sha256(b"".join(u.tobytes() for u in blocks)).hexdigest()
+            assert got == digest, alpha
+
+    @pytest.mark.parametrize("estimator", [dt.conditional_mc_tail, dt.crude_mc_tail],
+                             ids=["conditional", "crude"])
+    def test_every_branch_is_worker_invariant(self, estimator):
+        # alpha takes every branch of radial.standard_gamma, over two full
+        # chunks and a partial one
+        spec = dt.validate_spec([0.04, 0.5, 1.0, 2.0, 3.5], [1.0, 0.8, 0.6, 0.4, 0.2], 1.5,
+                                GammaLaw(3, 1))
+        one, two = (repr(estimator(spec, [2.0, 5.0], 2 * CHUNK + 77, seed=3, workers=w))
+                    for w in (1, 2))
+        assert one == two
 
     def test_small_alpha_row_sum_underflow_is_numeric_error(self):
         # at alpha = 0.001 most gamma draws underflow to 0, and some row has
@@ -1114,7 +1157,7 @@ class TestPairwiseAsymptoticIndependence:
     def test_identity_weights_squared(self):
         table = dt.pairwise_asymindep([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], 2.0,
                                       GAMMA21, 0, 1, [10 ** 4], 2 * 10 ** 5, seed=67)
-        assert table[0, 2] <= 0.05
+        assert table[0, 3] <= 0.05
 
     def test_small_power_columns_decreasing(self):
         # p = 1/2: columns need unit 2-norm and (to invert the level from
@@ -1123,7 +1166,7 @@ class TestPairwiseAsymptoticIndependence:
         table = dt.pairwise_asymindep([1.0, 1.0], weights, 0.5, GAMMA21,
                                       0, 1, [10 ** 2, 10 ** 3, 10 ** 4],
                                       2 * 10 ** 5, seed=71)
-        ratios = table[:, 2]
+        ratios = table[:, 3]
         assert ratios[0] > ratios[1] > ratios[2]
 
     def test_m4_exact_reference(self):
@@ -1135,7 +1178,7 @@ class TestPairwiseAsymptoticIndependence:
         for seed in (1, 2, 3):
             table = dt.pairwise_asymindep([1, 1], [[1, 0], [0, 1]], 2.0, GAMMA21, 0, 1,
                                           [100, 1000, 10000], 10 ** 5, seed=seed)
-            for _, b, ratio in table:
+            for _, b, _, ratio in table:
                 assert abs(math.log(ratio) + math.sqrt(b)) <= 0.06, (seed, b, ratio)
 
     def test_no_gumbel_norming_raises_before_sampling(self, monkeypatch):
@@ -1151,7 +1194,7 @@ class TestPairwiseAsymptoticIndependence:
     def test_scalar_n_grid_is_one_row(self):
         args = ([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], 2.0, GAMMA21, 0, 1)
         table = dt.pairwise_asymindep(*args, 100, 2000, seed=67)
-        assert table.shape == (1, 3)
+        assert table.shape == (1, 4)
         assert table.tobytes() == dt.pairwise_asymindep(*args, [100], 2000, seed=67).tobytes()
 
     def test_matrix_validation(self):

@@ -7,6 +7,7 @@ so each family gets a grid deep enough for its own second-order terms.
 """
 
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -15,9 +16,10 @@ import warnings
 import numpy as np
 import pytest
 from scipy import special as sp
+from scipy import stats
 
 from dirtail import BetaLaw, GammaLaw, RadialModel, UnitGumbel, WeibullTail, mda_diagnostic
-from dirtail import specfun
+from dirtail import radial, specfun
 from dirtail.errors import DomainError, NumericError, UnsupportedClassError, ValidationError
 
 GUMBEL_FAMILIES = [
@@ -28,6 +30,22 @@ GUMBEL_FAMILIES = [
     WeibullTail(0.5, 1.0),
     UnitGumbel(1.0),
 ]
+
+
+def standard_gamma_row(rng, a, n):
+    """n Gamma(a) draws as radial.standard_gamma makes them, every branch
+    written out from numpy's primitives: the reference for its bits."""
+    if a == 1.0:
+        return rng.standard_exponential(n)
+    if a == 2.0:
+        return rng.standard_exponential(n) + rng.standard_exponential(n)
+    if a == 3.0:
+        e1, e2 = rng.standard_exponential(n), rng.standard_exponential(n)
+        return e1 + e2 + rng.standard_exponential(n)
+    if 0.05 <= a < 1.0:
+        g = rng.standard_gamma(a + 1.0, n)
+        return g * rng.random(n) ** (1.0 / a)
+    return rng.standard_gamma(a, n)
 
 
 class TestSurvival:
@@ -251,11 +269,25 @@ class TestSample:
             assert abs(freq - s) <= 5 * math.sqrt(s * (1 - s) / self.N), s
 
     def test_gamma_draws_are_standard_gamma_over_rate(self):
-        # rate 1 skips the division, another rate divides in place: the same bits
-        for law in (GammaLaw(3, 1), GammaLaw(2.5, 0.7)):
+        # radial.standard_gamma's draws, one law per branch: rate 1 skips the
+        # division, another rate divides in place: the same bits
+        for law in (GammaLaw(3, 1), GammaLaw(2.5, 0.7), GammaLaw(1, 1), GammaLaw(2, 0.3),
+                    GammaLaw(0.3, 2.0), GammaLaw(0.01, 1.5)):
             got = law.sample(np.random.default_rng(7), 1000)
-            want = np.random.default_rng(7).standard_gamma(law.shape, 1000) / law.rate
+            want = standard_gamma_row(np.random.default_rng(7), law.shape, 1000) / law.rate
             assert got.tobytes() == want.tobytes()
+
+    def test_gamma_stream_fingerprint(self):
+        # the sha256 of GammaLaw's draws at seed 1: a change to how radii are
+        # drawn fails here and has to be declared.  The boost runs at 0.5,
+        # whose U^2 is a plain square on every CPU
+        fingerprints = {
+            3.0: "3dd7e02a35a6c1068b4d3305fd8be0dc98dc2c24cb39aeaf5b6ff4bc02758cec",
+            0.5: "e0616d3f4509a00588aeea3a1f08cd7d6149fda8ab3ba4dab643d2b873b493ae",
+        }
+        for shape, digest in fingerprints.items():
+            r = GammaLaw(shape).sample(np.random.default_rng(1), 1 << 16)
+            assert hashlib.sha256(r.tobytes()).hexdigest() == digest, shape
 
     def test_weibull_draws_keep_their_bits(self):
         # the overflow bound binds for index 0.009 (e^(709 * 0.009) < 745) but
@@ -286,6 +318,34 @@ class TestSample:
 
         with pytest.raises(TypeError):
             SurvivalOnly()
+
+
+class TestStandardGamma:
+    """radial.standard_gamma: one exact method per shape."""
+
+    N = 2 * 10 ** 5
+    SHAPES = [0.04, 0.05, 0.3, 0.5, 0.999, 1.0, 2.0, 3.0, 3.5]
+
+    @pytest.mark.parametrize("a", SHAPES)
+    def test_law_is_gamma(self, a):
+        # every branch against scipy's Gamma(a): a KS test, and the mean and
+        # variance within 5 standard errors of a (the variance's from the
+        # fourth moment, 3 a^2 + 6 a)
+        g = radial.standard_gamma(np.random.default_rng(31), a, np.empty(self.N))
+        assert stats.kstest(g, stats.gamma(a).cdf).pvalue > 1e-4
+        assert abs(g.mean() - a) <= 5 * math.sqrt(a / self.N)
+        assert abs(g.var() - a) <= 5 * a * math.sqrt((2 + 6 / a) / self.N)
+
+    @pytest.mark.parametrize("a", SHAPES)
+    def test_bits_and_stream_position_equal_the_row_form(self, a):
+        # with or without a scratch row, the draws and the stream position
+        # after them equal the row form's
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        for scratch in (None, np.empty(1000)):
+            out = np.empty(1000)
+            assert radial.standard_gamma(rng, a, out, scratch) is out
+            assert out.tobytes() == standard_gamma_row(ref, a, 1000).tobytes()
+        assert rng.random() == ref.random()
 
 
 class TestValidation:
