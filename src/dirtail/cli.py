@@ -21,19 +21,10 @@ import sys
 import numpy as np
 
 from . import __version__, aggtail, montecarlo
-from .errors import DirtailError, DomainError, NumericError, ValidationError
+from .errors import DirtailError, NumericError, ValidationError
 from .radial import RadialModel, mda_diagnostic
 
 _COMMON_KEYS = {"alpha", "lambda", "p", "radial", "seed", "out", "format"}
-_COMMAND_KEYS = {
-    "approx": {"thresholds", "depths"},
-    "simulate": {"thresholds", "depths", "n", "method"},
-    "ratio": {"depths", "n", "oracle"},
-    "var-es": {"levels"},
-    "diagnose-mda": {"mode", "x", "t", "mu", "c", "x_grid", "depths", "n"},
-    "maxstable": {"weights", "pair", "n_grid", "n"},
-    "constants": set(),
-}
 
 
 #: how deep in lists each numeric config key holds its finite numbers
@@ -64,7 +55,7 @@ def _load_config(path: str) -> dict:
 
 
 def _check_keys(command: str, cfg: dict) -> None:
-    allowed = _COMMON_KEYS | _COMMAND_KEYS[command]
+    allowed = _COMMON_KEYS | _COMMANDS[command][1]
     unknown = set(cfg) - allowed
     if unknown:
         raise ValidationError(
@@ -214,14 +205,15 @@ def _cmd_constants(cfg, spec, seed, workers):
     return header, rows
 
 
+#: command -> (its implementation, the config keys it takes beyond _COMMON_KEYS)
 _COMMANDS = {
-    "approx": _cmd_approx,
-    "simulate": _cmd_simulate,
-    "ratio": _cmd_ratio,
-    "var-es": _cmd_var_es,
-    "diagnose-mda": _cmd_diagnose_mda,
-    "maxstable": _cmd_maxstable,
-    "constants": _cmd_constants,
+    "approx": (_cmd_approx, {"thresholds", "depths"}),
+    "simulate": (_cmd_simulate, {"thresholds", "depths", "n", "method"}),
+    "ratio": (_cmd_ratio, {"depths", "n", "oracle"}),
+    "var-es": (_cmd_var_es, {"levels"}),
+    "diagnose-mda": (_cmd_diagnose_mda, {"mode", "x", "t", "mu", "c", "x_grid", "depths", "n"}),
+    "maxstable": (_cmd_maxstable, {"weights", "pair", "n_grid", "n"}),
+    "constants": (_cmd_constants, set()),
 }
 
 
@@ -289,7 +281,7 @@ def run(command: str, cfg: dict, seed=None, workers: int | None = None,
             json.dump(resolved, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
-    header, rows = _COMMANDS[command](cfg, spec, seed, workers)
+    header, rows = _COMMANDS[command][0](cfg, spec, seed, workers)
     _emit(out_path, fmt, command, cfg, seed, header, rows)
     return 0
 
@@ -320,15 +312,12 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config)
         return run(args.command, cfg, seed=args.seed, workers=args.workers,
                    out_path=args.out, fmt=args.format, dump_config=args.dump_config)
-    except NumericError as exc:
+    except ArithmeticError as exc:  # NumericError, or numpy's and scipy's own
         print(f"dirtail: numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, DomainError, DirtailError) as exc:
+    except DirtailError as exc:
         print(f"dirtail: {exc}", file=sys.stderr)
         return 2
-    except ArithmeticError as exc:
-        print(f"dirtail: numeric failure: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

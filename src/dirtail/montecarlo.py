@@ -133,64 +133,64 @@ def _levels(spec: AggregateSpec, thresholds) -> np.ndarray:
     return ts / spec.scale
 
 
-def _chunk_sizes(n: int, chunk: int = CHUNK) -> list[int]:
-    if not n >= 1:
-        raise ValidationError(f"sample count must be >= 1, got {n}")
-    full, rest = divmod(int(n), chunk)
-    return [chunk] * full + ([rest] if rest else [])
+def _chunked(seed: int, n: int, alpha, fn, workers: int | None = None,
+             block: int = 1) -> list:
+    """fn(rng, u, ws) for every chunk k of n draws, in chunk order, on up to
+    workers threads, never more than there are chunks.  The chunks hold
+    CHUNK draws rounded down to whole blocks of block draws (one block when
+    a block is longer), and the last one holds the rest.  Each thread keeps
+    buffers of about d + 1 doubles per draw of the largest chunk, so peak
+    memory grows with the thread count.  None reads the CPUs this process
+    may run on (its affinity mask, cut to ceil(quota / period) under a
+    cgroup v2 CPU quota), but takes no more threads than hold _POOL_DRAWS
+    draws between them, and at least one.
 
-
-def _chunked(seed: int, sizes: list[int], alpha, fn, workers: int | None = None) -> list:
-    """fn(rng, u, ws) for every chunk k, in chunk order, on up to workers
-    threads, never more than there are chunks.  Each thread keeps buffers of
-    about d + 1 doubles per draw of the largest chunk, so peak memory grows
-    with the thread count.  None reads the CPUs this process may run on (its
-    affinity mask, cut to ceil(quota / period) under a cgroup v2 CPU quota),
-    but takes no more threads than hold _POOL_DRAWS draws between them, and
-    at least one.
-
-    u is the chunk's (d, sizes[k]) block of simplex points, one column per
-    point, drawn first from rng = default_rng([seed, k]); for d = 1 the
+    u is the chunk's (d, m) block of simplex points, m its draws, one column
+    per point, drawn first from rng = default_rng([seed, k]); for d = 1 the
     simplex is the single point 1 and nothing is drawn.  ws(key, rows=1) is
     the thread's buffer named key, made at the largest chunk's length on its
-    first use, cut to rows * sizes[k] doubles; for d >= 2, ws("u", rows <= d)
+    first use, cut to rows * m doubles; for d >= 2, ws("u", rows <= d)
     is the first rows of u, which fn may take as scratch once it is done
     with u (for d = 1 it is a buffer of its own: fn must not write to u
     then).  u and the buffers are reused for the thread's next chunk and
     freed when the call returns, so fn must not keep them.
 
-    The substream gives coordinate 0's sizes[k] Gamma(alpha_0) draws, then
+    The substream gives coordinate 0's m Gamma(alpha_0) draws, then
     coordinate 1's, and so on, each row drawn straight into its row of u by
     radial.standard_gamma, with the thread's total row as its scratch; the
     rows are then summed in coordinate order into that total row, and u is
     divided by it in place.
 
-    Raises ValidationError for a worker count that is neither None nor an
-    integer >= 1, and NumericError when a row's gamma draws all underflow to
-    0, which small alpha makes likely: the row has no simplex point to
-    normalize.
+    Raises ValidationError for a sample count below 1 or a worker count
+    that is neither None nor an integer >= 1, and NumericError when a row's
+    gamma draws all underflow to 0, which small alpha makes likely: the row
+    has no simplex point to normalize.
     """
+    if not n >= 1:
+        raise ValidationError(f"sample count must be >= 1, got {n}")
     workers = _check_workers(workers)
+    n, per = int(n), max(1, CHUNK // block) * block
+    chunks, size = -(-n // per), min(n, per)
     if workers is None:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
             else os.cpu_count() or 1
-        workers = min(cpus, _cpu_quota() or cpus, max(1, _POOL_DRAWS // max(sizes)))
-    workers = min(workers, len(sizes))
+        workers = min(cpus, _cpu_quota() or cpus, max(1, _POOL_DRAWS // size))
+    workers = min(workers, chunks)
     alpha = np.asarray(alpha, dtype=float)
-    d, size, local = alpha.size, max(sizes), threading.local()
+    d, local = alpha.size, threading.local()
     ones = np.ones((1, size)) if d == 1 else None
 
     def one_chunk(k: int):
-        rng, n, bufs = np.random.default_rng([seed, k]), sizes[k], vars(local)
+        rng, m, bufs = np.random.default_rng([seed, k]), min(per, n - k * per), vars(local)
 
         def ws(key: str, rows: int = 1) -> np.ndarray:
             if key not in bufs:
                 bufs[key] = np.empty(rows * size)
-            return bufs[key][:rows * n]
+            return bufs[key][:rows * m]
 
         if d == 1:
-            return fn(rng, ones[:, :n], ws)
-        u, total = ws("u", d).reshape(d, n), ws("total")
+            return fn(rng, ones[:, :m], ws)
+        u, total = ws("u", d).reshape(d, m), ws("total")
         for a_j, u_j in zip(alpha.tolist(), u):
             standard_gamma(rng, a_j, u_j, total)
         np.add(u[0], u[1], out=total)
@@ -204,9 +204,9 @@ def _chunked(seed: int, sizes: list[int], alpha, fn, workers: int | None = None)
         return fn(rng, u, ws)
 
     if workers == 1:
-        return [one_chunk(k) for k in range(len(sizes))]
+        return [one_chunk(k) for k in range(chunks)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one_chunk, range(len(sizes))))
+        return list(pool.map(one_chunk, range(chunks)))
 
 
 def _chunk_logsums(parts) -> np.ndarray:
@@ -295,7 +295,7 @@ def sample_dirichlet(spec: AggregateSpec, n: int, seed: int):
     def draw(rng, u, ws):
         return (u * spec.radial.sample(rng, u.shape[1])).T
 
-    return np.vstack(_chunked(seed, _chunk_sizes(n), spec.alpha, draw))
+    return np.vstack(_chunked(seed, n, spec.alpha, draw))
 
 
 # ----------------------------------------------------------------------
@@ -339,7 +339,7 @@ def conditional_mc_tail(spec: AggregateSpec, t, n: int, seed: int,
     def moments(rng, u, ws):
         return _log_moments(spec.radial, _z(spec, u), levels, spec.p, ws, squares=True)
 
-    parts = _chunked(seed, _chunk_sizes(n), spec.alpha, moments, workers)
+    parts = _chunked(seed, n, spec.alpha, moments, workers)
     # the log-sums as max_sum_ratio takes them, so both give the same mean
     ls1 = _chunk_logsums([[m + math.log(s1) if s1 else m for m, s1, _ in part] for part in parts])
     ests = [_estimate_from_moments(ls, chunks, int(n), seed)
@@ -359,7 +359,7 @@ def crude_mc_tail(spec: AggregateSpec, t, n: int, seed: int,
         s *= _z(spec, u)
         return [np.count_nonzero(s > level) for level in levels]
 
-    hits = np.sum(_chunked(seed, _chunk_sizes(n), spec.alpha, hits_in, workers), axis=0)
+    hits = np.sum(_chunked(seed, n, spec.alpha, hits_in, workers), axis=0)
     # with no hit the binomial stderr is 0; 3/n bounds p at 95 % confidence
     ests = [Estimate(p_hat=h / n, log_p_hat=math.log(h / n) if h else -math.inf,
                      stderr=math.sqrt(h / n * (1.0 - h / n) / n) if h else 3.0 / n,
@@ -398,7 +398,7 @@ def max_sum_ratio(spec: AggregateSpec, t_grid, n: int, seed: int) -> np.ndarray:
         return list(zip(_log_moments(spec.radial, top, levels, spec.p, ws),
                         _log_moments(spec.radial, total, levels, spec.p, ws)))
 
-    logs = _chunk_logsums(_chunked(seed, _chunk_sizes(n), spec.alpha, columns)) - math.log(n)
+    logs = _chunk_logsums(_chunked(seed, n, spec.alpha, columns)) - math.log(n)
     return np.asarray([(t, num, den, math.exp(num - den)) for t, (num, den) in zip(t_grid, logs)])
 
 
@@ -479,7 +479,7 @@ def pairwise_asymindep(alpha, weights, p: float, radial: RadialModel, i: int, j:
         return list(zip(_log_moments(radial, z_i, bs, p, ws),
                         _log_moments(radial, z_min, bs, p, ws)))
 
-    logs = _chunk_logsums(_chunked(seed, _chunk_sizes(n), alpha, columns, workers)) - math.log(n)
+    logs = _chunk_logsums(_chunked(seed, n, alpha, columns, workers)) - math.log(n)
     return np.asarray([(int(nl), b, a, math.exp(joint - single))
                        for nl, (b, a), (single, joint) in zip(n_grid, norms, logs)])
 
@@ -506,7 +506,7 @@ def empirical_gumbel_mda(spec: AggregateSpec, x_grid, depth_grid, n: int,
         return _log_moments(spec.radial, _z(spec, u), levels, spec.p, ws)
 
     # the ratios take differences of raw log-sums: both sides share 1/n
-    logs = _chunk_logsums(_chunked(seed, _chunk_sizes(n), spec.alpha, columns, workers))
+    logs = _chunk_logsums(_chunked(seed, n, spec.alpha, columns, workers))
     rows = []
     for (depth, v), (log_base, *log_shifts) in zip(jobs, logs.reshape(len(jobs), len(x_grid) + 1)):
         for x, log_shift in zip(x_grid, log_shifts):
@@ -528,9 +528,6 @@ def gumbel_limit_check(spec: AggregateSpec, n: int, replicates: int, x_grid,
     x_arr = np.atleast_1d(np.asarray(x_grid, dtype=float))
     cut = consts.b_n + consts.a_n * x_arr
 
-    # each chunk holds whole blocks of n draws
-    sizes = [reps * n for reps in _chunk_sizes(replicates, max(1, CHUNK // n))]
-
     def block_counts(rng, u, ws):
         s = spec.radial.sample(rng, u.shape[1])
         s **= spec.p
@@ -539,7 +536,7 @@ def gumbel_limit_check(spec: AggregateSpec, n: int, replicates: int, x_grid,
         block_max = s.reshape(-1, n).max(axis=1)
         return (block_max[:, None] <= cut[None, :]).sum(axis=0)
 
-    counts = sum(_chunked(seed, sizes, spec.alpha, block_counts))
+    counts = sum(_chunked(seed, replicates * n, spec.alpha, block_counts, block=n))
     emp = counts / float(replicates)
     return np.asarray([(x, e, math.exp(-math.exp(-x))) for x, e in zip(x_arr, emp)])
 

@@ -423,7 +423,8 @@ def mda_diagnostic(model: RadialModel, mode: str, params: dict) -> np.ndarray:
 
     For the Weibull-ratio mode, u is the distance from the endpoint, and a
     depth with t*u >= 1 is left out.  NumericError for a ratio past the
-    largest double.
+    largest double, and where 1 - t*u or 1 - u rounds to the endpoint 1,
+    whose survival 0 would make the ratio 0 or NaN.
     """
     if mode not in _MDA_MODES:
         raise ValidationError(f"unknown diagnostic mode {mode!r}")
@@ -449,7 +450,10 @@ def mda_diagnostic(model: RadialModel, mode: str, params: dict) -> np.ndarray:
         if mode == "weibull_ratio":
             if arg["t"] * u >= 1.0:
                 continue
-            log_ratio = model.log_survival(1.0 - arg["t"] * u) - model.log_survival(1.0 - u)
+            at_t, at_1 = 1.0 - arg["t"] * u, 1.0 - u
+            if at_t == 1.0 or at_1 == 1.0:
+                raise NumericError(f"weibull_ratio at u={u}: 1 - t*u or 1 - u rounds to 1")
+            log_ratio = model.log_survival(at_t) - model.log_survival(at_1)
         elif mode == "gumbel_ratio":
             log_ratio = (model.log_survival(u + arg["x"] / model.scaling_w(u))
                          - model.log_survival(u))

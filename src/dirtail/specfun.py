@@ -15,22 +15,22 @@ three bands of the linear-scale tail q:
   modified-Lentz loop for both laws, summed in log scale, because q itself
   underflows (or keeps only a few digits as a subnormal) while its logarithm
   is an ordinary number; only the entries that the finite sums below leave
-  to the bands (shapes not whole numbers up to _ERLANG_N_MAX, array shapes)
-  reach it;
+  to the bands (shapes not whole numbers up to _ERLANG_N_MAX) reach it;
 * everywhere else: log(q).
 
-Two routes bypass the bands, finite sums by one Horner loop.  A scalar gamma
-shape that is a whole number n <= _ERLANG_N_MAX (the Erlang law) has the tail
+Two routes bypass the bands, finite sums by one Horner loop.  A gamma shape
+that is a whole number n <= _ERLANG_N_MAX (the Erlang law) has the tail
 Q(n, x) = e^{-x} sum_{k<n} x^k / k! (Abramowitz & Stegun 6.5.13), taken as
 -x + log(sum) for every x >= n, where Q(n, x) < 1/2, up to the x where the
 sum would overflow; entries with x < n or past that cap (x = inf among them)
-take the bands.  A scalar whole first beta shape a <= _ERLANG_N_MAX has
+take the bands.  A whole first beta shape a <= _ERLANG_N_MAX has
 P(B_{a,b} > x) = (1 - x)^b sum_{j<a} (b)_j / j! x^j (DLMF 8.17.5), taken as
-b log1p(-x) + log(sum) wherever that gives q < 1/2.  Other shapes and array
-shapes take the bands.  erlang_weights gives the Erlang tails of an array
-divided by the largest, e^{x_lo - x} sum(x) / sum(x_lo), without a log.
-All kernels are vectorized over numpy arrays; float arguments run the same
-bands without the array bookkeeping, and give the same bits.
+b log1p(-x) + log(sum) wherever that gives q < 1/2.  Other shapes take the
+bands.  erlang_weights gives the Erlang tails of an array divided by the
+largest, e^{x_lo - x} sum(x) / sum(x_lo), without a log.
+The kernels take scalar shapes and an argument x that is a float or an array
+of any shape; a float x runs the same bands without the array bookkeeping,
+and gives the same bits.
 """
 
 from __future__ import annotations
@@ -110,34 +110,31 @@ def logsumexp(values, axis=None):
 # banded upper tails
 # ----------------------------------------------------------------------
 
-def _log_tail(upper, lower, log_fraction, *args):
-    """log of the upper tail q = upper(*args), by the bands of q.
+def _log_tail(upper, lower, log_fraction, shapes, x):
+    """log of the upper tail q = upper(*shapes, x), by the bands of q.
 
-    lower(*args) is 1 - q and log_fraction(*args) is log q by the
-    continued fraction; each runs only on the entries of its band.  Float
-    arguments take the same bands with plain ifs, the fraction on 1-element
-    arrays, and give a float with the bits of the array path.
+    lower(*shapes, x) is 1 - q and log_fraction(*shapes, x) is log q by the
+    continued fraction; each runs only on the entries of its band.  The
+    shapes are floats.  A float x takes the same bands with plain ifs, the
+    fraction on a 1-element array, and gives a float with the bits of the
+    array path.
     """
-    if all(isinstance(arg, float) for arg in args):
-        q = upper(*args)
+    q = upper(*shapes, x)
+    if isinstance(x, float):
         if q > 0.5:
-            return float(np.log1p(-lower(*args)))
+            return float(np.log1p(-lower(*shapes, x)))
         if q < _FLOOR:
-            return float(log_fraction(*(np.array([arg]) for arg in args))[0])
+            return float(log_fraction(*shapes, np.array([x]))[0])
         return float(np.log(q))
-    args = np.broadcast_arrays(*args)
-    shape = args[0].shape
-    args = [arg.ravel() for arg in args]
-    q = upper(*args)
     with np.errstate(divide="ignore"):
         out = np.log(q)
     body = q > 0.5
     if body.any():
-        out[body] = np.log1p(-lower(*(arg[body] for arg in args)))
+        out[body] = np.log1p(-lower(*shapes, x[body]))
     deep = q < _FLOOR
     if deep.any():
-        out[deep] = log_fraction(*(arg[deep] for arg in args))
-    return out.reshape(shape)
+        out[deep] = log_fraction(*shapes, x[deep])
+    return out
 
 
 def _lentz(h, c, d, term, what):
@@ -166,12 +163,13 @@ def _lentz(h, c, d, term, what):
 
 def _beta_cf_upper_log(a, b, x):
     """log P(B_{a,b} > x) = log I_y(b, a), y = 1 - x, by the continued fraction
-    y^b (1 - y)^a / (b B(a, b)) / (1 + d_1 / (1 + d_2 / ...)), for 1-d arrays with
-    y < (b + 1) / (a + b + 2), where it converges fast.  x = 1 is -inf without the
-    fraction: BetaLaw clips every argument past its endpoint to 1."""
+    y^b (1 - y)^a / (b B(a, b)) / (1 + d_1 / (1 + d_2 / ...)), for float shapes
+    and a 1-d array x with y < (b + 1) / (a + b + 2), where it converges fast.
+    x = 1 is -inf without the fraction: BetaLaw clips every argument past its
+    endpoint to 1."""
     out = np.full(x.shape, -np.inf)
     inside = x < 1.0
-    a, b, x = a[inside], b[inside], x[inside]
+    x = x[inside]
     y = 1.0 - x
     qab, qap, qam = b + a, b + 1.0, b - 1.0
     d = 1.0 - qab * y / qap
@@ -191,36 +189,29 @@ def _beta_cf_upper_log(a, b, x):
 
 
 def log_beta_survival(a, b, x):
-    """log P(B_{a,b} > x); scalar in, scalar out, arrays pass through.
+    """log P(B_{a,b} > x) for scalar shapes a, b > 0 and x in [0, 1]: a float
+    for a scalar x, else an array of x's shape.
 
-    A scalar whole first shape a <= _ERLANG_N_MAX takes the finite sum
+    A whole first shape a <= _ERLANG_N_MAX takes the finite sum
     (_log_beta_sum) at every entry where it gives q < 1/2; the other entries,
     and other shapes, take the bands."""
-    if isinstance(x, float) and isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        # the checks of the array path as plain comparisons, which a NaN fails
-        if not (a > 0 and b > 0):
-            raise DomainError(f"beta parameters must be positive, got a={a}, b={b}")
-        if not 0 <= x <= 1:
-            raise DomainError(f"beta argument must lie in [0, 1], got x={x}")
-        coef = _beta_series(a, b)
-        if coef is not None:
-            out = _log_beta_sum(coef, float(b), x)
-            if out < _LOG_HALF:
-                return out
-        return _log_tail(betaincc, betainc, _beta_cf_upper_log, float(a), float(b), x)
-    aa, bb, xx = (np.asarray(v, dtype=float) for v in (a, b, x))
-    if not (np.all(aa > 0) and np.all(bb > 0)):
+    if not (a > 0 and b > 0):  # plain comparisons, which a NaN fails
         raise DomainError(f"beta parameters must be positive, got a={a}, b={b}")
-    if not np.all((xx >= 0) & (xx <= 1)):  # a NaN fails both
+    shapes = float(a), float(b)
+    coef = _beta_series(a, b)
+    scalar = isinstance(x, float) or np.ndim(x) == 0
+    xx = float(x) if scalar else np.asarray(x, dtype=float)
+    if not (0 <= xx <= 1 if scalar else np.all((xx >= 0) & (xx <= 1))):  # a NaN fails
         raise DomainError(f"beta argument must lie in [0, 1], got x={x}")
-    coef = _beta_series(float(a), float(b)) if aa.ndim == bb.ndim == 0 and xx.ndim else None
     if coef is None:
-        out = _log_tail(betaincc, betainc, _beta_cf_upper_log, aa, bb, xx)
-        return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
-    out = _log_beta_sum(coef, float(b), xx)
+        return _log_tail(betaincc, betainc, _beta_cf_upper_log, shapes, xx)
+    out = _log_beta_sum(coef, shapes[1], xx)
+    if scalar:
+        return out if out < _LOG_HALF else _log_tail(betaincc, betainc, _beta_cf_upper_log,
+                                                     shapes, xx)
     body = ~(out < _LOG_HALF)
     if body.any():
-        out[body] = _log_tail(betaincc, betainc, _beta_cf_upper_log, aa, bb, xx[body])
+        out[body] = _log_tail(betaincc, betainc, _beta_cf_upper_log, shapes, xx[body])
     return out
 
 
@@ -230,11 +221,12 @@ def log_beta_survival(a, b, x):
 
 def _gamma_cf_upper_log(a, x):
     """log Q(a, x) = -x + a log x - log Gamma(a) - log(b_0 + a_1 / (b_1 + ...)),
-    a_i = -i (i - a), b_i = x + 1 - a + 2i (Legendre), for 1-d arrays with x > a + 1.
-    x = inf is -inf without the fraction, whose terms would be inf / inf."""
+    a_i = -i (i - a), b_i = x + 1 - a + 2i (Legendre), for a float shape and a 1-d
+    array x > a + 1.  x = inf is -inf without the fraction, whose terms would be
+    inf / inf."""
     out = np.full(x.shape, -np.inf)
     finite = np.isfinite(x)
-    a, x = a[finite], x[finite]
+    x = x[finite]
     b = x + 1.0 - a
 
     def term(i):  # b_i as a running sum, as b_0 + 2i would round differently
@@ -332,26 +324,24 @@ def _log_beta_sum(coef, b, x):
 
 
 def log_regularized_gamma_upper(a, x):
-    """log Q(a, x) = log P(Gamma(a, 1) > x), vectorized, deep-tail safe."""
-    ax = np.asarray(a, dtype=float)
-    if not (a > 0 if ax.ndim == 0 else np.all(ax > 0)):
+    """log Q(a, x) = log P(Gamma(a, 1) > x) for a scalar shape a > 0 and x >= 0,
+    deep-tail safe: a float for a scalar x, else an array of x's shape."""
+    if not a > 0:  # a NaN fails
         raise DomainError(f"shape must be positive, got a={a}")
     xx = np.asarray(x, dtype=float)
     # the least entry, in one pass; a NaN propagates to it and fails the check
     lo = float(x) if xx.ndim == 0 else xx.min(initial=math.inf)
     if not lo >= 0:
         raise DomainError(f"argument must be non-negative, got x={x}")
-    n = int(a) if ax.ndim == 0 and 1 <= a <= _ERLANG_N_MAX and a == int(a) else 0
+    x = xx if xx.ndim else lo  # a scalar as a float: float arithmetic beats 0-d arrays
+    n = int(a) if 1 <= a <= _ERLANG_N_MAX and a == int(a) else 0
     if n and lo >= n and (lo if xx.ndim == 0 else xx.max(initial=-math.inf)) <= _ERLANG_X_MAX[n]:
-        # a scalar x goes in as the float lo: float arithmetic beats 0-d arrays
-        out = _log_erlang_tail(n, xx if xx.ndim else lo)
-    elif n and xx.ndim:
+        return _log_erlang_tail(n, x)
+    shapes = (float(a),)
+    if n and xx.ndim:
         closed = (xx >= n) & (xx <= _ERLANG_X_MAX[n])
         out = np.empty(xx.shape)
         out[closed] = _log_erlang_tail(n, xx[closed])
-        out[~closed] = _log_tail(gammaincc, gammainc, _gamma_cf_upper_log, ax, xx[~closed])
-    elif ax.ndim == xx.ndim == 0:
-        out = _log_tail(gammaincc, gammainc, _gamma_cf_upper_log, float(a), lo)
-    else:
-        out = _log_tail(gammaincc, gammainc, _gamma_cf_upper_log, ax, xx)
-    return out
+        out[~closed] = _log_tail(gammaincc, gammainc, _gamma_cf_upper_log, shapes, xx[~closed])
+        return out
+    return _log_tail(gammaincc, gammainc, _gamma_cf_upper_log, shapes, x)

@@ -11,7 +11,8 @@ import pytest
 
 import dirtail as dt
 from dirtail import cli
-from dirtail.errors import NumericError
+from dirtail.errors import (DirtailError, DomainError, NumericError, UnsupportedClassError,
+                            ValidationError, WrongRegimeError)
 
 KOTZ_CONFIG = {
     "alpha": [1.0, 1.0],
@@ -467,6 +468,15 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "quantile at level" in err[0] and "overflows" in err[0]
 
+    def test_weibull_ratio_at_the_endpoint_is_3_in_one_line(self, tmp_path, capsys):
+        cfg = {"alpha": [1, 2], "lambda": [1, 0.5], "p": 1.0,
+               "radial": {"family": "beta", "params": {"a": 1, "b": 2}},
+               "mode": "weibull_ratio", "t": 2.0, "depths": [1e-2, 1e-17]}
+        assert cli.main(["diagnose-mda", "--config", write_config(tmp_path, cfg)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("dirtail: numeric failure: weibull_ratio")
+        assert "1 - t*u or 1 - u rounds to 1" in err[0]
+
     def test_small_alpha_row_sum_underflow_is_3_in_one_line(self, tmp_path, capsys):
         # alpha = 0.001 draws gamma rows that sum to 0: a loud failure, not a
         # silently biased estimate, until small alphas are sampled another way
@@ -485,16 +495,30 @@ class TestExitCodes:
         _, header, rows = read_csv(out)
         assert rows[0][header.index("n")] == "2000"
 
+    @staticmethod
+    def _raising_approx(tmp_path, monkeypatch, capsys, error):
+        """The exit code and stderr lines of 'approx' when its command raises error."""
+        def boom(cfg, spec, seed, workers):
+            raise error("iteration failed to converge")
+        monkeypatch.setitem(cli._COMMANDS, "approx", (boom, cli._COMMANDS["approx"][1]))
+        cfg = dict(KOTZ_CONFIG, thresholds=[1.0])
+        rc = cli.main(["approx", "--config", write_config(tmp_path, cfg)])
+        return rc, capsys.readouterr().err.splitlines()
+
     def test_numeric_failure_is_3(self, tmp_path, monkeypatch, capsys):
         # a bare ArithmeticError from numpy or scipy counts as one too
         for error in (NumericError, ArithmeticError):
-            def boom(cfg, spec, seed, workers):
-                raise error("iteration failed to converge")
-            monkeypatch.setitem(cli._COMMANDS, "approx", boom)
-            cfg = dict(KOTZ_CONFIG, thresholds=[1.0])
-            rc = cli.main(["approx", "--config", write_config(tmp_path, cfg)])
+            rc, err = self._raising_approx(tmp_path, monkeypatch, capsys, error)
             assert rc == 3
-            assert "numeric failure" in capsys.readouterr().err
+            assert err == ["dirtail: numeric failure: iteration failed to converge"]
+
+    @pytest.mark.parametrize("error", [ValidationError, DomainError, WrongRegimeError,
+                                       UnsupportedClassError, DirtailError])
+    def test_caller_error_is_2_in_one_line(self, tmp_path, monkeypatch, capsys, error):
+        # every other DirtailError is the caller's fault
+        rc, err = self._raising_approx(tmp_path, monkeypatch, capsys, error)
+        assert rc == 2
+        assert err == ["dirtail: iteration failed to converge"]
 
     def test_overflow_near_unit_power_is_0(self, tmp_path):
         # at p = 0.999999 the saddle sits exp(-3.6e5) from an endpoint and the

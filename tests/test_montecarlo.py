@@ -219,8 +219,17 @@ class TestChunkBlock:
     """The engine's (d, n) block and Z against the same draws made row by row."""
 
     @staticmethod
-    def _blocks(seed, sizes, alpha):
-        return mc._chunked(seed, sizes, alpha, lambda rng, u, ws: u.copy())
+    def _blocks(seed, n, alpha):
+        return mc._chunked(seed, n, alpha, lambda rng, u, ws: u.copy())
+
+    @pytest.mark.parametrize("n, block, sizes", [
+        (1, 1, [1]), (CHUNK, 1, [CHUNK]), (2 * CHUNK + 5, 1, [CHUNK, CHUNK, 5]),
+        (7 * 1000, 1000, [7000]), (200 * 1000, 1000, [65000, 65000, 65000, 5000]),
+        (3 * 70000, 70000, [70000] * 3)])
+    def test_partition_holds_whole_blocks(self, n, block, sizes):
+        # chunks of CHUNK draws rounded down to whole blocks, one block when a
+        # block is longer, and the rest in the last chunk
+        assert mc._chunked(1, n, [1.0], lambda rng, u, ws: u.shape[1], block=block) == sizes
 
     @pytest.mark.parametrize("alpha", [[1.5], [1.0, 2.0], [0.5, 1.0, 3.0],
                                        [1.0, 0.3, 2.0, 0.7, 1.2], [1.0, 1.0, 1.0], [2.0, 2.0],
@@ -231,7 +240,8 @@ class TestChunkBlock:
         # chunk is a partial one
         d, sizes = len(alpha), [CHUNK, 17161]
         spec = dt.validate_spec(alpha, np.linspace(1.0, 0.2, d), 1.7, GAMMA21)
-        got = mc._chunked(13, sizes, spec.alpha, lambda rng, u, ws: (u.copy(), mc._z(spec, u)))
+        got = mc._chunked(13, sum(sizes), spec.alpha,
+                          lambda rng, u, ws: (u.copy(), mc._z(spec, u)))
         for k, (u, z) in enumerate(got):
             if d == 1:
                 rows = np.ones((1, sizes[k]))
@@ -253,7 +263,7 @@ class TestChunkBlock:
         # alpha 1 draws numpy's own Gamma(1) bits: this block is the one the
         # engine drew before each shape took its own method
         sizes = [CHUNK, 999]
-        for k, u in enumerate(self._blocks(4, sizes, [1.0, 1.0, 1.0])):
+        for k, u in enumerate(self._blocks(4, sum(sizes), [1.0, 1.0, 1.0])):
             rng = np.random.default_rng([4, k])
             g = [rng.standard_gamma(1.0, sizes[k]) for _ in range(3)]
             assert u.tobytes() == np.array([g_j / (g[0] + g[1] + g[2]) for g_j in g]).tobytes()
@@ -269,7 +279,7 @@ class TestChunkBlock:
             (1.5, 1.0, 3.5): "9fe0673f253aa84d32db7881ab98a679636392329eaebbfd2088969968df8f54",
         }
         for alpha, digest in fingerprints.items():
-            blocks = self._blocks(1, [CHUNK, CHUNK], alpha)
+            blocks = self._blocks(1, 2 * CHUNK, alpha)
             got = hashlib.sha256(b"".join(u.tobytes() for u in blocks)).hexdigest()
             assert got == digest, alpha
 

@@ -442,6 +442,14 @@ class TestMdaDiagnostics:
             mda_diagnostic(GammaLaw(2, 1), "davis_resnick",
                            {"mu": 400.0, "c": 2.0, "depths": [1e-2, 1e-10]})
 
+    @pytest.mark.parametrize("law, t, depth", [(BetaLaw(1, 2), 2.0, 1e-17),
+                                               (BetaLaw(2, 3), 0.5, 1e-16)])
+    def test_weibull_ratio_at_the_endpoint_raises(self, law, t, depth):
+        # 1 - t*u (and at 1e-17 also 1 - u) rounds to 1, where the survival is
+        # 0: the ratio would be a silent NaN or 0
+        with pytest.raises(NumericError, match=re.escape("1 - t*u or 1 - u rounds to 1")):
+            mda_diagnostic(law, "weibull_ratio", {"t": t, "depths": [1e-2, depth]})
+
     def test_weibull_ratio_skips_depths_past_the_origin(self):
         # t * u >= 1 would ask for F_bar at or below 0: those depths are left out
         table = mda_diagnostic(BetaLaw(1, 2), "weibull_ratio",

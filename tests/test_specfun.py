@@ -7,6 +7,7 @@ logic more than the digits; the independent oracle is the mpmath grid,
 which covers every band of both tails.
 """
 
+import hashlib
 import math
 import re
 import warnings
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import __version__ as sp_version
 from scipy import special as sp
 
 from dirtail import GammaLaw
@@ -47,6 +49,12 @@ def gamma_ratio(a, b):
 
 def beta_survival(a, b, x):
     return np.exp(sf.log_beta_survival(a, b, x))
+
+
+def rowwise(kernel, *columns):
+    """The kernel at each row of equal-length (shape..., x) columns, one
+    shape per call."""
+    return np.array([kernel(*row) for row in zip(*(np.asarray(c).tolist() for c in columns))])
 
 
 class TestGammaRatio:
@@ -86,7 +94,7 @@ class TestBetaSurvival:
         a = rng.uniform(0.2, 25.0, 500)
         b = rng.uniform(0.2, 25.0, 500)
         x = rng.uniform(1e-3, 1.0 - 1e-3, 500)
-        mine = beta_survival(a, b, x)
+        mine = np.exp(rowwise(sf.log_beta_survival, a, b, x))
         ref = sp.betainc(b, a, 1.0 - x)
         assert np.max(np.abs(mine - ref) / np.maximum(ref, 1e-280)) < 1e-10
 
@@ -166,7 +174,7 @@ class TestGammaTails:
         rng = np.random.default_rng(11)
         a = rng.uniform(0.2, 60.0, 500)
         x = rng.uniform(0.0, 150.0, 500)
-        mine = np.exp(sf.log_regularized_gamma_upper(a, x))
+        mine = np.exp(rowwise(sf.log_regularized_gamma_upper, a, x))
         ref = sp.gammaincc(a, x)
         assert np.max(np.abs(mine - ref) / np.maximum(ref, 1e-280)) < 1e-10
 
@@ -198,8 +206,8 @@ class TestGammaTails:
 
 def banded_gamma(a, x):
     """log Q(a, x) by the banded scipy/Lentz path alone."""
-    return sf._log_tail(sp.gammaincc, sp.gammainc, sf._gamma_cf_upper_log,
-                        np.asarray(a, dtype=float), np.asarray(x, dtype=float))
+    return sf._log_tail(sp.gammaincc, sp.gammainc, sf._gamma_cf_upper_log, (float(a),),
+                        np.asarray(x, dtype=float))
 
 
 class TestErlangTail:
@@ -221,16 +229,14 @@ class TestErlangTail:
         for got in (vec, scal):
             assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-14
 
-    @pytest.mark.parametrize("a", [2.5, float(sf._ERLANG_N_MAX + 1),
-                                   np.full(60, 3.0)], ids=["2.5", "n_max+1", "array"])
+    @pytest.mark.parametrize("a", [2.5, float(sf._ERLANG_N_MAX + 1)], ids=["2.5", "n_max+1"])
     def test_other_shapes_take_the_bands(self, a):
         # every band: q > 1/2, log q and the deep fraction, and x = inf
         x = np.append(np.geomspace(1e-3, 2e3, 59), math.inf)
         want = banded_gamma(a, x)
         assert np.array_equal(sf.log_regularized_gamma_upper(a, x), want)
-        if np.ndim(a) == 0:
-            for xi, wi in zip(x, want):
-                assert sf.log_regularized_gamma_upper(a, float(xi)) == wi
+        for xi, wi in zip(x, want):
+            assert sf.log_regularized_gamma_upper(a, float(xi)) == wi
 
     def test_mixed_vector(self):
         # x < 3 and x past the sum's overflow cap (x = inf among them) take the bands
@@ -264,8 +270,8 @@ class TestErlangTail:
 
 def banded_beta(a, b, x):
     """log P(B_{a,b} > x) by the banded scipy/Lentz path alone."""
-    return sf._log_tail(sp.betaincc, sp.betainc, sf._beta_cf_upper_log,
-                        *(np.asarray(v, dtype=float) for v in (a, b, x)))
+    return sf._log_tail(sp.betaincc, sp.betainc, sf._beta_cf_upper_log, (float(a), float(b)),
+                        np.asarray(x, dtype=float))
 
 
 class TestBetaFiniteSum:
@@ -291,14 +297,14 @@ class TestBetaFiniteSum:
             assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-14
 
     def test_other_entries_take_the_bands(self):
-        # q >= 1/2, other shapes and array shapes keep the bands bit for bit
+        # q >= 1/2 and other shapes keep the bands bit for bit
         x = np.linspace(0.0, 1.0, 401)
         got = sf.log_beta_survival(2, 3.0, x)
         summed = sf._log_beta_sum(sf._beta_series(2, 3.0), 3.0, x) < sf._LOG_HALF
         assert 100 < summed.sum() < 400
         assert np.array_equal(got[~summed], banded_beta(2, 3.0, x)[~summed])
         assert np.array_equal(got[summed], sf._log_beta_sum([1.0, 3.0], 3.0, x[summed]))
-        for a, b in [(2.5, 3.0), (sf._ERLANG_N_MAX + 1, 3.0), (np.full(401, 2.0), 3.0)]:
+        for a, b in [(2.5, 3.0), (sf._ERLANG_N_MAX + 1, 3.0)]:
             assert np.array_equal(sf.log_beta_survival(a, b, x), banded_beta(a, b, x))
         # a sum past e^700 (a = 40, b = 1e20) is left to the bands too
         assert sf._beta_series(40, 1e20) is None
@@ -310,21 +316,20 @@ class TestFractionBatches:
     def test_gamma_fraction_entry_is_its_lone_value(self):
         rng = np.random.default_rng(31)
         for _ in range(50):
-            a = rng.uniform(0.01, 50.0, 8)
+            a = rng.uniform(0.01, 50.0)
             x = a + 1.0 + rng.exponential(20.0, 8)
             got = sf._gamma_cf_upper_log(a, x)
-            lone = [sf._gamma_cf_upper_log(a[i:i + 1], x[i:i + 1])[0] for i in range(8)]
+            lone = [sf._gamma_cf_upper_log(a, x[i:i + 1])[0] for i in range(8)]
             assert got.tolist() == lone
 
     def test_beta_fraction_entry_is_its_lone_value(self):
         # P(B_{b,a} > 1 - x) takes the fraction of I_x(a, b) in its fast range
         rng = np.random.default_rng(37)
         for _ in range(50):
-            a, b = rng.uniform(0.01, 50.0, (2, 8))
+            a, b = rng.uniform(0.01, 50.0, 2).tolist()
             x = 1.0 - rng.uniform(0.0, 1.0, 8) * (a + 1.0) / (a + b + 2.0)
             got = sf._beta_cf_upper_log(b, a, x)
-            lone = [sf._beta_cf_upper_log(b[i:i + 1], a[i:i + 1], x[i:i + 1])[0]
-                    for i in range(8)]
+            lone = [sf._beta_cf_upper_log(b, a, x[i:i + 1])[0] for i in range(8)]
             assert got.tolist() == lone
 
     def test_gamma_deep_band_pins(self):
@@ -333,10 +338,55 @@ class TestFractionBatches:
         pins = [(0.3, 700.0, "-0x1.60d75ddfc05b3p+9"), (2.5, 680.0, "-0x1.4f3fea53ccd6ap+9"),
                 (2.5, 5000.0, "-0x1.37b8233284464p+12"), (41.0, 900.0, "-0x1.7116f7ea2e776p+9"),
                 (500.0, 2000.0, "-0x1.95fd46f9a05adp+9"), (7.25, 1e5, "-0x1.865f18a9a8becp+16")]
-        a, x, want = zip(*pins)
-        want = [float.fromhex(h) for h in want]
-        assert sf.log_regularized_gamma_upper(np.array(a), np.array(x)).tolist() == want
-        assert [sf.log_regularized_gamma_upper(ai, xi) for ai, xi in zip(a, x)] == want
+        for a, x, want in pins:
+            want = float.fromhex(want)
+            assert sf.log_regularized_gamma_upper(a, np.array([x]))[0] == want
+            assert sf.log_regularized_gamma_upper(a, x) == want
+
+
+#: x for the gamma pins: 0, every band of each shape, past the Erlang caps, and inf
+PIN_GAMMA_X = [0.0, 0.01, 0.1, 0.5, 1.0, 1.9, 2.0, 2.9, 3.0, 5.0, 10.0, 30.0, 100.0, 300.0,
+               700.0, 1000.0, 2000.0, 5000.0, 1e5, 1e200, 1e308, math.inf]
+#: x for the beta pins: 0, every band of each pair, and 1
+PIN_BETA_X = [0.0, 1e-300, 1e-10, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1 - 1e-4, 1 - 1e-8,
+              1 - 1e-12, 1 - 2.0 ** -52, 1.0]
+#: sha256 of the float.hex of every pinned value, float calls first
+PIN_DIGEST = "6f883958428c6675abddad8bd409bd0ea32deb8ed0440de9312d28fa1816deec"
+
+
+class TestKernelBits:
+    """The bits of both kernels in every band, as float calls and array calls."""
+
+    @pytest.mark.skipif((np.__version__, sp_version) != ("2.4.6", "1.17.1"),
+                        reason="the digest is taken with numpy 2.4.6 and scipy 1.17.1")
+    def test_band_bits_pinned(self):
+        # non-whole shapes take the bands at every x; the whole shapes 2 and 3
+        # take them below n and past the sum's cap, and the pair (2, 3) where
+        # q > 1/2.  Only a large b takes a beta below the floor.  Each x is
+        # pinned as a float call and inside one array call per shape (the
+        # finite sums' float and array logs may differ by an ulp)
+        gamma = [(sf.log_regularized_gamma_upper, (a,), PIN_GAMMA_X)
+                 for a in [0.3, 2.5, 7.25, 41.0, 500.0, 2, 3]]
+        beta = [(sf.log_beta_survival, ab, PIN_BETA_X)
+                for ab in [(0.5, 0.5), (2.5, 3.0), (41.0, 3.0), (50.0, 0.01), (2, 3.0),
+                           (7.25, 60.0), (0.5, 300.0)]]
+        lone, vec = [], []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rows in gamma, beta:
+                lone.append([kernel(*shapes, xi) for kernel, shapes, x in rows for xi in x])
+                vec += [v for kernel, shapes, x in rows
+                        for v in kernel(*shapes, np.array(x)).tolist()]
+        # each kernel's entries in each band of q: > 1/2, [floor, 1/2] and (0, floor)
+        for log_q in lone:
+            assert all(type(v) is float for v in log_q)
+            log_q = np.array(log_q)
+            assert np.sum(log_q > sf._LOG_HALF) >= 20
+            assert np.sum((log_q <= sf._LOG_HALF) & (log_q >= math.log(sf._FLOOR))) >= 20
+            assert np.sum((log_q < math.log(sf._FLOOR)) & (log_q > -math.inf)) >= 8
+        values = lone[0] + lone[1] + vec
+        digest = hashlib.sha256("\n".join(v.hex() for v in values).encode()).hexdigest()
+        assert digest == PIN_DIGEST
 
 
 class TestLogHelpers:
@@ -395,8 +445,8 @@ class TestMpmathGrid:
     def test_gamma_upper(self):
         rng = np.random.default_rng(2024)
         floor = sf._FLOOR
-        a_all, x_all = [], []
-        for a in np.geomspace(1e-3, 1e3, 13):
+        a_all, x_all, got = [], [], []
+        for a in np.geomspace(1e-3, 1e3, 13).tolist():
             x = np.concatenate([
                 sp.gammaincinv(a, 10.0 ** -rng.uniform(1, 300, 4)),
                 sp.gammainccinv(a, 10.0 ** -rng.uniform(0.4, 279, 4)),
@@ -407,20 +457,21 @@ class TestMpmathGrid:
             x = x[x > 0]
             a_all += [a] * x.size
             x_all += list(x)
+            got += sf.log_regularized_gamma_upper(a, x).tolist()
         a, x = np.array(a_all), np.array(x_all)
         ref = np.array([mp_log_tail(lambda: mp.gammainc(ai, xi, mp.inf, regularized=True),
                                     lambda: mp.gammainc(ai, 0, xi, regularized=True))
                         for ai, xi in zip(a, x)])
-        assert_bands_within(sp.gammaincc(a, x), sf.log_regularized_gamma_upper(a, x), ref)
+        assert_bands_within(sp.gammaincc(a, x), np.array(got), ref)
 
     def test_beta_survival(self):
         # the reference is the lower tail of B_{b,a} at 1 - x, taken exactly:
         # mpmath's betainc(a, b, x, 1) is wrong near x = 1
         rng = np.random.default_rng(2025)
         floor = sf._FLOOR
-        cols = []
-        for a in np.geomspace(1e-2, 1e2, 7):
-            for b in np.geomspace(1e-2, 1e2, 7):
+        cols, got = [], []
+        for a in np.geomspace(1e-2, 1e2, 7).tolist():
+            for b in np.geomspace(1e-2, 1e2, 7).tolist():
                 x = np.concatenate([
                     sp.betaincinv(a, b, 10.0 ** -rng.uniform(1, 300, 2)),
                     sp.betainccinv(a, b, 10.0 ** -rng.uniform(0.4, 279, 2)),
@@ -429,10 +480,11 @@ class TestMpmathGrid:
                     1.0 - 10.0 ** -np.arange(1, 16),
                 ])
                 x = x[(x > 0) & (x < 1)]
+                got += sf.log_beta_survival(a, b, x).tolist()
                 cols.append(np.stack([np.full(x.size, a), np.full(x.size, b), x]))
         a, b, x = np.concatenate(cols, axis=1)
         ref = np.array([mp_log_tail(
             lambda: mp.betainc(bi, ai, 0, mp.fsub(1, xi, exact=True), regularized=True),
             lambda: mp.betainc(ai, bi, 0, xi, regularized=True))
             for ai, bi, xi in zip(a, b, x)])
-        assert_bands_within(sp.betaincc(a, b, x), sf.log_beta_survival(a, b, x), ref)
+        assert_bands_within(sp.betaincc(a, b, x), np.array(got), ref)
