@@ -24,7 +24,6 @@ from .aggtail import (
     SimplexTailGeometry,
     TailAsymptotic,
     lambda_tilde,
-    regime_classify,
     simplex_constant_recursion,
     simplex_tail_geometry,
     tail_asymptotic,
@@ -70,7 +69,6 @@ __all__ = [
     "norming_constants",
     "pairwise_asymindep",
     "quadrature_tail",
-    "regime_classify",
     "sample_dirichlet",
     "simplex_constant_recursion",
     "simplex_tail_geometry",

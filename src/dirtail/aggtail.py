@@ -41,7 +41,6 @@ __all__ = [
     "simplex_constant_recursion",
     "tail_asymptotic",
     "var_es_asymptotic",
-    "regime_classify",
 ]
 
 
@@ -143,7 +142,8 @@ class TailAsymptotic:
                    u = ((t/scale)/pivot)^(1/p);
     base "weibull": evaluate(t) = K * u^rho * F_bar(1-u) with u = 1 - t/scale.
 
-    tail_asymptotic builds it for every regime; with K = 1 and rho = 0 it is
+    tail_asymptotic builds it for every regime and records which in regime:
+    "a", "b", "c", "weibull" or "degenerate".  With K = 1 and rho = 0 it is
     the exact law of S_p = scale * R^p (d = 1, or p = 1 with all weights equal).
     """
 
@@ -152,6 +152,7 @@ class TailAsymptotic:
     base: str
     radial: RadialModel
     p: float
+    regime: str
     scale: float = 1.0
     pivot: float = 1.0
 
@@ -346,35 +347,8 @@ def simplex_constant_recursion(spec: AggregateSpec) -> SimplexTailGeometry:
 # regimes, VaR / ES
 # ----------------------------------------------------------------------
 
-def regime_classify(spec: AggregateSpec) -> str:
-    """The applicable asymptotic regime of a validated spec: "a", "b", "c",
-    "weibull" or "degenerate".
-
-    The sum's tail is driven by one big component exactly when p > 1 (regime
-    "a"); for p <= 1 every component is asymptotically negligible relative to the sum.
-    """
-    gumbel = spec.radial.mda_class == "gumbel"
-    if spec.p > 1.0:
-        if not gumbel:
-            raise WrongRegimeError("p > 1 is only covered for Gumbel-class radial laws")
-        return "a"
-    if spec.p == 1.0:
-        if spec.m == spec.d:
-            return "degenerate"
-        if gumbel:
-            return "b"
-        return "weibull"
-    # p in (0, 1)
-    if any(l == 0.0 for l in spec.lam):
-        raise WrongRegimeError(
-            "p < 1 with zero weights is not covered; drop the zero-weight components")
-    if not gumbel:
-        raise WrongRegimeError("p < 1 is only covered for Gumbel-class radial laws")
-    return "c"
-
-
 def tail_asymptotic(spec: AggregateSpec) -> TailAsymptotic:
-    """The first-order tail of S_p in the regime that regime_classify gives.
+    """The first-order tail of S_p, in the regime that p and the radial class give.
 
     With abar the sum of all alphas, abar_m the sum over the m unit-weight
     components and a_out = abar - abar_m the sum of the left-out ones:
@@ -398,35 +372,47 @@ def tail_asymptotic(spec: AggregateSpec) -> TailAsymptotic:
           S_p is scale * R^p, so K = 1 and rho = 0 give the exact law.
 
     The base is "gumbel" for a Gumbel-class radius and "weibull" otherwise.
+    WrongRegimeError: p != 1 outside the Gumbel class, or p < 1 with a zero weight.
     """
-    regime = regime_classify(spec)
-    if spec.d == 1:
+    gumbel = spec.radial.mda_class == "gumbel"
+    d, abar, abar_m = spec.d, spec.alpha_bar, spec.alpha_bar_m
+    log_k, rho, pivot = 0.0, 0.0, 1.0  # the exact law
+    if spec.p > 1.0:
+        if not gumbel:
+            raise WrongRegimeError("p > 1 is only covered for Gumbel-class radial laws")
+        regime = "a"
+        if d > 1:
+            log_k = math.log(spec.m_star) + log_gamma(abar) - log_gamma(spec.alpha_hat)
+            rho = spec.alpha_hat - abar
+    elif spec.p < 1.0:
+        if any(l == 0.0 for l in spec.lam):
+            raise WrongRegimeError(
+                "p < 1 with zero weights is not covered; drop the zero-weight components")
+        if not gumbel:
+            raise WrongRegimeError("p < 1 is only covered for Gumbel-class radial laws")
+        regime = "c"
+        if d > 1:
+            geometry = simplex_constant_recursion(spec)
+            pivot = geometry.lambda_tilde_final
+            log_k = (log_gamma((d + 1) / 2.0) + geometry.log_c_tilde[-1]
+                     + (d - 1) / 2.0 * math.log(spec.p * pivot))
+            rho = -(d - 1) / 2.0
+    elif spec.m == d:
         regime = "degenerate"
-    log_k, rho, pivot = 0.0, 0.0, 1.0  # "degenerate": the exact law
-    abar, abar_m = spec.alpha_bar, spec.alpha_bar_m
-    if regime == "a":
-        log_k = math.log(spec.m_star) + log_gamma(abar) - log_gamma(spec.alpha_hat)
-        rho = spec.alpha_hat - abar
-    elif regime == "c":
-        geometry = simplex_constant_recursion(spec)
-        d, pivot = spec.d, geometry.lambda_tilde_final
-        log_k = (log_gamma((d + 1) / 2.0) + geometry.log_c_tilde[-1]
-                 + (d - 1) / 2.0 * math.log(spec.p * pivot))
-        rho = -(d - 1) / 2.0
-    elif regime != "degenerate":  # "b" and "weibull": left-out components thin the tail
+    else:  # p = 1: the left-out components thin the tail
         a_out = abar - abar_m
         log_k = (sum(-a * math.log1p(-l) for a, l in zip(spec.alpha[spec.m:], spec.lam[spec.m:]))
                  + log_gamma(abar))
-        if regime == "b":
-            log_k, rho = log_k - log_gamma(abar_m), -a_out
+        if gumbel:
+            regime, log_k, rho = "b", log_k - log_gamma(abar_m), -a_out
         else:
             gamma = spec.radial.weibull_index
+            regime, rho = "weibull", a_out
             log_k = (log_k + log_gamma(gamma + 1.0)
                      - log_gamma(abar_m) - log_gamma(a_out + gamma + 1.0))
-            rho = a_out
-    base = "gumbel" if spec.radial.mda_class == "gumbel" else "weibull"
-    return TailAsymptotic(log_constant=log_k, rho=rho, base=base, radial=spec.radial,
-                          p=spec.p, scale=spec.scale, pivot=pivot)
+    return TailAsymptotic(log_constant=log_k, rho=rho, base="gumbel" if gumbel else "weibull",
+                          radial=spec.radial, p=spec.p, regime=regime, scale=spec.scale,
+                          pivot=pivot)
 
 
 @dataclass(frozen=True)

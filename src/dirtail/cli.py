@@ -102,9 +102,8 @@ def _thresholds_from_config(cfg: dict, asym) -> list[float]:
 
 def _cmd_approx(cfg, spec, seed, workers):
     asym = aggtail.tail_asymptotic(spec)
-    regime = aggtail.regime_classify(spec)
     header = ["threshold", "depth", "prediction_log", "regime"]
-    rows = [[t, asym.depth_at(t), asym.evaluate_log(t), regime]
+    rows = [[t, asym.depth_at(t), asym.evaluate_log(t), asym.regime]
             for t in _thresholds_from_config(cfg, asym)]
     return header, rows
 
@@ -124,7 +123,9 @@ def _estimates(cfg, key, methods, spec, thresholds, seed, workers) -> list:
 
 
 def _cmd_simulate(cfg, spec, seed, workers):
-    thresholds = _thresholds_from_config(cfg, aggtail.tail_asymptotic(spec))
+    # explicit thresholds need no asymptotic: the oracles cover specs that none covers
+    asym = None if "thresholds" in cfg else aggtail.tail_asymptotic(spec)
+    thresholds = _thresholds_from_config(cfg, asym)
     ests = _estimates(cfg, "method", ("conditional", "crude"), spec, thresholds, seed, workers)
     header = ["threshold", "method", "n", "seed", "p_hat", "log_p_hat", "stderr"]
     return header, [[t, e.method, e.n, e.seed, e.p_hat, e.log_p_hat, e.stderr]

@@ -223,23 +223,30 @@ def _log_moments(radial: RadialModel, z: np.ndarray, levels, p: float, ws,
     (sums of 0 where m is -inf).
 
     y = (1/z)^{1/p} is formed once, over z (which is overwritten), with its
-    least and greatest entries; z = 0 is an unbounded radius y = inf.  Each
-    level asks the radial law for its weights w = F_bar(level^{1/p} y) / e^m
+    least and greatest entries; z = 0, or a power past DBL_MAX, is an unbounded
+    radius y = inf.  Each level asks the radial law for its weights
+    w = F_bar(level^{1/p} y) / e^m
     (RadialModel.survival_weights) and sums them, and their squares,
     pairwise: m + log sum w.  Their scratch is the first two rows of the
     simplex block (ws("u", 2)), which every caller is done with, so the
     kernel takes no memory of its own from d = 2 on.  An m that is not
     finite is the answer, as in logsumexp.  A NaN z reaches log_survival and
-    fails there rather than being read as no exceedance.
+    fails there rather than being read as no exceedance.  NumericError where
+    level^{1/p} is not a positive finite double: its product with y would
+    round to 0, inf or NaN (0 * inf) for every point.
     """
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         y = np.divide(1.0, z, out=z)
-    y **= 1.0 / p
+        y **= 1.0 / p
     lo, hi, out = float(y.min()), float(y.max()), ws("u", 2).reshape(2, y.size)
     sums = []
     for level in levels:
-        # numpy's power overflows to inf, where a float's raises OverflowError
-        m, w = radial.survival_weights(y, float(np.float64(level) ** (1.0 / p)), lo, hi, out)
+        with np.errstate(over="ignore"):  # numpy's power gives inf, a float's raises
+            c = float(np.float64(level) ** (1.0 / p))
+        if not 0.0 < c < math.inf:
+            raise NumericError(f"level^(1/p) at p={p!r} and level {float(level)!r} is not a "
+                               f"positive finite double: {c!r}")
+        m, w = radial.survival_weights(y, c, lo, hi, out)
         if not math.isfinite(m):
             sums.append((m, 0.0, 0.0) if squares else m)
             continue

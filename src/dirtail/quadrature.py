@@ -54,13 +54,14 @@ _SHAPES = (1e-6, 1e4)
 def _log_cond(radial: RadialModel, z, level: float, p: float, out=None):
     """The conditional kernel log F_bar((level / z)^{1/p}), one value per point.
 
-    z = 0 maps to an unbounded radius (survival 0); a NaN z reaches log_survival and fails
-    there rather than being read as no exceedance.  The radii are formed in one buffer, out
-    when given; a scalar z (the radial-tail paths) gives numpy scalars, which rebind.
+    z = 0, or a quotient or power past DBL_MAX, maps to an unbounded radius (survival 0); a
+    NaN z reaches log_survival and fails there rather than being read as no exceedance.  The
+    radii are formed in one buffer, out when given; a scalar z (the radial-tail paths) gives
+    numpy scalars, which rebind.
     """
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         x = np.divide(level, z, out=out)
-    x **= 1.0 / p
+        x **= 1.0 / p
     if not x.ndim or x.max(initial=0.0) > 1e300:  # a read-only pass spares the clip's write
         x = np.minimum(x, 1e300, out=x if x.ndim else None)
     return radial.log_survival(x)

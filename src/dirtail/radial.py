@@ -133,15 +133,19 @@ class RadialModel(ABC):
         return math.log(uw)
 
     def power_scaling_wp(self, p: float, x: float) -> float:
-        """Scaling function of R^p: w_p(x) = x^(1/p-1) * w(x^(1/p)) / p."""
+        """Scaling function of R^p: w_p(x) = x^(1/p-1) * w(x^(1/p)) / p.
+        NumericError where a power of x overflows."""
         if not p > 0:
             raise DomainError(f"power must be positive, got p={p}")
         if not x > 0:
             raise DomainError(f"argument must be positive, got x={x}")
-        u = x ** (1.0 / p)
+        try:
+            u, x_p = x ** (1.0 / p), x ** (1.0 / p - 1.0)
+        except OverflowError:
+            raise NumericError(f"x^(1/p) or x^(1/p-1) overflows at x={x!r}, p={p!r}") from None
         if u >= self.upper_endpoint:
             raise DomainError(f"argument {x} is at or beyond the endpoint {self.upper_endpoint}^p")
-        return x ** (1.0 / p - 1.0) * self.scaling_w(u) / p
+        return x_p * self.scaling_w(u) / p
 
     @property
     def weibull_index(self) -> float:

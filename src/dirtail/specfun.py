@@ -30,7 +30,10 @@ bands.  erlang_weights gives the Erlang tails of an array divided by the
 largest, e^{x_lo - x} sum(x) / sum(x_lo), without a log.
 The kernels take scalar shapes and an argument x that is a float or an array
 of any shape; a float x runs the same bands without the array bookkeeping,
-and gives the same bits.
+and gives the same bits there.  The finite sums take math.log and math.log1p
+for a float x where an array takes numpy's, and those differ in the last bit
+now and then: for 2000 uniform x in (0, 1), 87 beta values for shapes (2, 3)
+and 39 for (1, 0.5); for 2000 uniform x in [2, 60], one Erlang value for n = 2.
 """
 
 from __future__ import annotations

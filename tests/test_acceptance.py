@@ -31,9 +31,10 @@ SEED = 20240808
 
 
 def asymptotic_in(regime, spec):
-    """tail_asymptotic(spec), after checking that regime_classify gives `regime`."""
-    assert dt.regime_classify(spec) == regime
-    return dt.tail_asymptotic(spec)
+    """tail_asymptotic(spec), after checking that it records `regime`."""
+    asym = dt.tail_asymptotic(spec)
+    assert asym.regime == regime
+    return asym
 
 
 def report(name: str, ok: bool, detail: str) -> None:

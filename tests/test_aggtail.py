@@ -25,9 +25,10 @@ GAMMA21 = GammaLaw(2, 1)
 
 
 def asymptotic_in(regime, spec):
-    """tail_asymptotic(spec), after checking that regime_classify gives `regime`."""
-    assert dt.regime_classify(spec) == regime
-    return dt.tail_asymptotic(spec)
+    """tail_asymptotic(spec), after checking that it records `regime`."""
+    asym = dt.tail_asymptotic(spec)
+    assert asym.regime == regime
+    return asym
 
 
 class TestValidateSpec:
@@ -417,21 +418,36 @@ class TestVarEs:
         with pytest.raises(WrongRegimeError):
             dt.var_es_asymptotic(dt.validate_spec([1, 1], [1, 0], 1.0, BetaLaw(1, 1)), 0.99)
 
+    def test_small_power_overflow_is_numeric_error(self):
+        # at p = 1e-6, VaR / scale includes the pivot lt ~ 2.1, so (VaR / scale)^{1/p}
+        # leaves the double range
+        spec = dt.validate_spec([1, 1, 1], [1, 0.7, 0.4], 1e-6, GammaLaw(2.5))
+        with pytest.raises(NumericError, match="overflows"):
+            dt.var_es_asymptotic(spec, 0.99)
+
 
 class TestRegimeClassify:
     def test_examples(self):
-        assert dt.regime_classify(dt.validate_spec([1, 1], [1, 1], 2.0, GAMMA21)) == "a"
-        assert dt.regime_classify(dt.validate_spec([1, 1], [1, 0.5], 1.0, GAMMA21)) == "b"
-        assert dt.regime_classify(dt.validate_spec([1, 1], [1, 0.5], 0.5, GAMMA21)) == "c"
-        assert dt.regime_classify(dt.validate_spec([1, 1], [1, 1], 1.0, GAMMA21)) == "degenerate"
-        assert dt.regime_classify(
-            dt.validate_spec([1, 1], [1, 0.5], 1.0, BetaLaw(1, 2))) == "weibull"
+        assert dt.tail_asymptotic(dt.validate_spec([1, 1], [1, 1], 2.0, GAMMA21)).regime == "a"
+        assert dt.tail_asymptotic(dt.validate_spec([1, 1], [1, 0.5], 1.0, GAMMA21)).regime == "b"
+        assert dt.tail_asymptotic(dt.validate_spec([1, 1], [1, 0.5], 0.5, GAMMA21)).regime == "c"
+        assert dt.tail_asymptotic(
+            dt.validate_spec([1, 1], [1, 1], 1.0, GAMMA21)).regime == "degenerate"
+        assert dt.tail_asymptotic(
+            dt.validate_spec([1, 1], [1, 0.5], 1.0, BetaLaw(1, 2))).regime == "weibull"
+
+    @pytest.mark.parametrize("p, regime", [(2.0, "a"), (1.0, "degenerate"), (0.5, "c")])
+    @pytest.mark.parametrize("alpha", [1.7, 1e306])
+    def test_d1_is_labelled_by_p_and_is_the_exact_law(self, p, regime, alpha):
+        # the exact law needs no Gamma(alpha), which overflows at alpha = 1e306
+        asym = dt.tail_asymptotic(dt.validate_spec([alpha], [2.0], p, GAMMA21))
+        assert (asym.regime, asym.log_constant, asym.rho, asym.pivot) == (regime, 0.0, 0.0, 1.0)
 
     def test_unsupported_combinations(self):
         with pytest.raises(WrongRegimeError):
-            dt.regime_classify(dt.validate_spec([1, 1], [1, 0], 0.5, GAMMA21))
+            dt.tail_asymptotic(dt.validate_spec([1, 1], [1, 0], 0.5, GAMMA21))
         with pytest.raises(WrongRegimeError):
-            dt.regime_classify(dt.validate_spec([1, 1], [1, 1], 2.0, BetaLaw(1, 1)))
+            dt.tail_asymptotic(dt.validate_spec([1, 1], [1, 1], 2.0, BetaLaw(1, 1)))
 
 
 class TestTailAsymptoticObject:

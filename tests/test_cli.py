@@ -3,6 +3,7 @@ exit codes, and the determinism contracts."""
 
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -26,6 +27,14 @@ def write_config(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def child_env():
+    """The environment of a child interpreter that imports the same dirtail tree as the
+    tests: PYTHONPATH starts with the directory that holds the package."""
+    root = os.path.dirname(os.path.dirname(dt.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [root, os.environ.get("PYTHONPATH")]))}
 
 
 def read_csv(path):
@@ -149,6 +158,25 @@ def test_one_sampling_pass_per_command(tmp_path, monkeypatch, command, key, meth
     out = tmp_path / "out.csv"
     assert cli.main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
     assert len(read_csv(out)[2]) == 3 and len(passes) == 1
+
+
+@pytest.mark.parametrize("p, lam, radial, method, estimator", [
+    (2.0, [1.0, 0.5], {"family": "beta", "params": {"a": 2.0, "b": 3.0}}, "conditional",
+     dt.conditional_mc_tail),  # p > 1 outside the Gumbel class
+    (0.5, [1.0, 0.0], {"family": "gamma", "params": {"shape": 3.0}}, "crude",
+     dt.crude_mc_tail),  # p < 1 with a zero weight
+], ids=["p2-beta", "p05-zero-weight"])
+def test_simulate_at_thresholds_needs_no_asymptotic(tmp_path, p, lam, radial, method,
+                                                    estimator):
+    # no asymptotic covers these specs, but the Monte Carlo oracles do
+    cfg = {"alpha": [1.0, 2.0], "lambda": lam, "p": p, "radial": radial, "method": method,
+           "thresholds": [0.5 if p > 1 else 5.0], "n": 4000, "seed": 11}
+    out = tmp_path / "out.csv"
+    assert cli.main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    spec = cli._build_spec(cfg)
+    (e,) = estimator(spec, cfg["thresholds"], cfg["n"], cfg["seed"])
+    expected = [cfg["thresholds"][0], method, 4000, 11, e.p_hat, e.log_p_hat, e.stderr]
+    assert read_csv(out)[2] == [[cli._fmt_cell(v) for v in expected]]
 
 
 class TestVarEs:
@@ -330,7 +358,7 @@ class TestImportWeight:
         code = ("import sys, dirtail, dirtail.cli; "
                 "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True).stdout
+                             check=True, env=child_env()).stdout
         assert out.strip() == "[]"
 
 
@@ -351,7 +379,7 @@ class TestParser:
             together.append(capsys.readouterr().out)
         code = "import sys; from dirtail import cli; sys.exit(cli.main(sys.argv[1:]))"
         alone = [subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
-                                text=True, check=True).stdout for argv in runs]
+                                text=True, check=True, env=child_env()).stdout for argv in runs]
         assert together == alone
 
     def test_unknown_command_after_a_call_is_2_with_usage(self, tmp_path, capsys):

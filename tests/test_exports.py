@@ -9,8 +9,9 @@ import dirtail
 
 MODULES = ["dirtail"] + [f"dirtail.{m.name}" for m in pkgutil.iter_modules(dirtail.__path__)]
 
-#: the per-regime builders that tail_asymptotic replaced
-REMOVED = ["tail_gumbel_pgt1", "tail_gumbel_peq1", "tail_gumbel_plt1", "tail_weibull"]
+#: the per-regime builders and the regime classifier that tail_asymptotic replaced
+REMOVED = ["tail_gumbel_pgt1", "tail_gumbel_peq1", "tail_gumbel_plt1", "tail_weibull",
+           "regime_classify"]
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -674,6 +674,20 @@ class TestConditionalEstimator:
         crude = dt.crude_mc_tail(spec, 5.0, 10 ** 5, seed=3)
         assert abs(crude.p_hat - math.exp(-5)) <= 5 * crude.stderr
 
+    def test_overflowing_power_is_an_unbounded_radius(self):
+        # at p = 1e-6, (1/z)^{1/p} leaves the double range for most points: those are
+        # radii past any threshold, not an overflow warning
+        spec = dt.validate_spec([1e-3, 1e3], [1, 1e-300], 1e-6, GammaLaw(2.5))
+        t = dt.tail_asymptotic(spec).threshold_at_depth(1e-8)
+        est = dt.conditional_mc_tail(spec, t, 2000, 1)
+        assert math.isfinite(est.log_p_hat) and est.p_hat >= 0.0
+
+    def test_unrepresentable_level_power_is_numeric_error(self):
+        # 1.5^{1e6} is inf and (1/z)^{1e6} rounds to 0: their product would be NaN
+        spec = dt.validate_spec([1e-3, 1e3], [1, 1 - 1e-12], 1e-6, GammaLaw(2.5))
+        with pytest.raises(NumericError, match=r"p=1e-06 and level 1\.5 "):
+            dt.conditional_mc_tail(spec, 1.5, 2000, 1)
+
 
 class TestCrudeEstimator:
     def test_everything_above_zero_threshold(self):
@@ -831,6 +845,12 @@ class TestQuadratureOracle:
         radial.sizes.clear()
         dt.quadrature_tail(dt.validate_spec(alpha, lam, p, radial), t)
         assert len(radial.sizes) > 1 and max(radial.sizes) <= CHUNK
+
+    def test_overflowing_quotient_is_an_unbounded_radius(self):
+        # at p = 50 the threshold is near 1e68, and level / z overflows where z is tiny
+        spec = dt.validate_spec([1e-3, 1e3], [1, 1e-300], 50.0, GammaLaw(2.5))
+        est = dt.quadrature_tail(spec, dt.tail_asymptotic(spec).threshold_at_depth(1e-8))
+        assert math.isfinite(est.log_p_hat) and est.p_hat > 0.0
 
     def test_dimension_cap(self):
         spec = dt.validate_spec([1, 1, 1, 1], [1, 1, 1, 1], 2.0, GAMMA21)

@@ -193,6 +193,10 @@ class TestScalingFunction:
         with pytest.raises(DomainError, match=match):
             model.power_scaling_wp(p, x)
 
+    def test_power_scaling_overflow_is_numeric_error(self):
+        with pytest.raises(NumericError, match="overflows at x=2.1, p=1e-06"):
+            GammaLaw(2.5).power_scaling_wp(1e-6, 2.1)
+
 
 class TestQuantile:
     def test_examples(self):
