@@ -62,9 +62,6 @@ class AggregateSpec:
     p: float
     radial: RadialModel
     scale: float
-    m: int            # multiplicity of the unit weight
-    alpha_hat: float  # max alpha over the unit-weight block
-    m_star: int       # how many alphas in the unit-weight block attain alpha_hat
 
     @property
     def d(self) -> int:
@@ -74,17 +71,9 @@ class AggregateSpec:
     def alpha_bar(self) -> float:
         return float(sum(self.alpha))
 
-    @property
-    def alpha_bar_m(self) -> float:
-        return float(sum(self.alpha[: self.m]))
-
 
 def validate_spec(raw_alpha, raw_lambda, p: float, radial: RadialModel) -> AggregateSpec:
-    """Sort, normalize and sanity-check a problem instance.
-
-    The unit-weight multiplicity m counts the normalized weights equal to 1
-    exactly: the constants jump with m, so a weight of 1 - 1e-12 is left out.
-    """
+    """Sort, normalize and sanity-check a problem instance."""
     alpha = [float(a) for a in raw_alpha]
     lam = [float(l) for l in raw_lambda]
     if len(alpha) == 0:
@@ -107,13 +96,8 @@ def validate_spec(raw_alpha, raw_lambda, p: float, radial: RadialModel) -> Aggre
     scale = lam[order[0]]
     lam_sorted = tuple(lam[i] / scale for i in order)
     alpha_sorted = tuple(alpha[i] for i in order)
-
-    m = lam_sorted.count(1.0)
-    top = alpha_sorted[:m]
-    alpha_hat = max(top)
-    m_star = sum(1 for a in top if a == alpha_hat)
     return AggregateSpec(alpha=alpha_sorted, lam=lam_sorted, p=float(p), radial=radial,
-                         scale=scale, m=m, alpha_hat=alpha_hat, m_star=m_star)
+                         scale=scale)
 
 
 def lambda_tilde(lam, p: float) -> float:
@@ -138,9 +122,9 @@ def lambda_tilde(lam, p: float) -> float:
 class TailAsymptotic:
     """K * (u w(u))^rho * F_bar(u) in the base variable u of a raw threshold t.
 
-    base "gumbel": evaluate(t) = K * (u w(u))^rho * F_bar(u) with
-                   u = ((t/scale)/pivot)^(1/p);
-    base "weibull": evaluate(t) = K * u^rho * F_bar(1-u) with u = 1 - t/scale.
+    radial.mda_class "gumbel": evaluate(t) = K * (u w(u))^rho * F_bar(u) with
+                               u = ((t/scale)/pivot)^(1/p);
+    "weibull" (endpoint base): evaluate(t) = K * u^rho * F_bar(1-u) with u = 1 - t/scale.
 
     tail_asymptotic builds it for every regime and records which in regime:
     "a", "b", "c", "weibull" or "degenerate".  With K = 1 and rho = 0 it is
@@ -149,7 +133,6 @@ class TailAsymptotic:
 
     log_constant: float
     rho: float
-    base: str
     radial: RadialModel
     p: float
     regime: str
@@ -159,7 +142,7 @@ class TailAsymptotic:
     def threshold_to_base(self, t: float) -> float:
         """Map a raw threshold on S_p to the base variable u."""
         tn = t / self.scale
-        if self.base == "gumbel":
+        if self.radial.mda_class == "gumbel":
             if not tn > 0:
                 raise DomainError(f"threshold must be positive, got {t}")
             return (tn / self.pivot) ** (1.0 / self.p)
@@ -169,14 +152,14 @@ class TailAsymptotic:
         return 1.0 - tn
 
     def base_to_threshold(self, u: float) -> float:
-        if self.base == "gumbel":
+        if self.radial.mda_class == "gumbel":
             return self.scale * self.pivot * u ** self.p
         return self.scale * (1.0 - u)
 
     def _flip(self, x: float) -> float:
         """The base variable of a radius x, and the radius of a base variable
         x: x itself on the Gumbel base, 1 - x on the endpoint base."""
-        return x if self.base == "gumbel" else 1.0 - x
+        return x if self.radial.mda_class == "gumbel" else 1.0 - x
 
     def threshold_at_depth(self, depth: float) -> float:
         """Raw threshold whose base variable is the radius at survival level depth."""
@@ -187,7 +170,7 @@ class TailAsymptotic:
         return math.exp(self.radial.log_survival(self._flip(self.threshold_to_base(t))))
 
     def _log_at_base(self, u: float) -> float:
-        gumbel = self.base == "gumbel"
+        gumbel = self.radial.mda_class == "gumbel"
         if gumbel and u >= self.radial.upper_endpoint:
             return -math.inf
         log_uw = self.radial.log_u_w(u) if gumbel else math.log(u)
@@ -212,7 +195,7 @@ class TailAsymptotic:
         """
         if not log_target < 0:
             raise DomainError(f"target must be a log-probability below 0, got {log_target}")
-        sign = 1.0 if self.base == "gumbel" else -1.0  # makes the excess decreasing in x
+        sign = 1.0 if self.radial.mda_class == "gumbel" else -1.0  # makes the excess fall in x
         top = self.radial.upper_endpoint if sign > 0 else math.nextafter(1.0, 0.0)
         s = math.exp(log_target)
         q = self.radial.quantile_survival(s) if 0.0 < s < 1.0 else math.nan
@@ -245,7 +228,7 @@ class TailAsymptotic:
         """(b, a): b = invert(log_level) and its Gumbel scale a = 1/w_p(b), with
         w_p the scaling function of R^p (RadialModel.power_scaling_wp), both on
         the raw scale.  DomainError for a radius outside the Gumbel class."""
-        if self.base != "gumbel":
+        if self.radial.mda_class != "gumbel":
             raise DomainError("norming constants need a Gumbel-class radial law")
         b = self.invert(log_level)
         return b, self.scale / self.radial.power_scaling_wp(self.p, b / self.scale)
@@ -270,7 +253,6 @@ class SimplexTailGeometry:
     are their exponentials, which round to 0, 1 or inf as p -> 1.
     """
 
-    p: float
     lambda_tilde: tuple[float, ...]      # levels 1..d
     saddles: tuple[SaddleGeometry, ...]  # levels 2..d
     log_c_tilde: tuple[float, ...]       # levels 2..d
@@ -331,7 +313,7 @@ def simplex_tail_geometry(alpha, lam, p: float) -> SimplexTailGeometry:
         log_cs.append(log_c)
         alpha_prefix += alpha[k]
 
-    return SimplexTailGeometry(p=p, lambda_tilde=tuple(lts), saddles=tuple(geoms),
+    return SimplexTailGeometry(lambda_tilde=tuple(lts), saddles=tuple(geoms),
                                log_c_tilde=tuple(log_cs),
                                rv_index=tuple(k / 2.0 for k in range(1, d)))
 
@@ -371,19 +353,22 @@ def tail_asymptotic(spec: AggregateSpec) -> TailAsymptotic:
       "degenerate" (p = 1, all weights equal), and d = 1 in any regime:
           S_p is scale * R^p, so K = 1 and rho = 0 give the exact law.
 
-    The base is "gumbel" for a Gumbel-class radius and "weibull" otherwise.
+    m counts the normalized weights equal to 1 exactly: the constants jump with
+    m, so a weight of 1 - 1e-12 is left out.
     WrongRegimeError: p != 1 outside the Gumbel class, or p < 1 with a zero weight.
     """
     gumbel = spec.radial.mda_class == "gumbel"
-    d, abar, abar_m = spec.d, spec.alpha_bar, spec.alpha_bar_m
+    d, abar, m = spec.d, spec.alpha_bar, spec.lam.count(1.0)
     log_k, rho, pivot = 0.0, 0.0, 1.0  # the exact law
     if spec.p > 1.0:
         if not gumbel:
             raise WrongRegimeError("p > 1 is only covered for Gumbel-class radial laws")
         regime = "a"
         if d > 1:
-            log_k = math.log(spec.m_star) + log_gamma(abar) - log_gamma(spec.alpha_hat)
-            rho = spec.alpha_hat - abar
+            top = spec.alpha[:m]
+            alpha_hat = max(top)
+            log_k = math.log(top.count(alpha_hat)) + log_gamma(abar) - log_gamma(alpha_hat)
+            rho = alpha_hat - abar
     elif spec.p < 1.0:
         if any(l == 0.0 for l in spec.lam):
             raise WrongRegimeError(
@@ -397,11 +382,12 @@ def tail_asymptotic(spec: AggregateSpec) -> TailAsymptotic:
             log_k = (log_gamma((d + 1) / 2.0) + geometry.log_c_tilde[-1]
                      + (d - 1) / 2.0 * math.log(spec.p * pivot))
             rho = -(d - 1) / 2.0
-    elif spec.m == d:
+    elif m == d:
         regime = "degenerate"
     else:  # p = 1: the left-out components thin the tail
+        abar_m = float(sum(spec.alpha[:m]))
         a_out = abar - abar_m
-        log_k = (sum(-a * math.log1p(-l) for a, l in zip(spec.alpha[spec.m:], spec.lam[spec.m:]))
+        log_k = (sum(-a * math.log1p(-l) for a, l in zip(spec.alpha[m:], spec.lam[m:]))
                  + log_gamma(abar))
         if gumbel:
             regime, log_k, rho = "b", log_k - log_gamma(abar_m), -a_out
@@ -410,9 +396,8 @@ def tail_asymptotic(spec: AggregateSpec) -> TailAsymptotic:
             regime, rho = "weibull", a_out
             log_k = (log_k + log_gamma(gamma + 1.0)
                      - log_gamma(abar_m) - log_gamma(a_out + gamma + 1.0))
-    return TailAsymptotic(log_constant=log_k, rho=rho, base="gumbel" if gumbel else "weibull",
-                          radial=spec.radial, p=spec.p, regime=regime, scale=spec.scale,
-                          pivot=pivot)
+    return TailAsymptotic(log_constant=log_k, rho=rho, radial=spec.radial, p=spec.p,
+                          regime=regime, scale=spec.scale, pivot=pivot)
 
 
 @dataclass(frozen=True)

@@ -38,8 +38,6 @@ class SaddleGeometry:
     range.
     """
 
-    c: float
-    lam: float
     p: float
     log_theta: float
     log_theta_complement: float
@@ -74,7 +72,7 @@ def saddle_geometry(c: float, lam: float, p: float) -> SaddleGeometry:
     # theta_tilde^q = c^q + lam^q, the larger term factored out so the power stays finite
     lo, hi = sorted((c, lam))
     theta_tilde = hi * (1.0 + (lo / hi) ** (1.0 / (1.0 - p))) ** (1.0 - p)
-    return SaddleGeometry(c=c, lam=lam, p=p, log_theta=log_theta, log_theta_complement=log_comp,
+    return SaddleGeometry(p=p, log_theta=log_theta, log_theta_complement=log_comp,
                           theta_tilde=theta_tilde, log_curvature=log_curvature)
 
 

@@ -16,9 +16,9 @@ difference |I_L - I_{L-2}| of its halves exceeds _TOL of the integral, up to _CA
 rule L - 2 deep shares every panel but the end one, so the check costs one end panel per
 half, and a deeper half evaluates only its new panels (QUADPACK takes its error estimate
 from nested rules too; Piessens et al. 1983).  One loop runs a grid's thresholds together, at
-d = 3 _NEST at a time: a round costs the kernel at its new nodes, an _errors call over the
-lines it ran and, for d = 3, the new outer nodes, one bincount and one _errors call over the
-outer lines.  The reported error is the summed differences plus rounding, which they cannot
+d = 3 _NEST at a time: a round costs the kernel at its new nodes, an _errors call over every
+line and, for d = 3, the new outer nodes, one bincount and one _errors call over the outer
+lines.  The reported error is the summed differences plus rounding, which they cannot
 see.  Depths are chosen per threshold, so a threshold grid gives the scalar calls' values.
 """
 
@@ -241,8 +241,8 @@ class _Lines:
 
     def __init__(self, rule: _LineRule, radial: RadialModel):
         self.rule, self.radial, self.halves, self.panels = rule, radial, len(rule.k), rule.whole
-        self.size, self.fresh, self.shared = 0, 0, (None,)  # first line errors() owes; last nodes
-        self.f, self.i = np.empty((7 + 4 * self.halves, 0)), np.empty((5, 0), dtype=np.intp)
+        self.size, self.shared = 0, (None,)  # last nodes
+        self.f, self.i = np.empty((3 + 4 * self.halves, 0)), np.empty((5, 0), dtype=np.intp)
 
     def add(self, levels, tn, head, tail, depth):
         """Lines at levels (of g) for normalized thresholds tn, graded depth (3, lines) levels
@@ -257,7 +257,7 @@ class _Lines:
             f, i = np.full((len(self.f), cap), -math.inf), np.zeros((5, cap), dtype=np.intp)
             f[:, :start], i[:, :start] = self.f[:, :start], self.i[:, :start]
             self.f, self.i, self.row, self.n, self.depth = f, i, i[0], i[1], i[2:]
-            self.value, self.err, self.sums = f[3], f[4:7], f[7:].reshape(4, self.halves, -1)
+            self.sums = f[3:].reshape(4, self.halves, -1)
         new = slice(start, self.size)
         self.row[new], self.f[0, new], self.f[1, new], self.f[2, new] = row, tn, head, tail
         self.depth[:, new] = depth
@@ -270,15 +270,10 @@ class _Lines:
         r, k = np.nonzero(np.take_along_axis(grow.T, np.maximum(kind, 0), axis=1) & (kind >= 0))
         self._run(k, r, full=False)
         self.depth[:, :self.size] += 2 * grow
-        self.fresh = 0
 
     def errors(self):
-        """Each line's log integral and errors by kind, afresh for lines run since last called."""
-        new = slice(self.fresh, self.size)
-        self.value[new], self.err[:, new] = _errors(self.sums[..., new],
-                                                    self.panels[-1][self.row[new]].T)
-        self.fresh = self.size
-        return self.value[:self.size], self.err[:, :self.size]
+        """Each line's log integral and errors by kind."""
+        return _errors(self.sums[..., :self.size], self.panels[-1][self.row[:self.size]].T)
 
     def _run(self, k, r, full: bool):
         """Evaluate half k of line r: whole, or its next two levels."""

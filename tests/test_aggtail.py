@@ -32,19 +32,35 @@ def asymptotic_in(regime, spec):
 
 
 class TestValidateSpec:
+    # the unit-weight block (multiplicity m, largest alpha ahat and its count m*)
+    # shows in tail_asymptotic's log K and rho
     def test_normalization_and_multiplicity(self):
         spec = dt.validate_spec([1, 2], [3.0, 1.5], 2.0, GAMMA21)
         assert spec.lam == (1.0, 0.5)
         assert spec.scale == 3.0
-        assert spec.m == 1 and spec.alpha_hat == 1.0 and spec.m_star == 1
+        asym = asymptotic_in("a", spec)  # m = 1, ahat = 1, m* = 1
+        assert asym.log_constant == pytest.approx(math.lgamma(3.0) - math.lgamma(1.0), rel=1e-15)
+        assert asym.rho == 1.0 - 3.0
 
     def test_all_equal_weights(self):
         spec = dt.validate_spec([1, 1, 1], [1, 1, 1], 1.0, GAMMA21)
-        assert spec.m == 3 and spec.alpha_hat == 1.0 and spec.m_star == 3
+        asym = asymptotic_in("degenerate", spec)  # m = d
+        assert (asym.log_constant, asym.rho) == (0.0, 0.0)
+        asym = asymptotic_in("a", dt.validate_spec([1, 1, 1], [1, 1, 1], 2.0, GAMMA21))
+        assert asym.log_constant == pytest.approx(
+            math.log(3.0) + math.lgamma(3.0) - math.lgamma(1.0), rel=1e-15)  # m* = 3
+        assert asym.rho == 1.0 - 3.0
 
     def test_top_block_max_alpha(self):
         spec = dt.validate_spec([2, 1, 1], [1, 1, 0.2], 1.0, GAMMA21)
-        assert spec.m == 2 and spec.alpha_hat == 2.0 and spec.m_star == 1
+        asym = asymptotic_in("b", spec)  # m = 2: the block's alphas sum to 3, one is left out
+        assert asym.log_constant == pytest.approx(
+            -math.log1p(-0.2) + math.lgamma(4.0) - math.lgamma(3.0), rel=1e-15)
+        assert asym.rho == -1.0
+        asym = asymptotic_in("a", dt.validate_spec([2, 1, 1], [1, 1, 0.2], 2.0, GAMMA21))
+        assert asym.log_constant == pytest.approx(
+            math.lgamma(4.0) - math.lgamma(2.0), rel=1e-15)  # ahat = 2, m* = 1
+        assert asym.rho == 2.0 - 4.0
 
     def test_sorting_is_joint(self):
         spec = dt.validate_spec([5, 7], [0.5, 1.0], 1.0, GAMMA21)
@@ -52,9 +68,12 @@ class TestValidateSpec:
         assert spec.lam == (1.0, 0.5)
 
     def test_weight_tolerance_flag(self):
-        # the multiplicity counts weights equal to 1 exactly
+        # the multiplicity counts weights equal to 1 exactly: m = 1, so not degenerate
         spec = dt.validate_spec([1, 1], [1.0, 1.0 - 1e-12], 1.0, GAMMA21)
-        assert spec.m == 1
+        asym = asymptotic_in("b", spec)
+        assert asym.log_constant == pytest.approx(
+            -math.log1p(-(1.0 - 1e-12)) + math.lgamma(2.0) - math.lgamma(1.0), rel=1e-15)
+        assert asym.rho == -1.0
 
     def test_validation_errors(self):
         with pytest.raises(ValidationError):
