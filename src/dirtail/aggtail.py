@@ -145,15 +145,26 @@ class TailAsymptotic:
         if self.radial.mda_class == "gumbel":
             if not tn > 0:
                 raise DomainError(f"threshold must be positive, got {t}")
-            return (tn / self.pivot) ** (1.0 / self.p)
+            try:
+                return (tn / self.pivot) ** (1.0 / self.p)
+            except OverflowError:
+                raise NumericError(f"(t / (scale * pivot))^(1/p) overflows at t={t!r}, "
+                                   f"p={self.p!r}") from None
         if not 0 < tn < 1:
             raise DomainError(
                 f"threshold must lie in (0, scale) for an endpoint-1 aggregate, got {t}")
         return 1.0 - tn
 
     def base_to_threshold(self, u: float) -> float:
+        """The raw threshold of base variable u.  NumericError past the largest double."""
         if self.radial.mda_class == "gumbel":
-            return self.scale * self.pivot * u ** self.p
+            try:
+                t = self.scale * self.pivot * u ** self.p
+            except OverflowError:
+                t = math.inf
+            if t < math.inf:
+                return t
+            raise NumericError(f"threshold scale * pivot * u^p overflows at u={u!r}, p={self.p!r}")
         return self.scale * (1.0 - u)
 
     def _flip(self, x: float) -> float:

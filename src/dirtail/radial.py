@@ -211,6 +211,14 @@ def _check_level(s):
     return sa
 
 
+def _finite_quantile(law: RadialModel, s, out):
+    """out, the quantiles of law at levels s, as a float for a float s.
+    NumericError where one is not a finite number."""
+    if not np.isfinite(out).all():
+        raise NumericError(f"{law} quantile at level {s} is not a finite number")
+    return out if np.ndim(s) else float(out)
+
+
 @_register("gamma")
 @dataclass(frozen=True)
 class GammaLaw(RadialModel):
@@ -228,8 +236,8 @@ class GammaLaw(RadialModel):
     rate: float = 1.0
 
     def __post_init__(self):
-        if not (self.shape > 0 and self.rate > 0):
-            raise ValidationError(f"GammaLaw needs shape, rate > 0, got {self}")
+        if not (0 < self.shape < math.inf and 0 < self.rate < math.inf):
+            raise ValidationError(f"GammaLaw needs shape, rate positive and finite, got {self}")
         # a whole shape n's closed form and the largest x it serves; (0, 0.0) for other shapes
         n = int(self.shape) if 1 <= self.shape <= specfun._ERLANG_N_MAX and \
             self.shape == int(self.shape) else 0
@@ -264,9 +272,11 @@ class GammaLaw(RadialModel):
         return self.rate
 
     def quantile_survival(self, s):
-        sa = _check_level(s)
-        out = _sp.gammainccinv(self.shape, sa) / self.rate
-        return out if np.ndim(s) else float(out)
+        out = _sp.gammainccinv(self.shape, _check_level(s))
+        if self.rate != 1.0:
+            with np.errstate(over="ignore"):  # a quantile past DBL_MAX fails below
+                out = out / self.rate
+        return _finite_quantile(self, s, out)
 
     def sample(self, rng, size):
         r = standard_gamma(rng, self.shape, np.empty(size))
@@ -284,8 +294,8 @@ class WeibullTail(RadialModel):
     scale: float = 1.0
 
     def __post_init__(self):
-        if not (self.index > 0 and self.scale > 0):
-            raise ValidationError(f"WeibullTail needs index, scale > 0, got {self}")
+        if not (0 < self.index < math.inf and 0 < self.scale < math.inf):
+            raise ValidationError(f"WeibullTail needs index, scale positive and finite, got {self}")
         # below this radius scale * u^index stays under e^709 < DBL_MAX
         object.__setattr__(self, "_u_safe", math.exp(
             min(709.0, (709.0 - math.log(max(self.scale, 1.0))) / self.index)))
@@ -309,7 +319,10 @@ class WeibullTail(RadialModel):
     def scaling_w(self, u: float) -> float:
         if not u > 0:
             raise DomainError(f"scaling function needs u > 0, got {u}")
-        return self.scale * self.index * u ** (self.index - 1.0)
+        try:
+            return self.scale * self.index * u ** (self.index - 1.0)
+        except OverflowError:
+            raise NumericError(f"u^(index-1) overflows at u={u!r}, index={self.index!r}") from None
 
     def quantile_survival(self, s):
         nlog = -np.log(_check_level(s))
@@ -339,8 +352,8 @@ class BetaLaw(RadialModel):
     mda_class = "weibull"
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
-            raise ValidationError(f"BetaLaw needs a, b > 0, got {self}")
+        if not (0 < self.a < math.inf and 0 < self.b < math.inf):
+            raise ValidationError(f"BetaLaw needs a, b positive and finite, got {self}")
 
     @property
     def upper_endpoint(self) -> float:
@@ -357,9 +370,7 @@ class BetaLaw(RadialModel):
         return specfun.log_beta_survival(self.a, self.b, np.minimum(ua, 1.0))
 
     def quantile_survival(self, s):
-        sa = _check_level(s)
-        out = _sp.betaincinv(self.a, self.b, 1.0 - sa)
-        return out if np.ndim(s) else float(out)
+        return _finite_quantile(self, s, _sp.betaincinv(self.a, self.b, 1.0 - _check_level(s)))
 
     def sample(self, rng, size):
         return rng.beta(self.a, self.b, size)
@@ -373,8 +384,8 @@ class UnitGumbel(RadialModel):
     kappa: float = 1.0
 
     def __post_init__(self):
-        if not self.kappa > 0:
-            raise ValidationError(f"UnitGumbel needs kappa > 0, got {self}")
+        if not 0 < self.kappa < math.inf:
+            raise ValidationError(f"UnitGumbel needs kappa positive and finite, got {self}")
 
     @property
     def upper_endpoint(self) -> float:

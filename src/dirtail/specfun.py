@@ -94,7 +94,10 @@ def log_gamma(a: float) -> float:
     """ln Gamma(a) for a > 0."""
     if not a > 0:
         raise DomainError(f"log_gamma requires a > 0, got {a}")
-    return math.lgamma(a)
+    try:
+        return math.lgamma(a)
+    except OverflowError:
+        raise NumericError(f"log Gamma(a) overflows at a={a!r}") from None
 
 
 def logsumexp(values, axis=None):

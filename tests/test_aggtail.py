@@ -7,6 +7,7 @@ two-term mixture and integrating the Beta split variable), which shares
 nothing with the implementation path it checks.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -19,7 +20,8 @@ from scipy import integrate, optimize, special
 import dirtail as dt
 from dirtail import BetaLaw, GammaLaw, UnitGumbel, WeibullTail
 from dirtail.aggtail import TailAsymptotic
-from dirtail.errors import DomainError, NumericError, ValidationError, WrongRegimeError
+from dirtail.errors import (DirtailError, DomainError, NumericError, ValidationError,
+                            WrongRegimeError)
 
 GAMMA21 = GammaLaw(2, 1)
 
@@ -613,6 +615,72 @@ class TestTailAsymptoticObject:
         lp = asym.evaluate(10.0)
         assert lp.log_value == pytest.approx(-10.0, rel=1e-13)
         assert lp.value == pytest.approx(math.exp(-10.0), rel=1e-12)
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda: dt.tail_asymptotic(dt.validate_spec([1, 1], [1, 0.5], 30.0, WeibullTail(0.1)))
+         .threshold_at_depth(1e-30), r"u\^p overflows at u=.*, p=30.0"),
+        (lambda: dt.tail_asymptotic(dt.validate_spec([1, 1], [1, 0.5], 0.01, GammaLaw(2)))
+         .evaluate_log(1e4), r"\^\(1/p\) overflows at t=10000.0, p=0.01"),
+        (lambda: dt.norming_constants(dt.validate_spec([1, 1], [1, 1], 0.01, WeibullTail(25.0)),
+                                      10 ** 15), r"u\^\(index-1\) overflows at u="),
+        (lambda: dt.tail_asymptotic(dt.validate_spec([1e306, 1], [1, 0.5], 2.0, GammaLaw(2))),
+         r"log Gamma\(a\) overflows at a=1e\+306"),
+        # the power is finite, but not its product with a scale near the largest double
+        (lambda: dt.tail_asymptotic(dt.validate_spec([1, 1], [1e308, 5e307], 1.0, GammaLaw(2)))
+         .threshold_at_depth(1e-6), r"scale \* pivot \* u\^p overflows at u="),
+    ], ids=["base_to_threshold", "threshold_to_base", "scaling_w", "log_gamma", "threshold"])
+    def test_float_overflow_is_numeric_error(self, call, match):
+        # Python's float power and math.lgamma raise OverflowError, which is no DirtailError
+        with pytest.raises(NumericError, match=match):
+            call()
+
+
+_PARAM = st.floats(1e-3, 1e3)
+#: a depth and the parameters of the diagnostics and levels derived from it
+_CLOSED_FORM_CASE = st.tuples(
+    st.lists(st.tuples(st.floats(1e-3, 1e3), st.one_of(st.just(1.0), st.floats(1e-300, 1.0))),
+             min_size=1, max_size=4),
+    st.sampled_from([1e-3, 0.01, 0.3, 0.5, 1 - 1e-6, 1.0, 1 + 1e-6, 2.0, 30.0]),
+    st.one_of(st.builds(GammaLaw, _PARAM, _PARAM), st.builds(WeibullTail, st.floats(1e-2, 30.0),
+                                                             _PARAM),
+              st.builds(BetaLaw, _PARAM, _PARAM), st.builds(UnitGumbel, _PARAM)),
+    st.floats(1e-300, 0.5), st.floats(0.1, 10.0), st.floats(-5.0, 5.0), st.floats(1.01, 10.0))
+
+
+class TestClosedFormIsFiniteOrAnError:
+    """Every closed-form entry point returns finite numbers or raises a DirtailError,
+    over the whole range of valid-looking inputs (a bare OverflowError, a NaN or a numpy
+    warning fails)."""
+
+    @staticmethod
+    def _check(call, *args):
+        try:
+            out = call(*args)
+        except DirtailError:
+            return None
+        values = ([v for v in vars(out).values() if isinstance(v, float)]
+                  if dataclasses.is_dataclass(out) else out)  # a record's numbers, or a table
+        assert np.all(np.isfinite(values)), (call, args, out)
+        return out
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_CLOSED_FORM_CASE)
+    @example(case=([(1, 1), (1, 0.5)], 30.0, WeibullTail(0.1), 1e-30, 1.0, 1.0, 2.0))
+    @example(case=([(1, 1), (1, 1)], 0.01, WeibullTail(25.0), 1e-15, 1.0, 1.0, 2.0))
+    @example(case=([(1e3, 1), (1, 1e-300)], 2.0, GammaLaw(1e3, 1e-3), 1e-300, 1.0, 1.0, 2.0))
+    def test_entry_points(self, case):
+        pairs, p, radial, depth, x, mu, c = case
+        self._check(radial.quantile_survival, depth)
+        for mode, params in [("gumbel_ratio", {"x": x}), ("weibull_ratio", {"t": x}),
+                             ("davis_resnick", {"mu": mu, "c": c})]:
+            self._check(dt.mda_diagnostic, radial, mode, {**params, "depths": [depth]})
+        spec = dt.validate_spec(*zip(*pairs), p, radial)
+        self._check(dt.var_es_asymptotic, spec, 1.0 - depth)
+        self._check(dt.norming_constants, spec, max(2, int(1.0 / depth)))
+        asym = self._check(dt.tail_asymptotic, spec)
+        if asym is not None and (t := self._check(asym.threshold_at_depth, depth)) is not None:
+            self._check(asym.evaluate_log, t)
+            self._check(asym.depth_at, t)
 
 
 # ----------------------------------------------------------------------

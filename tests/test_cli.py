@@ -496,6 +496,30 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "quantile at level" in err[0] and "overflows" in err[0]
 
+    def test_infinite_radial_parameter_is_2_in_one_line(self, tmp_path, capsys):
+        # JSON Infinity parses to a float, which no radial law takes
+        cfg = {"alpha": [1, 2], "lambda": [1, 0.5], "p": 1.0,
+               "radial": {"family": "gamma", "params": {"shape": math.inf}}, "levels": [0.999]}
+        assert cli.main(["var-es", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "GammaLaw needs shape, rate positive and finite" in err[0]
+
+    @pytest.mark.parametrize("extra, match", [
+        # the Gamma quantile passes DBL_MAX in the division by the rate
+        ({"radial": {"family": "gamma", "params": {"shape": 1e308, "rate": 1e-308}},
+          "depths": [1e-6]}, "quantile at level 1e-06 is not a finite number"),
+        # (t / scale)^(1/p) passes DBL_MAX in Python's float power
+        ({"p": 0.01, "thresholds": [1e4]}, "(t / (scale * pivot))^(1/p) overflows at t=10000.0"),
+    ], ids=["quantile", "power"])
+    def test_overflow_in_approx_is_3_in_one_line(self, tmp_path, capsys, extra, match):
+        cfg = {"alpha": [1, 1], "lambda": [1, 0.5], "p": 1.0,
+               "radial": {"family": "gamma", "params": {"shape": 2.0}}, **extra}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["approx", "--config", write_config(tmp_path, cfg)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("dirtail: numeric failure: ") and match in err[0]
+
     def test_weibull_ratio_at_the_endpoint_is_3_in_one_line(self, tmp_path, capsys):
         cfg = {"alpha": [1, 2], "lambda": [1, 0.5], "p": 1.0,
                "radial": {"family": "beta", "params": {"a": 1, "b": 2}},

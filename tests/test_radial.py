@@ -197,6 +197,11 @@ class TestScalingFunction:
         with pytest.raises(NumericError, match="overflows at x=2.1, p=1e-06"):
             GammaLaw(2.5).power_scaling_wp(1e-6, 2.1)
 
+    def test_weibull_scaling_overflow_is_numeric_error(self):
+        # u^(index - 1) past DBL_MAX: an error, not a bare OverflowError
+        with pytest.raises(NumericError, match=r"u\^\(index-1\) overflows at u=1e\+30, index=25.0"):
+            WeibullTail(25.0).scaling_w(1e30)
+
 
 class TestQuantile:
     def test_examples(self):
@@ -244,6 +249,17 @@ class TestQuantile:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match="quantile at level .* overflows"):
+                model.quantile_survival(level)
+
+    @pytest.mark.parametrize("model, level", [
+        (GammaLaw(1e308, 1e-308), 1e-6),      # past DBL_MAX in the division by the rate
+        (GammaLaw(1e308, 1e-308), np.array([0.5, 1e-6])),
+        (BetaLaw(1e306, 2), 0.5),             # scipy's inverse gives NaN
+    ])
+    def test_non_finite_quantile_is_numeric_error(self, model, level):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="quantile at level .* is not a finite number"):
                 model.quantile_survival(level)
 
     @pytest.mark.parametrize("model", [GammaLaw(3, 1), WeibullTail(2, 0.5), BetaLaw(2, 3),
@@ -363,6 +379,17 @@ class TestValidation:
         with pytest.raises(ValidationError):
             UnitGumbel(0.0)
 
+    @pytest.mark.parametrize("family, params", [
+        ("gamma", {"shape": math.inf}), ("gamma", {"shape": 2.0, "rate": math.inf}),
+        ("gamma", {"shape": math.nan}), ("weibulltail", {"index": math.inf}),
+        ("weibulltail", {"index": 2.0, "scale": math.inf}), ("beta", {"a": math.inf, "b": 2.0}),
+        ("beta", {"a": 2.0, "b": math.inf}), ("unitgumbel", {"kappa": math.inf}),
+    ])
+    def test_non_finite_parameters(self, family, params):
+        # JSON Infinity parses to a float: every law needs positive, finite parameters
+        with pytest.raises(ValidationError, match="positive and finite"):
+            RadialModel.from_json(json.loads(json.dumps({"family": family, "params": params})))
+
     def test_json_roundtrip(self):
         models = [GammaLaw(2.5, 0.7), WeibullTail(0.5, 1.2), BetaLaw(1.5, 3.0), UnitGumbel(2.0)]
         for model in models:
@@ -453,6 +480,10 @@ class TestMdaDiagnostics:
         # 0: the ratio would be a silent NaN or 0
         with pytest.raises(NumericError, match=re.escape("1 - t*u or 1 - u rounds to 1")):
             mda_diagnostic(law, "weibull_ratio", {"t": t, "depths": [1e-2, depth]})
+
+    def test_non_finite_quantile_raises(self):
+        with pytest.raises(NumericError, match="not a finite number"):
+            mda_diagnostic(GammaLaw(1e308, 1e-308), "gumbel_ratio", {"x": 1.0, "depths": [1e-6]})
 
     def test_weibull_ratio_skips_depths_past_the_origin(self):
         # t * u >= 1 would ask for F_bar at or below 0: those depths are left out
