@@ -214,9 +214,10 @@ def _check_level(s):
 def _finite_quantile(law: RadialModel, s, out):
     """out, the quantiles of law at levels s, as a float for a float s.
     NumericError where one is not a finite number."""
-    if not np.isfinite(out).all():
+    out = out if np.ndim(s) else float(out)
+    if not (math.isfinite(out) if isinstance(out, float) else np.isfinite(out).all()):
         raise NumericError(f"{law} quantile at level {s} is not a finite number")
-    return out if np.ndim(s) else float(out)
+    return out
 
 
 @_register("gamma")
