@@ -636,13 +636,13 @@ class TestTailAsymptoticObject:
 
 
 _PARAM = st.floats(1e-3, 1e3)
-#: a depth and the parameters of the diagnostics and levels derived from it
+#: (alpha, weight) pairs, p, the radius, a depth, and the diagnostics' x (or t), mu and c
 _CLOSED_FORM_CASE = st.tuples(
-    st.lists(st.tuples(st.floats(1e-3, 1e3), st.one_of(st.just(1.0), st.floats(1e-300, 1.0))),
+    st.lists(st.tuples(_PARAM, st.one_of(st.just(1.0), st.floats(1e-300, 1.0))),
              min_size=1, max_size=4),
     st.sampled_from([1e-3, 0.01, 0.3, 0.5, 1 - 1e-6, 1.0, 1 + 1e-6, 2.0, 30.0]),
-    st.one_of(st.builds(GammaLaw, _PARAM, _PARAM), st.builds(WeibullTail, st.floats(1e-2, 30.0),
-                                                             _PARAM),
+    st.one_of(st.builds(GammaLaw, _PARAM, _PARAM),
+              st.builds(WeibullTail, st.floats(1e-2, 30.0), _PARAM),
               st.builds(BetaLaw, _PARAM, _PARAM), st.builds(UnitGumbel, _PARAM)),
     st.floats(1e-300, 0.5), st.floats(0.1, 10.0), st.floats(-5.0, 5.0), st.floats(1.01, 10.0))
 
