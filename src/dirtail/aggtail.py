@@ -21,6 +21,7 @@ P(S_1 > 1-u) ~ K u^{sum of left-out alphas} F_bar(1-u).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,16 +157,22 @@ class TailAsymptotic:
         return 1.0 - tn
 
     def base_to_threshold(self, u: float) -> float:
-        """The raw threshold of base variable u.  NumericError past the largest double."""
+        """The raw threshold of base variable u.  NumericError where it is not a
+        positive normal double: past the largest one, or so small that it is 0
+        or has lost digits (a tiny raw scale)."""
         if self.radial.mda_class == "gumbel":
             try:
                 t = self.scale * self.pivot * u ** self.p
             except OverflowError:
                 t = math.inf
-            if t < math.inf:
-                return t
-            raise NumericError(f"threshold scale * pivot * u^p overflows at u={u!r}, p={self.p!r}")
-        return self.scale * (1.0 - u)
+            if t == math.inf:
+                raise NumericError(
+                    f"threshold scale * pivot * u^p overflows at u={u!r}, p={self.p!r}")
+        else:
+            t = self.scale * (1.0 - u)
+        if not t >= sys.float_info.min:
+            raise NumericError(f"threshold {t!r} at base point u={u!r} is not a normal double")
+        return t
 
     def _flip(self, x: float) -> float:
         """The base variable of a radius x, and the radius of a base variable
@@ -202,8 +209,8 @@ class TailAsymptotic:
         if exp(log_target) underflows), inside a bracket found by doubling
         steps; a step that would leave the bracket bisects it instead, until it
         is a few ulp of log u wide.  DomainError: target >= 0 or out of reach.
-        NumericError: past u = 1e290, or no representable base point reaches it.
-        """
+        NumericError: past u = 1e290, no representable base point reaches it, or
+        its threshold is not a normal double (base_to_threshold)."""
         if not log_target < 0:
             raise DomainError(f"target must be a log-probability below 0, got {log_target}")
         sign = 1.0 if self.radial.mda_class == "gumbel" else -1.0  # makes the excess fall in x
@@ -236,13 +243,21 @@ class TailAsymptotic:
                 x = min(max(x, lo[0] + 0.5 * tol), hi[0] - 0.5 * tol)
 
     def norming(self, log_level: float) -> tuple[float, float]:
-        """(b, a): b = invert(log_level) and its Gumbel scale a = 1/w_p(b), with
-        w_p the scaling function of R^p (RadialModel.power_scaling_wp), both on
-        the raw scale.  DomainError for a radius outside the Gumbel class."""
+        """(b, a): b = invert(log_level) and its Gumbel scale a = scale / w_p(b / scale),
+        with w_p(x) = x^(1/p-1) w(x^(1/p)) / p the scaling function of R^p.  DomainError
+        outside the Gumbel class or for x^(1/p) at or past the radius's endpoint;
+        NumericError where a power of x overflows."""
         if self.radial.mda_class != "gumbel":
             raise DomainError("norming constants need a Gumbel-class radial law")
         b = self.invert(log_level)
-        return b, self.scale / self.radial.power_scaling_wp(self.p, b / self.scale)
+        x, p = b / self.scale, self.p  # pivot * u^p, positive: base_to_threshold refuses 0
+        try:
+            u, x_p = x ** (1.0 / p), x ** (1.0 / p - 1.0)
+        except OverflowError:
+            raise NumericError(f"x^(1/p) or x^(1/p-1) overflows at x={x!r}, p={p!r}") from None
+        if u >= self.radial.upper_endpoint:
+            raise DomainError(f"x = {x} is at or beyond the endpoint {self.radial.upper_endpoint}^p")
+        return b, self.scale / (x_p * self.radial.scaling_w(u) / p)
 
 
 # ----------------------------------------------------------------------

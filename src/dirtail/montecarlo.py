@@ -216,6 +216,16 @@ def _chunk_logsums(parts) -> np.ndarray:
     return logsumexp(cols, axis=1).reshape(table.shape[1:])
 
 
+def _ratio(log_num: float, log_den: float, level: float) -> float:
+    """exp(log_num - log_den), a diagnostic's ratio of two log-sums at one raw level; 0 for
+    a numerator of 0.  NumericError where the denominator's is -inf: no draw reached its
+    level, and the ratio would be 0/0."""
+    if log_den == -math.inf:
+        raise NumericError(
+            f"no draw reaches the level {float(level)!r}: the ratio's denominator is 0")
+    return math.exp(log_num - log_den)
+
+
 def _log_moments(radial: RadialModel, z: np.ndarray, levels, p: float, ws,
                  squares: bool = False) -> list:
     """log sum over points of the conditional kernel F_bar((level / z)^{1/p}) at
@@ -362,7 +372,8 @@ def crude_mc_tail(spec: AggregateSpec, t, n: int, seed: int,
 
     def hits_in(rng, u, ws):
         s = spec.radial.sample(rng, u.shape[1])
-        s **= spec.p
+        with np.errstate(over="ignore"):  # R^p past DBL_MAX is inf, past every level
+            s **= spec.p
         s *= _z(spec, u)
         return [np.count_nonzero(s > level) for level in levels]
 
@@ -385,7 +396,8 @@ def max_sum_ratio(spec: AggregateSpec, t_grid, n: int, seed: int) -> np.ndarray:
     the ratio is a smooth function of the noise and always <= 1.  Columns:
     (t, log numerator, log denominator, ratio), one row per threshold (a
     scalar is a one-row grid).  A threshold past the support of S_p, where
-    both tails are exact zeros, is a DomainError.
+    both tails are exact zeros, is a DomainError; one that no draw of S_p
+    reaches is a NumericError.
     """
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     seed, levels = _check_seed(seed), _levels(spec, t_grid)
@@ -406,7 +418,7 @@ def max_sum_ratio(spec: AggregateSpec, t_grid, n: int, seed: int) -> np.ndarray:
                         _log_moments(spec.radial, total, levels, spec.p, ws)))
 
     logs = _chunk_logsums(_chunked(seed, n, spec.alpha, columns)) - math.log(n)
-    return np.asarray([(t, num, den, math.exp(num - den)) for t, (num, den) in zip(t_grid, logs)])
+    return np.asarray([(t, num, den, _ratio(num, den, t)) for t, (num, den) in zip(t_grid, logs)])
 
 
 @dataclass(frozen=True)
@@ -434,7 +446,8 @@ def pairwise_asymindep(alpha, weights, p: float, radial: RadialModel, i: int, j:
     Gumbel class is a DomainError before any draw); the ratio trending to 0
     is the empirical face of the joint max-stable limit with independent
     Gumbel margins.  Columns: (n_level, b, a, ratio), with a the norming
-    scale at b, one row per level (a scalar is a one-row grid).
+    scale at b, one row per level (a scalar is a one-row grid).  A level that
+    no draw of Y_i reaches is a NumericError.
     """
     seed, n_grid = _check_seed(seed), np.atleast_1d(n_grid)
     w = np.asarray(weights, dtype=float)
@@ -487,7 +500,7 @@ def pairwise_asymindep(alpha, weights, p: float, radial: RadialModel, i: int, j:
                         _log_moments(radial, z_min, bs, p, ws)))
 
     logs = _chunk_logsums(_chunked(seed, n, alpha, columns, workers)) - math.log(n)
-    return np.asarray([(int(nl), b, a, math.exp(joint - single))
+    return np.asarray([(int(nl), b, a, _ratio(joint, single, b))
                        for nl, (b, a), (single, joint) in zip(n_grid, norms, logs)])
 
 
@@ -497,7 +510,8 @@ def empirical_gumbel_mda(spec: AggregateSpec, x_grid, depth_grid, n: int,
 
     Convergence of the ratios to exp(-x) is the empirical face of the
     aggregate inheriting the Gumbel max-domain with scaling w_p.  Columns:
-    (depth, v, x, ratio, exp(-x)); either grid may be a scalar.
+    (depth, v, x, ratio, exp(-x)); either grid may be a scalar.  A level v
+    that no draw of S_p reaches is a NumericError.
     """
     seed = _check_seed(seed)
     x_grid, depth_grid = np.atleast_1d(x_grid), np.atleast_1d(depth_grid)
@@ -517,7 +531,7 @@ def empirical_gumbel_mda(spec: AggregateSpec, x_grid, depth_grid, n: int,
     rows = []
     for (depth, v), (log_base, *log_shifts) in zip(jobs, logs.reshape(len(jobs), len(x_grid) + 1)):
         for x, log_shift in zip(x_grid, log_shifts):
-            rows.append((depth, v, float(x), math.exp(log_shift - log_base),
+            rows.append((depth, v, float(x), _ratio(log_shift, log_base, v),
                          math.exp(-float(x))))
     return np.asarray(rows)
 
@@ -537,8 +551,9 @@ def gumbel_limit_check(spec: AggregateSpec, n: int, replicates: int, x_grid,
 
     def block_counts(rng, u, ws):
         s = spec.radial.sample(rng, u.shape[1])
-        s **= spec.p
-        s *= spec.scale
+        with np.errstate(over="ignore"):  # scale R^p past DBL_MAX is inf, past every cut
+            s **= spec.p
+            s *= spec.scale
         s *= _z(spec, u)
         block_max = s.reshape(-1, n).max(axis=1)
         return (block_max[:, None] <= cut[None, :]).sum(axis=0)

@@ -17,7 +17,7 @@ quantile for WeibullTail and UnitGumbel.  standard_gamma also draws the
 simplex coordinates' gamma rows in montecarlo; it takes for each shape the
 cheapest exact method numpy's primitives give.  A custom law subclasses
 RadialModel and implements upper_endpoint, log_survival, quantile_survival
-(thresholds at a given depth) and sample (radii for crude_mc_tail,
+(the threshold at one survival level) and sample (radii for crude_mc_tail,
 sample_dirichlet and gumbel_limit_check).  The conditional estimators ask a law for scaled
 survival weights (survival_weights), whose default comes from log_survival;
 GammaLaw overrides it with the closed form of a whole shape.
@@ -26,6 +26,7 @@ GammaLaw overrides it with the closed form of a whole shape.
 from __future__ import annotations
 
 import math
+import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -132,21 +133,6 @@ class RadialModel(ABC):
             raise NumericError(f"u w(u) = {uw!r} at u = {u!r} is not a positive finite number")
         return math.log(uw)
 
-    def power_scaling_wp(self, p: float, x: float) -> float:
-        """Scaling function of R^p: w_p(x) = x^(1/p-1) * w(x^(1/p)) / p.
-        NumericError where a power of x overflows."""
-        if not p > 0:
-            raise DomainError(f"power must be positive, got p={p}")
-        if not x > 0:
-            raise DomainError(f"argument must be positive, got x={x}")
-        try:
-            u, x_p = x ** (1.0 / p), x ** (1.0 / p - 1.0)
-        except OverflowError:
-            raise NumericError(f"x^(1/p) or x^(1/p-1) overflows at x={x!r}, p={p!r}") from None
-        if u >= self.upper_endpoint:
-            raise DomainError(f"argument {x} is at or beyond the endpoint {self.upper_endpoint}^p")
-        return x_p * self.scaling_w(u) / p
-
     @property
     def weibull_index(self) -> float:
         """Regular-variation index gamma of the survival function at x_F = 1."""
@@ -154,8 +140,8 @@ class RadialModel(ABC):
             f"{type(self).__name__} is not in the Weibull class; no tail index")
 
     @abstractmethod
-    def quantile_survival(self, s):
-        """x with P(R > x) = s for 0 < s < 1, the survival-scale quantile; vectorized."""
+    def quantile_survival(self, s: float) -> float:
+        """x with P(R > x) = s for one level 0 < s < 1, the survival-scale quantile."""
 
     @abstractmethod
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -200,22 +186,21 @@ def _check_domain_nonneg(u):
     return ua
 
 
-def _check_level(s):
-    sa = np.asarray(s, dtype=float)
-    if isinstance(s, float):
-        bad = not 0 < s < 1
-    else:
-        bad = not np.all((sa > 0) & (sa < 1))  # NaN fails both comparisons
-    if bad:
+def _check_level(s) -> float:
+    """One level s as a float: ValidationError for an array, DomainError outside (0, 1)."""
+    if type(s) is not float:
+        if not isinstance(s, numbers.Real):
+            raise ValidationError(f"survival level must be one real number, got {s!r}")
+        s = float(s)
+    if not 0 < s < 1:  # NaN fails both comparisons
         raise DomainError(f"survival level must lie in (0, 1), got {s}")
-    return sa
+    return s
 
 
-def _finite_quantile(law: RadialModel, s, out):
-    """out, the quantiles of law at levels s, as a float for a float s.
-    NumericError where one is not a finite number."""
-    out = out if np.ndim(s) else float(out)
-    if not (math.isfinite(out) if isinstance(out, float) else np.isfinite(out).all()):
+def _finite_quantile(law: RadialModel, s: float, out) -> float:
+    """out, law's quantile at level s, as a float; NumericError where it is not finite."""
+    out = float(out)
+    if not math.isfinite(out):
         raise NumericError(f"{law} quantile at level {s} is not a finite number")
     return out
 
@@ -273,11 +258,9 @@ class GammaLaw(RadialModel):
         return self.rate
 
     def quantile_survival(self, s):
-        out = _sp.gammainccinv(self.shape, _check_level(s))
-        if self.rate != 1.0:
-            with np.errstate(over="ignore"):  # a quantile past DBL_MAX fails below
-                out = out / self.rate
-        return _finite_quantile(self, s, out)
+        # a float quotient past DBL_MAX is inf, which _finite_quantile refuses
+        return _finite_quantile(self, s, float(_sp.gammainccinv(self.shape, _check_level(s)))
+                                / self.rate)
 
     def sample(self, rng, size):
         r = standard_gamma(rng, self.shape, np.empty(size))
@@ -327,11 +310,10 @@ class WeibullTail(RadialModel):
 
     def quantile_survival(self, s):
         nlog = -np.log(_check_level(s))
-        if self._nlog_max < 745.0 and np.any(nlog > self._nlog_max):  # a tiny index or scale
+        if nlog > self._nlog_max:  # a tiny index or scale
             raise NumericError(f"WeibullTail quantile at level {s} overflows: "
                                f"(-log s / {self.scale!r})^(1/{self.index!r}) > e^709")
-        out = (nlog / self.scale) ** (1.0 / self.index)
-        return out if np.ndim(s) else float(out)
+        return float((nlog / self.scale) ** (1.0 / self.index))
 
     def sample(self, rng, size):
         e = rng.standard_exponential(size)
@@ -408,9 +390,7 @@ class UnitGumbel(RadialModel):
         return self.kappa / (1.0 - u) ** 2
 
     def quantile_survival(self, s):
-        sa = _check_level(s)
-        out = 1.0 - self.kappa / (self.kappa - np.log(sa))
-        return out if np.ndim(s) else float(out)
+        return float(1.0 - self.kappa / (self.kappa - np.log(_check_level(s))))
 
     def sample(self, rng, size):
         return 1.0 - self.kappa / (self.kappa + rng.standard_exponential(size))

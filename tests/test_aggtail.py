@@ -86,8 +86,9 @@ class TestValidateSpec:
             dt.validate_spec([1, 1], [0.0, 0.0], 1.0, GAMMA21)
         with pytest.raises(ValidationError):
             dt.validate_spec([1, 1], [1.0], 1.0, GAMMA21)
-        with pytest.raises(ValidationError):
-            dt.validate_spec([1], [1], -2.0, GAMMA21)
+        for p in (0.0, -2.0):  # p > 0, which TailAsymptotic.norming relies on
+            with pytest.raises(ValidationError, match="p must be positive"):
+                dt.validate_spec([1], [1], p, GAMMA21)
 
 
 class TestLambdaTilde:
@@ -443,8 +444,36 @@ class TestVarEs:
         # at p = 1e-6, VaR / scale includes the pivot lt ~ 2.1, so (VaR / scale)^{1/p}
         # leaves the double range
         spec = dt.validate_spec([1, 1, 1], [1, 0.7, 0.4], 1e-6, GammaLaw(2.5))
-        with pytest.raises(NumericError, match="overflows"):
+        with pytest.raises(NumericError, match=r"x\^\(1/p\) or x\^\(1/p-1\) overflows at "
+                                               r"x=2\.1\d*, p=1e-06"):
             dt.var_es_asymptotic(spec, 0.99)
+
+
+class TestNorming:
+    """TailAsymptotic.norming: b = invert(level) and a = scale / w_p(b / scale), with
+    w_p(x) = x^(1/p-1) w(x^(1/p)) / p the scaling function of R^p."""
+
+    @pytest.mark.parametrize("radial, p, u, w_p", [
+        (GammaLaw(1, 1), 1.0, 0.5, 1.0),
+        (GammaLaw(1, 1), 1.0, 2.0, 1.0),
+        (GammaLaw(1, 1), 1.0, 9.0, 1.0),
+        (GammaLaw(3, 1), 2.0, 2.0, 0.25),       # w_2(4) = 4^(-1/2) * 1 / 2
+        (WeibullTail(2, 0.5), 2.0, 3.0, 0.5),   # w(3) = 3, so w_2(9) = 9^(-1/2) * 3 / 2
+    ])
+    @pytest.mark.parametrize("scale", [1.0, 4.0])
+    def test_values(self, radial, p, u, w_p, scale):
+        # d = 1 is the exact law of scale * R^p: the level F_bar(u) puts b at scale * u^p
+        asym = dt.tail_asymptotic(dt.validate_spec([1.0], [scale], p, radial))
+        b, a = asym.norming(radial.log_survival(u))
+        assert b == pytest.approx(scale * u ** p, rel=1e-12)
+        assert a == pytest.approx(scale / w_p, rel=1e-12)
+
+    def test_radius_past_the_endpoint_is_domain_error(self):
+        # for p < 1, x = b / scale holds the pivot lt = 1.22, so x^(1/p) lies past
+        # UnitGumbel's endpoint 1
+        spec = dt.validate_spec([1, 1], [1, 0.7], 0.5, UnitGumbel(1.0))
+        with pytest.raises(DomainError, match=r"x = 1\.1245\d* is at or beyond the endpoint 1\.0"):
+            dt.norming_constants(spec, 1000)
 
 
 class TestRegimeClassify:
@@ -634,6 +663,23 @@ class TestTailAsymptoticObject:
         with pytest.raises(NumericError, match=match):
             call()
 
+    @pytest.mark.parametrize("call", [
+        # a tiny raw scale: 1.5e-323, whose depth_at would read 7.96e-92 back
+        lambda: dt.tail_asymptotic(dt.validate_spec([0.038], [1e-300], 30.0, UnitGumbel(1000.0)))
+        .threshold_at_depth(2.28e-92),
+        # the threshold of the level rounds to 0
+        lambda: dt.tail_asymptotic(dt.validate_spec([1, 58], [1e-300, 1e-300], 0.999999,
+                                                    UnitGumbel(1.0))).invert(math.log(0.5)),
+        lambda: dt.norming_constants(dt.validate_spec([1, 58], [1e-300, 1e-300], 0.999999,
+                                                      UnitGumbel(1.0)), 2),
+        # the endpoint base: 1 - u rounds to 0 at the median of R = U^100
+        lambda: dt.tail_asymptotic(dt.validate_spec([1, 1], [1e-300, 1e-300], 1.0,
+                                                    BetaLaw(0.01, 1))).threshold_at_depth(0.5),
+    ], ids=["subnormal", "zero", "norming", "endpoint"])
+    def test_threshold_not_a_normal_double_is_numeric_error(self, call):
+        with pytest.raises(NumericError, match="is not a normal double"):
+            call()
+
 
 _PARAM = st.floats(1e-3, 1e3)
 #: (alpha, weight) pairs, p, the radius, a depth, and the diagnostics' x (or t), mu and c
@@ -681,6 +727,61 @@ class TestClosedFormIsFiniteOrAnError:
         if asym is not None and (t := self._check(asym.threshold_at_depth, depth)) is not None:
             self._check(asym.evaluate_log, t)
             self._check(asym.depth_at, t)
+
+
+class TestOraclesAreFiniteOrAnError:
+    """Every oracle and diagnostic returns numbers or raises a DirtailError over the same
+    cases, at thresholds from threshold_at_depth: no NaN and no +inf (a numpy warning fails
+    too).  A log-probability may be -inf, the log of an estimate of 0, whose rel_err is inf."""
+
+    N = 512
+
+    @staticmethod
+    def _check(call, *args):
+        try:
+            out = call(*args)
+        except DirtailError:
+            return
+        if isinstance(out, dt.Estimate):
+            out = [out.p_hat, out.log_p_hat, out.stderr, out.ess or 0.0,
+                   (out.rel_err or 0.0) if out.p_hat else 0.0]
+        assert np.all(np.asarray(out, dtype=float) < math.inf), (call.__name__, args, out)
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=_CLOSED_FORM_CASE)
+    # no draw reaches the denominator's level: a 0/0 ratio
+    @example(case=([(416.8151511581066, 1.0), (323.8283613927249, 1e-300),
+                    (364.05760472822817, 1e-300), (364.05760472822817, 1e-300)],
+                   1.0, UnitGumbel(1.5), 0.32930626809143443, 9.669209069690298, 1.0, 2.0))
+    @example(case=([(416.8151511581066, 1.0), (323.8283613927249, 1.0),
+                    (516.3577583873995, 7.744601744431506e-210), (364.05760472822817, 1e-300)],
+                   1.0, UnitGumbel(1.5), 0.32930626809143443, 9.669209069690298, 1.0, 2.0))
+    @example(case=([(416.8, 1.0), (323.8, 1.0)], 1.0, UnitGumbel(1.5), 0.01, 1.0, 1.0, 2.0))
+    # Jacobi exponents whose Gauss weights overflow: the outer line's at d = 3, and d = 2's
+    @example(case=([(700.0, 1.0), (700.0, 0.5), (1.0, 0.3)], 0.5, GammaLaw(3.0), 1e-6,
+                   1.0, 1.0, 2.0))
+    @example(case=([(1100.0, 1.0), (1.0, 0.5)], 0.5, GammaLaw(3.0), 1e-6, 1.0, 1.0, 2.0))
+    # R^p past DBL_MAX in the crude and block-maxima draws: inf, past every level
+    @example(case=([(1.0, 1.0)], 30.0, WeibullTail(0.25, 0.015625), 0.5, 1.0, 0.0, 2.0))
+    def test_oracles(self, case):
+        pairs, p, radial, depth, x, _, _ = case
+        alpha, lam = zip(*pairs)
+        spec = dt.validate_spec(alpha, lam, p, radial)
+        try:
+            t = dt.tail_asymptotic(spec).threshold_at_depth(depth)
+        except DirtailError:
+            t = None
+        if t is not None:
+            self._check(dt.conditional_mc_tail, spec, t, self.N, 1, 1)
+            self._check(dt.crude_mc_tail, spec, t, self.N, 1, 1)
+            if spec.d <= 3:
+                self._check(dt.quadrature_tail, spec, t)
+            self._check(dt.max_sum_ratio, spec, t, self.N, 1)
+        self._check(dt.empirical_gumbel_mda, spec, x, depth, self.N, 1, 1)
+        self._check(dt.gumbel_limit_check, spec, self.N, 1, x, 1)
+        if spec.d > 1:  # identity weights suit every p
+            self._check(dt.pairwise_asymindep, alpha, np.eye(spec.d), p, radial, 0, 1,
+                        max(2, int(1.0 / depth)), self.N, 1, 1)
 
 
 # ----------------------------------------------------------------------

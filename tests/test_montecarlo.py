@@ -774,6 +774,15 @@ class TestQuadratureOracle:
             if cond.stderr > 0:
                 assert abs(quad.p_hat - cond.p_hat) < 4 * cond.stderr
 
+    @pytest.mark.parametrize("alpha, lam", [([1100, 1], [1, 0.5]),
+                                            ([700, 700, 1], [1, 0.5, 0.3])], ids=["d2", "d3-outer"])
+    def test_shape_past_the_jacobi_range_is_domain_error(self, alpha, lam):
+        # past a Beta shape of about 1034 scipy's Gauss-Jacobi weights overflow, and the
+        # estimate was NaN; at d = 3 the outer line's shape is alpha_0 + alpha_1
+        spec = dt.validate_spec(alpha, lam, 0.5, GammaLaw(3))
+        with pytest.raises(DomainError, match=r"in \[1e-06, 1000\]"):
+            dt.quadrature_tail(spec, 5.0)
+
     def test_d3_matches_conditional(self):
         spec = dt.validate_spec([1, 1, 1], [1, 1, 1], 0.5, GammaLaw(3, 1))
         t = 1.6 * math.sqrt(3)
@@ -1273,6 +1282,37 @@ class TestEmpiricalGumbelDiagnostics:
         spec = dt.validate_spec([1, 1], [1, 0.5], 1.0, BetaLaw(2, 3))
         with pytest.raises(DomainError, match="Gumbel-class"):
             dt.empirical_gumbel_mda(spec, [1.0], [1e-4], 1000, seed=1)
+
+
+class TestRatioDenominator:
+    """The three conditional diagnostics share one ratio step: where no draw reaches
+    the denominator's level the ratio would be 0/0, a NumericError naming the level."""
+
+    @pytest.mark.parametrize("call, level", [
+        (lambda: dt.max_sum_ratio(
+            dt.validate_spec([416.8151511581066, 323.8283613927249, 364.05760472822817,
+                              364.05760472822817], [1, 1e-300, 1e-300, 1e-300], 1.0,
+                             UnitGumbel(1.5)), [0.42545620950011176], 512, 1),
+         "0.42545620950011176"),
+        (lambda: dt.empirical_gumbel_mda(
+            dt.validate_spec([416.8151511581066, 323.8283613927249, 516.3577583873995,
+                              364.05760472822817], [1, 1, 7.744601744431506e-210, 1e-300], 1.0,
+                             UnitGumbel(1.5)), [9.669209069690298], [0.32930626809143443], 512,
+            1, 1), r"0\.96378"),
+        (lambda: dt.pairwise_asymindep([416.8, 323.8], [[1, 0], [0, 1]], 1.0, UnitGumbel(1.5),
+                                       0, 1, [100], 512, 1), r"0\.94827"),
+    ], ids=["max_sum_ratio", "empirical_gumbel_mda", "pairwise_asymindep"])
+    def test_unreached_denominator_is_numeric_error(self, call, level):
+        # each returned a NaN ratio (-inf - -inf) with a numpy warning
+        with pytest.raises(NumericError, match=f"no draw reaches the level {level}"):
+            call()
+
+    def test_unreached_numerator_is_a_ratio_of_0(self):
+        # alpha (400, 400) keeps both coordinates near 1/2, so max_i U_i R < 0.6 <= R = S_1
+        # for every draw: log numerator -inf over a finite denominator
+        spec = dt.validate_spec([400, 400], [1, 1], 1.0, UnitGumbel(1.5))
+        (t, num, den, ratio), = dt.max_sum_ratio(spec, [0.6], 512, 1)
+        assert num == -math.inf and math.isfinite(den) and ratio == 0.0
 
 
 class TestGumbelLimitCheck:

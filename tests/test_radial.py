@@ -174,29 +174,6 @@ class TestScalingFunction:
         with pytest.raises(UnsupportedClassError):
             BetaLaw(1, 2).scaling_w(0.5)
 
-    def test_power_scaling(self):
-        model = GammaLaw(1, 1)
-        for x in [0.5, 2.0, 9.0]:
-            assert model.power_scaling_wp(1.0, x) == pytest.approx(model.scaling_w(x), rel=1e-14)
-        assert GammaLaw(3, 1).power_scaling_wp(2.0, 4.0) == pytest.approx(0.25, rel=1e-14)
-        # w(3) = 3 for WeibullTail(2, 0.5), so w_2(9) = 9^{-1/2} * 3 / 2
-        assert WeibullTail(2, 0.5).power_scaling_wp(2.0, 9.0) == pytest.approx(0.5, rel=1e-14)
-
-    @pytest.mark.parametrize("model, p, x, match", [
-        (GammaLaw(1, 1), 0.0, 1.0, "power must be positive"),
-        (GammaLaw(1, 1), -1.0, 1.0, "power must be positive"),
-        (GammaLaw(1, 1), 2.0, 0.0, "argument must be positive"),
-        (GammaLaw(1, 1), 2.0, -3.0, "argument must be positive"),
-        (UnitGumbel(1.0), 2.0, 1.0, "at or beyond the endpoint"),   # x^(1/p) = x_F
-    ])
-    def test_power_scaling_domain(self, model, p, x, match):
-        with pytest.raises(DomainError, match=match):
-            model.power_scaling_wp(p, x)
-
-    def test_power_scaling_overflow_is_numeric_error(self):
-        with pytest.raises(NumericError, match="overflows at x=2.1, p=1e-06"):
-            GammaLaw(2.5).power_scaling_wp(1e-6, 2.1)
-
 
 class TestQuantile:
     def test_examples(self):
@@ -238,7 +215,7 @@ class TestQuantile:
 
     @pytest.mark.parametrize("model", [WeibullTail(index=1e-300), WeibullTail(1.0, 1e-310)],
                              ids=["tiny-index", "tiny-scale"])
-    @pytest.mark.parametrize("level", [1e-6, 0.01, np.array([0.5, 1e-6])])
+    @pytest.mark.parametrize("level", [1e-6, 0.01])
     def test_weibull_quantile_overflow_is_numeric_error(self, model, level):
         # (-log s / scale)^(1/index) passes DBL_MAX: an error, not an inf radius and a warning
         with warnings.catch_warnings():
@@ -248,7 +225,6 @@ class TestQuantile:
 
     @pytest.mark.parametrize("model, level", [
         (GammaLaw(1e308, 1e-308), 1e-6),      # past DBL_MAX in the division by the rate
-        (GammaLaw(1e308, 1e-308), np.array([0.5, 1e-6])),
         (BetaLaw(1e306, 2), 0.5),             # scipy's inverse gives NaN
     ])
     def test_non_finite_quantile_is_numeric_error(self, model, level):
@@ -260,11 +236,30 @@ class TestQuantile:
     @pytest.mark.parametrize("model", [GammaLaw(3, 1), WeibullTail(2, 0.5), BetaLaw(2, 3),
                                        UnitGumbel(1.0)], ids=lambda m: m.family_name)
     def test_nan_level_rejected(self, model):
-        # a NaN level fails both range comparisons, on the vector path too
+        # a NaN level fails both range comparisons
         with pytest.raises(DomainError):
             model.quantile_survival(math.nan)
-        with pytest.raises(DomainError):
-            model.quantile_survival(np.array([math.nan, 0.5]))
+
+    @pytest.mark.parametrize("model", [GammaLaw(3, 1), GammaLaw(1e308, 1e-308), WeibullTail(2, 0.5),
+                                       WeibullTail(index=1e-300), BetaLaw(2, 3), UnitGumbel(1.0)],
+                             ids=repr)
+    @pytest.mark.parametrize("level", [np.array([0.5, 1e-6]), np.array([math.nan, 0.5]),
+                                       np.array(0.5), [0.5]],
+                             ids=["array", "nan-array", "0-d", "list"])
+    def test_array_level_is_validation_error(self, model, level):
+        # quantile_survival takes one level: an array is refused before any arithmetic,
+        # also one whose quantile would overflow or which holds a NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="one real number"):
+                model.quantile_survival(level)
+
+    @pytest.mark.parametrize("model", [GammaLaw(3, 2), WeibullTail(2, 0.5), BetaLaw(2, 3),
+                                       UnitGumbel(1.0)], ids=lambda m: m.family_name)
+    def test_numpy_scalar_level_is_a_float(self, model):
+        for level in (np.float64(1e-6), np.float32(0.25), 0.5):
+            got = model.quantile_survival(level)
+            assert type(got) is float and got == model.quantile_survival(float(level))
 
 
 class TestSample:
