@@ -37,6 +37,8 @@ Every sampler runs its chunks on the CPUs this process may run on, within a
 cgroup CPU quota (see _chunked); conditional_mc_tail, crude_mc_tail,
 empirical_gumbel_mda and pairwise_asymindep also take a worker count.  The
 count changes scheduling, never a result.
+gumbel_limit_check draws no block maxima: it raises the tail to the n-th power,
+from the radial law at d = 1 and replicates * n conditional draws beyond.
 """
 
 from __future__ import annotations
@@ -133,17 +135,15 @@ def _levels(spec: AggregateSpec, thresholds) -> np.ndarray:
     return ts / spec.scale
 
 
-def _chunked(seed: int, n: int, alpha, fn, workers: int | None = None,
-             block: int = 1) -> list:
+def _chunked(seed: int, n: int, alpha, fn, workers: int | None = None) -> list:
     """fn(rng, u, ws) for every chunk k of n draws, in chunk order, on up to
     workers threads, never more than there are chunks.  The chunks hold
-    CHUNK draws rounded down to whole blocks of block draws (one block when
-    a block is longer), and the last one holds the rest.  Each thread keeps
+    CHUNK draws, and the last one holds the rest.  Each thread keeps
     buffers of about d + 1 doubles per draw of the largest chunk, so peak
     memory grows with the thread count.  None reads the CPUs this process
     may run on (its affinity mask, cut to ceil(quota / period) under a
     cgroup v2 CPU quota), but takes no more threads than hold _POOL_DRAWS
-    draws between them, and at least one.
+    draws between them.
 
     u is the chunk's (d, m) block of simplex points, m its draws, one column
     per point, drawn first from rng = default_rng([seed, k]); for d = 1 the
@@ -168,20 +168,19 @@ def _chunked(seed: int, n: int, alpha, fn, workers: int | None = None,
     """
     if not n >= 1:
         raise ValidationError(f"sample count must be >= 1, got {n}")
-    workers = _check_workers(workers)
-    n, per = int(n), max(1, CHUNK // block) * block
-    chunks, size = -(-n // per), min(n, per)
+    workers, n = _check_workers(workers), int(n)
+    chunks, size = -(-n // CHUNK), min(n, CHUNK)
     if workers is None:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
             else os.cpu_count() or 1
-        workers = min(cpus, _cpu_quota() or cpus, max(1, _POOL_DRAWS // size))
+        workers = min(cpus, _cpu_quota() or cpus, _POOL_DRAWS // size)
     workers = min(workers, chunks)
     alpha = np.asarray(alpha, dtype=float)
     d, local = alpha.size, threading.local()
     ones = np.ones((1, size)) if d == 1 else None
 
     def one_chunk(k: int):
-        rng, m, bufs = np.random.default_rng([seed, k]), min(per, n - k * per), vars(local)
+        rng, m, bufs = np.random.default_rng([seed, k]), min(CHUNK, n - k * CHUNK), vars(local)
 
         def ws(key: str, rows: int = 1) -> np.ndarray:
             if key not in bufs:
@@ -251,7 +250,7 @@ def _log_moments(radial: RadialModel, z: np.ndarray, levels, p: float, ws,
     lo, hi, out = float(y.min()), float(y.max()), ws("u", 2).reshape(2, y.size)
     sums = []
     for level in levels:
-        with np.errstate(over="ignore"):  # numpy's power gives inf, a float's raises
+        with np.errstate(over="ignore", invalid="ignore"):  # inf (a float's raises), NaN < 0
             c = float(np.float64(level) ** (1.0 / p))
         if not 0.0 < c < math.inf:
             raise NumericError(f"level^(1/p) at p={p!r} and level {float(level)!r} is not a "
@@ -445,7 +444,7 @@ def pairwise_asymindep(alpha, weights, p: float, radial: RadialModel, i: int, j:
     Y_i for n in n_grid (TailAsymptotic.norming's b, so a radius outside the
     Gumbel class is a DomainError before any draw); the ratio trending to 0
     is the empirical face of the joint max-stable limit with independent
-    Gumbel margins.  Columns: (n_level, b, a, ratio), with a the norming
+    Gumbel margins.  Float columns: (n_level, b, a, ratio), with a the norming
     scale at b, one row per level (a scalar is a one-row grid).  A level that
     no draw of Y_i reaches is a NumericError.
     """
@@ -500,7 +499,7 @@ def pairwise_asymindep(alpha, weights, p: float, radial: RadialModel, i: int, j:
                         _log_moments(radial, z_min, bs, p, ws)))
 
     logs = _chunk_logsums(_chunked(seed, n, alpha, columns, workers)) - math.log(n)
-    return np.asarray([(int(nl), b, a, _ratio(joint, single, b))
+    return np.asarray([(float(nl), b, a, _ratio(joint, single, b))
                        for nl, (b, a), (single, joint) in zip(n_grid, norms, logs)])
 
 
@@ -538,29 +537,28 @@ def empirical_gumbel_mda(spec: AggregateSpec, x_grid, depth_grid, n: int,
 
 def gumbel_limit_check(spec: AggregateSpec, n: int, replicates: int, x_grid,
                        seed: int) -> np.ndarray:
-    """Empirical P(max of n i.i.d. S_p <= a_n x + b_n) against exp(-exp(-x)).
-
-    Block maxima are simulated directly (replicates blocks of n draws);
-    the norming constants come from the tail asymptotic.  Columns:
-    (x, empirical, limit), one row per x (a scalar is a one-row grid).
+    """P(max of n i.i.d. S_p <= c) at c = a_n x + b_n against exp(-exp(-x)): the
+    column is F_S(c)^n = exp(n log1p(-F_bar_S(c))), no block maximum simulated.
+    F_bar_S is exact at d = 1, the radial law's log_survival at (c / scale)^{1/p}
+    (nothing drawn), else conditional_mc_tail's from replicates * n draws at seed.
+    Columns: (x, F_S(c)^n, limit), one row per x (a scalar is a one-row grid).
     """
-    seed = _check_seed(seed)
+    seed, x_arr = _check_seed(seed), np.atleast_1d(np.asarray(x_grid, dtype=float))
+    if np.isnan(x_arr).any():
+        raise ValidationError(f"x_grid must hold numbers, got {x_arr.tolist()}")
     consts = norming_constants(spec, n)
-    x_arr = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    cut = consts.b_n + consts.a_n * x_arr
-
-    def block_counts(rng, u, ws):
-        s = spec.radial.sample(rng, u.shape[1])
-        with np.errstate(over="ignore"):  # scale R^p past DBL_MAX is inf, past every cut
-            s **= spec.p
-            s *= spec.scale
-        s *= _z(spec, u)
-        block_max = s.reshape(-1, n).max(axis=1)
-        return (block_max[:, None] <= cut[None, :]).sum(axis=0)
-
-    counts = sum(_chunked(seed, replicates * n, spec.alpha, block_counts, block=n))
-    emp = counts / float(replicates)
-    return np.asarray([(x, e, math.exp(-math.exp(-x))) for x, e in zip(x_arr, emp)])
+    with np.errstate(over="ignore"):  # a cut or a radius past DBL_MAX is inf, past the support
+        cut = consts.b_n + consts.a_n * x_arr
+        r = (np.where(cut > 0, cut, 0.0) / spec.scale) ** (1.0 / spec.p)  # the d = 1 radius
+        limit = np.exp(-np.exp(-x_arr))
+    log_sf = np.where(cut > 0, -np.inf, 0.0)  # S_p >= 0: survival 1 at a cut <= 0
+    inner = (cut > 0) & (r < spec.radial.upper_endpoint if spec.d == 1 else cut < np.inf)
+    if inner.any():
+        log_sf[inner] = spec.radial.log_survival(r[inner]) if spec.d == 1 else [
+            est.log_p_hat for est in conditional_mc_tail(spec, cut[inner], replicates * n, seed)]
+    with np.errstate(divide="ignore"):  # a survival of 1: log1p(-1) = -inf, F_S^n = 0
+        cdf_n = np.exp(n * np.log1p(-np.exp(np.minimum(log_sf, 0.0))))
+    return np.column_stack([x_arr, cdf_n, limit])
 
 
 # the oracle builds on Estimate and the kernel above; it is public here too

@@ -17,8 +17,8 @@ quantile for WeibullTail and UnitGumbel.  standard_gamma also draws the
 simplex coordinates' gamma rows in montecarlo; it takes for each shape the
 cheapest exact method numpy's primitives give.  A custom law subclasses
 RadialModel and implements upper_endpoint, log_survival, quantile_survival
-(the threshold at one survival level) and sample (radii for crude_mc_tail,
-sample_dirichlet and gumbel_limit_check).  The conditional estimators ask a law for scaled
+(the threshold at one survival level) and sample (radii for crude_mc_tail
+and sample_dirichlet).  The conditional estimators ask a law for scaled
 survival weights (survival_weights), whose default comes from log_survival;
 GammaLaw overrides it with the closed form of a whole shape.
 """

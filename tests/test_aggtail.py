@@ -747,6 +747,18 @@ class TestOraclesAreFiniteOrAnError:
                    (out.rel_err or 0.0) if out.p_hat else 0.0]
         assert np.all(np.asarray(out, dtype=float) < math.inf), (call.__name__, args, out)
 
+    def _check_gumbel_edges(self, spec, x):
+        """P(M_n <= c) is exactly 0 at a cut c at or below 0 (S_p >= 0), on every route,
+        and exactly 1 at a d = 1 cut at or past the top scale * x_F^p of the support."""
+        try:
+            consts = dt.norming_constants(spec, self.N)
+        except DirtailError:
+            return
+        cut = consts.b_n + consts.a_n * x
+        if cut <= 0 or (spec.d == 1 and cut >= spec.scale * spec.radial.upper_endpoint ** spec.p):
+            (_, cdf_n, _), = dt.gumbel_limit_check(spec, self.N, 1, x, 1)
+            assert cdf_n == (cut > 0), (spec, x, cut, cdf_n)
+
     @settings(max_examples=400, deadline=None)
     @given(case=_CLOSED_FORM_CASE)
     # no draw reaches the denominator's level: a 0/0 ratio
@@ -761,8 +773,16 @@ class TestOraclesAreFiniteOrAnError:
     @example(case=([(700.0, 1.0), (700.0, 0.5), (1.0, 0.3)], 0.5, GammaLaw(3.0), 1e-6,
                    1.0, 1.0, 2.0))
     @example(case=([(1100.0, 1.0), (1.0, 0.5)], 0.5, GammaLaw(3.0), 1e-6, 1.0, 1.0, 2.0))
-    # R^p past DBL_MAX in the crude and block-maxima draws: inf, past every level
+    # R^p past DBL_MAX in the crude draws: inf, past every level
     @example(case=([(1.0, 1.0)], 30.0, WeibullTail(0.25, 0.015625), 0.5, 1.0, 0.0, 2.0))
+    # gumbel_limit_check's edges, at x out of the strategy's range: a d = 1 cut below 0
+    # (a NaN radius (c / scale)^{1/p}), a cut of 0.1 whose survival exp(-0.1^25) rounds to 1
+    # (log1p(-1)), a UnitGumbel cut of 23 past the endpoint 1 whose radius 23^1000 passes
+    # DBL_MAX, and a d = 2 cut below 0, which no estimator takes
+    @example(case=([(1.0, 1.0)], 2.0, GammaLaw(1.0), 0.01, -100.0, 1.0, 2.0))
+    @example(case=([(1.0, 1.0)], 1.0, WeibullTail(25.0), 0.01, -141.46354815055335, 1.0, 2.0))
+    @example(case=([(1.0, 1.0)], 1e-3, UnitGumbel(1.0), 0.01, 1e6, 1.0, 2.0))
+    @example(case=([(1.0, 1.0), (1.0, 1.0)], 2.0, GammaLaw(2.0), 0.01, -100.0, 1.0, 2.0))
     def test_oracles(self, case):
         pairs, p, radial, depth, x, _, _ = case
         alpha, lam = zip(*pairs)
@@ -779,6 +799,7 @@ class TestOraclesAreFiniteOrAnError:
             self._check(dt.max_sum_ratio, spec, t, self.N, 1)
         self._check(dt.empirical_gumbel_mda, spec, x, depth, self.N, 1, 1)
         self._check(dt.gumbel_limit_check, spec, self.N, 1, x, 1)
+        self._check_gumbel_edges(spec, x)
         if spec.d > 1:  # identity weights suit every p
             self._check(dt.pairwise_asymindep, alpha, np.eye(spec.d), p, radial, 0, 1,
                         max(2, int(1.0 / depth)), self.N, 1, 1)

@@ -28,7 +28,7 @@ DIGESTS = {
     "M2": "ffae9b01976edfafd4dd9124ee688cc213aa071d20dc0b08880e46f897cf11b0",
     "M3": "751ee3874b15635a7ad387caf6526c10da25d2846f08a600f697388c3d3c1ce4",
     "M4": "bdbff234901b939a75a1a840e161ff8022a645728ceba53c479c9de5aa2ee322",
-    "M5": "0eddeda25dbf03d357a5edd6283c3cc54ee82255bb6331a3fd9b17239582c466",
+    "M5": "6a729bf38c82c2eabf1154234ab42c9d075ae0e4ced3e64058d4fabf05dd7a7d",
     "M6": "5557a2ad3dfa1db6899591b5cac1761587e9f820a707cfa6509bb13437e53ee0",
     "M7": ("exit 3", "dirtail: numeric failure: simplex row sum underflowed to 0 at "
                      "alpha=[0.001, 0.001]: every standard_gamma draw of a row was 0 "

@@ -222,14 +222,11 @@ class TestChunkBlock:
     def _blocks(seed, n, alpha):
         return mc._chunked(seed, n, alpha, lambda rng, u, ws: u.copy())
 
-    @pytest.mark.parametrize("n, block, sizes", [
-        (1, 1, [1]), (CHUNK, 1, [CHUNK]), (2 * CHUNK + 5, 1, [CHUNK, CHUNK, 5]),
-        (7 * 1000, 1000, [7000]), (200 * 1000, 1000, [65000, 65000, 65000, 5000]),
-        (3 * 70000, 70000, [70000] * 3)])
-    def test_partition_holds_whole_blocks(self, n, block, sizes):
-        # chunks of CHUNK draws rounded down to whole blocks, one block when a
-        # block is longer, and the rest in the last chunk
-        assert mc._chunked(1, n, [1.0], lambda rng, u, ws: u.shape[1], block=block) == sizes
+    @pytest.mark.parametrize("n, sizes", [
+        (1, [1]), (CHUNK, [CHUNK]), (2 * CHUNK + 5, [CHUNK, CHUNK, 5])])
+    def test_partition_is_whole_chunks_and_the_rest(self, n, sizes):
+        # chunks of CHUNK draws, and the rest in the last chunk
+        assert mc._chunked(1, n, [1.0], lambda rng, u, ws: u.shape[1]) == sizes
 
     @pytest.mark.parametrize("alpha", [[1.5], [1.0, 2.0], [0.5, 1.0, 3.0],
                                        [1.0, 0.3, 2.0, 0.7, 1.2], [1.0, 1.0, 1.0], [2.0, 2.0],
@@ -482,7 +479,7 @@ class TestBufferReuse:
         lambda s, n: mc.pairwise_asymindep(s.alpha, [[1, 0], [0, 1], [0.5, 0.3], [0.2, 0.7]],
                                            s.p, s.radial, 0, 1, [100, 1000], n, seed=5),
         lambda s, n: mc.empirical_gumbel_mda(s, [0.5, 1.0], [1e-3, 1e-5], n, seed=5),
-        # blocks of 1000 draws: four chunks of 65, 65, 65 and 55 blocks
+        # no blocks: 250 000 conditional draws in four chunks
         lambda s, n: mc.gumbel_limit_check(s, 1000, 250, [-1.0, 0.0, 2.0], seed=5),
         lambda s, n: mc.sample_dirichlet(s, n, seed=5),
     ], ids=["conditional", "crude", "max_sum_ratio", "pairwise", "gumbel_mda", "gumbel_limit",
@@ -557,10 +554,10 @@ class TestWorkerCount:
 
     def test_default_holds_at_most_pool_draws(self, monkeypatch):
         # the chunks hold CHUNK, CHUNK and 5 draws: the default takes as many
-        # threads as _POOL_DRAWS covers at the largest, and at least one
+        # threads as _POOL_DRAWS covers at the largest
         monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: set(range(16)),
                             raising=False)
-        for draws, sizes in [(2 * CHUNK + 1, [2]), (CHUNK, []), (CHUNK - 1, [])]:
+        for draws, sizes in [(2 * CHUNK + 1, [2]), (CHUNK, [])]:
             monkeypatch.setattr(mc, "_POOL_DRAWS", draws)
             assert self._pool_sizes(monkeypatch) == sizes
         assert self._pool_sizes(monkeypatch, workers=8) == [3]  # a given count is kept
@@ -1236,6 +1233,13 @@ class TestPairwiseAsymptoticIndependence:
         assert table.shape == (1, 4)
         assert table.tobytes() == dt.pairwise_asymindep(*args, [100], 2000, seed=67).tobytes()
 
+    @pytest.mark.parametrize("level", [10 ** 20, 1e300])
+    def test_table_is_float64_past_int64(self, level):
+        # an int(level) column past int64 made an object table
+        table = dt.pairwise_asymindep([1, 1], np.eye(2), 1.0, GammaLaw(2), 0, 1, [level],
+                                      512, 1, 1)
+        assert table.dtype == np.float64
+
     def test_matrix_validation(self):
         with pytest.raises(ValidationError):   # same column twice
             dt.pairwise_asymindep([1, 1], [[1.0, 0.0], [0.0, 1.0]], 2.0,
@@ -1316,11 +1320,64 @@ class TestRatioDenominator:
 
 
 class TestGumbelLimitCheck:
-    def test_exponential_blocks(self):
-        spec = dt.validate_spec([1.0], [1.0], 1.0, GammaLaw(1, 1))
-        table = dt.gumbel_limit_check(spec, 1000, 3000, [-1.0, 0.0, 2.0], seed=89)
-        for x, emp, limit in table:
-            assert abs(emp - limit) <= 0.05
+    """P(M_n <= c) = F_S(c)^n from the tail: exact at d = 1, from
+    conditional_mc_tail's estimate at d >= 2."""
+
+    EXP1 = dt.validate_spec([1.0], [1.0], 1.0, GammaLaw(1, 1))
+
+    def test_exponential_near_its_limit(self):
+        table = dt.gumbel_limit_check(self.EXP1, 1000, 3000, [-1.0, 0.0, 2.0], seed=89)
+        for x, cdf_n, limit in table:
+            assert abs(cdf_n - limit) <= 0.05
+
+    @pytest.mark.parametrize("replicates, seed", [(500, 439881817), (10 ** 4, 20240808)],
+                             ids=["M5", "AC-9"])
+    def test_d1_is_exact(self, replicates, seed):
+        # the benchmark's M5 and AC-9's configs: F_bar_S(c) = e^-c for an Exp(1) radius
+        n = 10 ** 4
+        consts = dt.norming_constants(self.EXP1, n)
+        for x, cdf_n, _ in dt.gumbel_limit_check(self.EXP1, n, replicates, [-1.0, 0.0, 2.0],
+                                                 seed):
+            c = consts.b_n + consts.a_n * x
+            assert cdf_n == pytest.approx(math.exp(n * math.log1p(-math.exp(-c))), rel=1e-12)
+
+    def test_d3_agrees_with_quadrature(self):
+        # M1's spec: the estimate's F^n against quadrature_tail's within 3 delta-method
+        # standard errors, n F^n stderr(F_bar) / (1 - F_bar).  Over seeds 1-12 the gaps were
+        # within 1.3 of them but for seed 12's 3.1-3.2, where a few weights dominate
+        spec = dt.validate_spec([1, 1, 1], [1, 0.7, 0.4], 0.5, GammaLaw(3))
+        n, replicates, seed, xs = 1000, 100, 7, [-1.0, 0.0, 2.0]
+        consts = dt.norming_constants(spec, n)
+        cuts = [consts.b_n + consts.a_n * x for x in xs]
+        ests = dt.conditional_mc_tail(spec, cuts, replicates * n, seed)
+        table = dt.gumbel_limit_check(spec, n, replicates, xs, seed)
+        for (x, cdf_n, _), est, c in zip(table, ests, cuts):
+            assert cdf_n == pytest.approx(math.exp(n * math.log1p(-est.p_hat)), rel=1e-12)
+            exact = math.exp(n * math.log1p(-dt.quadrature_tail(spec, c).p_hat))
+            se = n * cdf_n * est.stderr / (1.0 - est.p_hat)
+            assert abs(cdf_n - exact) <= 3.0 * se, (x, cdf_n, exact, se)
+
+    @pytest.mark.parametrize("spec, x, want", [
+        # a cut below 0 (S_p >= 0), and at -inf
+        (dt.validate_spec([1.0], [1.0], 2.0, GammaLaw(1.0)), [-100.0, -math.inf], [0.0, 0.0]),
+        # a cut of 0.1, whose survival exp(-0.1^25) rounds to 1
+        (dt.validate_spec([1.0], [1.0], 1.0, WeibullTail(25.0)), [-141.46354815055335], [0.0]),
+        # a cut past the endpoint 1, whose radius 23^1000 passes DBL_MAX too, and at inf
+        (dt.validate_spec([1.0], [1.0], 1e-3, UnitGumbel(1.0)), [1e6, math.inf], [1.0, 1.0]),
+    ], ids=["below_0", "survival_1", "past_endpoint"])
+    def test_d1_edges_are_exact(self, spec, x, want):
+        assert dt.gumbel_limit_check(spec, 512, 1, x, 1)[:, 1].tolist() == want
+
+    def test_d2_edges_call_no_estimator(self, monkeypatch):
+        # the cuts at and below 0, and at inf, need no estimate
+        monkeypatch.setattr(mc, "conditional_mc_tail", None)
+        table = dt.gumbel_limit_check(KOTZ2, 512, 1, [-100.0, -math.inf, math.inf], 1)
+        assert table[:, 1].tolist() == [0.0, 0.0, 1.0]
+        assert table[:, 2].tolist() == [0.0, 0.0, 1.0]
+
+    def test_nan_x_is_validation_error(self):
+        with pytest.raises(ValidationError, match="x_grid must hold numbers"):
+            dt.gumbel_limit_check(self.EXP1, 100, 1, [0.0, math.nan], 1)
 
     def test_scalar_x_is_one_row(self):
         spec = dt.validate_spec([1.0], [1.0], 1.0, GammaLaw(1, 1))
