@@ -1357,33 +1357,22 @@ class TestGumbelLimitCheck:
             se = n * cdf_n * est.stderr / (1.0 - est.p_hat)
             assert abs(cdf_n - exact) <= 3.0 * se, (x, cdf_n, exact, se)
 
-    @pytest.mark.parametrize("spec, x, want", [
-        # a cut below 0 (S_p >= 0), and at -inf
-        (dt.validate_spec([1.0], [1.0], 2.0, GammaLaw(1.0)), [-100.0, -math.inf], [0.0, 0.0]),
-        # a cut of 0.1, whose survival exp(-0.1^25) rounds to 1
-        (dt.validate_spec([1.0], [1.0], 1.0, WeibullTail(25.0)), [-141.46354815055335], [0.0]),
-        # a cut past the endpoint 1, whose radius 23^1000 passes DBL_MAX too, and at inf
-        (dt.validate_spec([1.0], [1.0], 1e-3, UnitGumbel(1.0)), [1e6, math.inf], [1.0, 1.0]),
-    ], ids=["below_0", "survival_1", "past_endpoint"])
-    def test_d1_edges_are_exact(self, spec, x, want):
-        assert dt.gumbel_limit_check(spec, 512, 1, x, 1)[:, 1].tolist() == want
-
-    def test_d2_edges_call_no_estimator(self, monkeypatch):
-        # the cuts at and below 0, and at inf, need no estimate
+    @pytest.mark.parametrize("spec", [EXP1, KOTZ2], ids=["d1", "d2"])
+    def test_edge_cuts_need_no_tail(self, monkeypatch, spec):
+        # S_p >= 0: a cut at or below 0 gives 0, and an infinite one gives 1
         monkeypatch.setattr(mc, "conditional_mc_tail", None)
-        table = dt.gumbel_limit_check(KOTZ2, 512, 1, [-100.0, -math.inf, math.inf], 1)
-        assert table[:, 1].tolist() == [0.0, 0.0, 1.0]
-        assert table[:, 2].tolist() == [0.0, 0.0, 1.0]
+        table = dt.gumbel_limit_check(spec, 512, 1, [-100.0, -math.inf, math.inf], 1)
+        assert table[:, 1:].tolist() == [[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]]
 
     def test_nan_x_is_validation_error(self):
         with pytest.raises(ValidationError, match="x_grid must hold numbers"):
             dt.gumbel_limit_check(self.EXP1, 100, 1, [0.0, math.nan], 1)
 
     def test_scalar_x_is_one_row(self):
-        spec = dt.validate_spec([1.0], [1.0], 1.0, GammaLaw(1, 1))
-        table = dt.gumbel_limit_check(spec, 100, 50, 0.0, seed=89)
+        table = dt.gumbel_limit_check(self.EXP1, 100, 50, 0.0, seed=89)
         assert table.shape == (1, 3)
-        assert table.tobytes() == dt.gumbel_limit_check(spec, 100, 50, [0.0], seed=89).tobytes()
+        assert table.tobytes() == dt.gumbel_limit_check(self.EXP1, 100, 50, [0.0],
+                                                        seed=89).tobytes()
 
 
 class TestPredictionOracleConvergence:
